@@ -7,6 +7,11 @@ a finite-dimensional bifurcation equation: the pairing of F against the
 periodic adjoint solutions must vanish. A sequence solves the original
 problem exactly when both hold.
 
+The operator M_p (I - Q) is assembled once per bifurcation map, from the
+same blocks that give its norm bound, so each fixed-point step is one
+matrix-vector product, and the Newton Jacobian is built from pointwise
+differences of g.
+
 Depending on the kernel dimension of the linear part this gives three
 solvers:
 
@@ -72,19 +77,24 @@ class BoundaryZeroError(RuntimeError):
 # -- substitution operator ------------------------------------------------
 
 
+def _g_values(problem: Problem, x1: np.ndarray) -> np.ndarray:
+    """g(t, x1(t)) for t = 0..N-1; a DomainError names the first failing t."""
+    try:
+        return expr.evaluate(problem.g, np.arange(problem.N), x1)
+    except expr.DomainError:
+        for t in range(problem.N):
+            try:
+                expr.evaluate(problem.g, t, x1[t])
+            except expr.DomainError as e:
+                raise expr.DomainError(f"{e} (at t={t}, x={x1[t]!r})") from None
+        raise
+
+
 def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
     """(F x)(t) = (0, g(t, x1(t))); the nonlinearity lifted to sequences."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    try:
-        out[:, 1] = expr.evaluate(problem.g, np.arange(problem.N), x[:, 0])
-    except expr.DomainError:
-        for t in range(problem.N):
-            try:
-                expr.evaluate(problem.g, t, x[t, 0])
-            except expr.DomainError as e:
-                raise expr.DomainError(f"{e} (at t={t}, x={x[t, 0]!r})") from None
-        raise
+    out[:, 1] = _g_values(problem, x[:, 0])
     return out
 
 
@@ -93,13 +103,22 @@ def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BifurcationMap:
-    """Reduced problem in kernel coordinates, with the inner solve settings."""
+    """Reduced problem in kernel coordinates, with the inner solve settings.
+
+    The operator M_p (I - Q) is assembled once per map, from the same
+    (N, 2, N, 2) blocks that give its norm bound. Because F(x) = (0, g(t,
+    x1)), only the blocks acting on the g component are kept, as the
+    (2N, N) matrix ``aux_operator``: each Picard step of the auxiliary
+    equation is one matvec with it, and the Newton Jacobian is built from
+    pointwise differences of g.
+    """
 
     problem: Problem
     ld: LinearData
     inner_tol: float = 1e-12
     inner_max_iter: int = 500
     _norm_upper: float | None = field(default=None, repr=False)
+    _aux_operator: np.ndarray | None = field(default=None, repr=False)
     _inner_iters: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -112,12 +131,28 @@ class BifurcationMap:
     def dim(self) -> int:
         return self.ld.resonance.dim
 
+    def _build_operator(self) -> None:
+        B = _mpiq_blocks(self.ld)
+        self._norm_upper = _upper_from_blocks(B)
+        N = self.problem.N
+        self._aux_operator = B[:, :, :, 1].reshape(2 * N, N)
+
     @property
     def norm_upper(self) -> float:
         """Cached sound upper bound for the norm of M_p (I - Q)."""
         if self._norm_upper is None:
-            self._norm_upper = _upper_from_blocks(_mpiq_blocks(self.ld))
+            self._build_operator()
         return self._norm_upper
+
+    @property
+    def aux_operator(self) -> np.ndarray:
+        """Cached (2N, N) matrix G of M_p (I - Q) on the g component.
+
+        M_p (I - Q) F(x) = (G @ g(t, x1(t))).reshape(N, 2).
+        """
+        if self._aux_operator is None:
+            self._build_operator()
+        return self._aux_operator
 
     def kernel_lift(self, alpha) -> np.ndarray:
         """Kernel element with coordinates alpha in the classified basis."""
@@ -130,22 +165,41 @@ class BifurcationMap:
         return lift
 
 
+def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of wf -> wf - M_p(I-Q)F(lift + w), flattened.
+
+    g acts pointwise, so the Jacobian is I - G diag(dg) on the w1 columns and
+    I on the w2 columns; dg holds the central difference quotients of g at
+    x1 +- h, h = 1e-6 * (1 + |w1|), the ones a column-by-column difference
+    of the whole residual takes, without the rounding noise of the operator.
+    """
+    N = bm.problem.N
+    w1 = wf[0::2]
+    h = 1e-6 * (1.0 + np.abs(w1))
+    x1 = lift[:, 0] + w1
+    dg = (_g_values(bm.problem, x1 + h) - _g_values(bm.problem, x1 - h)) / (2.0 * h)
+    J = np.eye(2 * N)
+    J[:, 0::2] -= bm.aux_operator * dg
+    return J
+
+
 def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
     """Solve w = M_p (I - Q) F(lift + w) in Ker(P) to bm.inner_tol."""
-    ld = bm.ld
+    N = bm.problem.N
+    G = bm.aux_operator
 
     def step(w):
-        Fx = apply_F(bm.problem, lift + w)
-        target = mp_solve(ld, Fx - proj_Q(ld, Fx))
+        gv = _g_values(bm.problem, lift[:, 0] + w[:, 0])
+        target = (G @ gv).reshape(N, 2)
         # the image of M_p(I-Q) is bounded by its operator norm times the
         # largest nonlinearity value actually reached; a violation would
         # mean the linear data is inconsistent
-        bound = bm.norm_upper * float(np.max(np.abs(Fx[:, 1]), initial=0.0))
+        bound = bm.norm_upper * float(np.max(np.abs(gv), initial=0.0))
         if sup_norm(target) > bound * (1.0 + 1e-9) + 1e-12:
             raise RuntimeError("auxiliary iterate exceeded the operator-norm bound")
         return target
 
-    w = np.zeros((bm.problem.N, 2))
+    w = np.zeros((N, 2))
     target = step(w)
     res = sup_norm(target - w)
     lam = 1.0
@@ -169,29 +223,22 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
 
     # Newton fallback on the flattened residual w - M_p(I-Q)F(lift + w);
     # steps stay inside Ker(P) because the right-hand map lands there
-    N = bm.problem.N
-
     def resid(wf):
         ws = wf.reshape(N, 2)
         return (ws - step(ws)).ravel()
 
     wf = w.ravel().copy()
     r = resid(wf)
-    for it in range(min(40, bm.inner_max_iter - used)):
+    max_steps = min(40, bm.inner_max_iter - used)
+    for it in range(max_steps + 1):
         rn = float(np.max(np.abs(r)))
         if rn <= bm.inner_tol:
             bm._inner_iters += it
             return wf.reshape(N, 2)
-        J = np.empty((2 * N, 2 * N))
-        for j in range(2 * N):
-            h = 1e-6 * (1.0 + abs(wf[j]))
-            wp = wf.copy()
-            wp[j] += h
-            wm = wf.copy()
-            wm[j] -= h
-            J[:, j] = (resid(wp) - resid(wm)) / (2.0 * h)
+        if it == max_steps:
+            break
         try:
-            d = np.linalg.solve(J, -r)
+            d = np.linalg.solve(_aux_jacobian(bm, lift, wf), -r)
         except np.linalg.LinAlgError:
             raise ConvergenceError(
                 f"auxiliary equation: singular Newton system (residual {rn:.3e})"
@@ -209,9 +256,6 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
                 )
         wf = wf + s * d
         r = r_new
-    rn = float(np.max(np.abs(r)))
-    if rn <= bm.inner_tol:
-        return wf.reshape(N, 2)
     raise ConvergenceError(f"auxiliary equation did not converge (residual {rn:.3e})")
 
 

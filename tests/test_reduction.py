@@ -5,6 +5,7 @@ import pytest
 
 from perdiff import (
     BifurcationMap,
+    ConvergenceError,
     BoundaryZeroError,
     NoSignChangeError,
     apply_F,
@@ -25,6 +26,9 @@ from perdiff import (
     winding_number,
     winding_of_map,
 )
+
+from perdiff import reduction
+from perdiff.reduction import _aux_jacobian
 
 from conftest import CANONICAL_G, make_problem
 
@@ -67,6 +71,69 @@ def test_aux_solve_contract_and_norm_bound():
         assert sup_norm(proj_P(ld, w)) <= 1e-10
         # the fixed point obeys the operator-norm estimate
         assert sup_norm(w) <= bm.norm_upper * 0.01 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("b,c,N", [
+    (-3, 2, 9),
+    (-1.5, 0.5, 13),
+    (-2.0 * math.cos(2.0 * math.pi / 15), 1, 15),
+])
+def test_aux_operator_matches_mp_solve(b, c, N):
+    # the cached operator applies M_p(I-Q) to F = (0, g-values)
+    _, bm = _bm(b, c, N, "tanh(x)")
+    G = bm.aux_operator
+    assert G.shape == (2 * N, N)
+    rng = np.random.default_rng(N)
+    for _ in range(4):
+        F = np.zeros((N, 2))
+        F[:, 1] = rng.standard_normal(N)
+        expected = mp_solve(bm.ld, F - proj_Q(bm.ld, F))
+        got = (G @ F[:, 1]).reshape(N, 2)
+        assert sup_norm(got - expected) <= 1e-12 * (1.0 + sup_norm(F))
+
+
+def test_aux_jacobian_matches_full_difference_jacobian():
+    # the pointwise Jacobian equals the column-by-column central difference
+    # of the whole residual w - M_p(I-Q)F(lift + w), at a nonzero w
+    N = 5
+    p, bm = _bm(-3, 2, N, "tanh(x)+0.1*cos(2*pi*t/5)")
+    ld = bm.ld
+    lift = bm.kernel_lift([0.7])
+    wf = 0.3 * np.random.default_rng(0).standard_normal(2 * N)
+
+    def resid(vf):
+        v = vf.reshape(N, 2)
+        Fx = apply_F(p, lift + v)
+        return (v - mp_solve(ld, Fx - proj_Q(ld, Fx))).ravel()
+
+    expected = np.empty((2 * N, 2 * N))
+    for j in range(2 * N):
+        e = np.zeros(2 * N)
+        e[j] = 1e-6 * (1.0 + abs(wf[j]))
+        expected[:, j] = (resid(wf + e) - resid(wf - e)) / (2.0 * e[j])
+    np.testing.assert_allclose(_aux_jacobian(bm, lift, wf), expected, rtol=0, atol=1e-6)
+
+
+def test_inner_iterations_count_newton_on_its_last_step(monkeypatch):
+    # at alpha = 0 damping collapses and the Newton fallback finishes the
+    # solve; with the budget cut to exactly the steps used, Newton converges
+    # on its last allowed step and those steps must still be counted
+    p, bm = _bm(-3, 2, 9, "tanh(x)+0.1*cos(2*pi*t/9)")
+    jacobians = []
+
+    def counting(*args):
+        jacobians.append(1)
+        return _aux_jacobian(*args)
+
+    monkeypatch.setattr(reduction, "_aux_jacobian", counting)
+    aux_solve(bm, [0.0])
+    assert jacobians
+    used = bm._inner_iters
+    tight = BifurcationMap(p, bm.ld, inner_max_iter=used)
+    aux_solve(tight, [0.0])
+    assert tight._inner_iters == used
+    with pytest.raises(ConvergenceError):
+        aux_solve(BifurcationMap(p, bm.ld, inner_max_iter=used - 1), [0.0])
 
 
 def test_bifurcation_value_odd_symmetry():

@@ -8,6 +8,7 @@ from perdiff import (
     check_solution,
     classify,
     multistart_search,
+    solve,
     solve_1d,
     solve_2d,
     solve_nonresonant,
@@ -24,6 +25,17 @@ def test_solve_1d_with_strong_nonlinearity():
     rep = solve_1d(p, r=10.0)
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
+
+
+@pytest.mark.parametrize("N", [17, 21, 25])
+def test_solve_1d_at_large_period(N):
+    # multipliers 1 and 2: shooting over a period carries rounding noise
+    # scaled by 2^N, which a Newton Jacobian that differences whole operator
+    # applications turns into a singular or wrong system
+    p = make_problem(-3, 2, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+    rep = solve(p)
+    assert rep.oracle_verified
+    assert rep.residual_sup <= 1e-9
 
 
 def test_solve_nonresonant_with_strong_nonlinearity():
