@@ -117,8 +117,8 @@ class BifurcationMap:
     ld: LinearData
     inner_tol: float = 1e-12
     inner_max_iter: int = 500
-    _norm_upper: float | None = field(default=None, repr=False)
-    _aux_operator: np.ndarray | None = field(default=None, repr=False)
+    _norm_upper: float | None = field(default=None, init=False, repr=False)
+    _aux_operator: np.ndarray | None = field(default=None, init=False, repr=False)
     _inner_iters: int = field(default=0, repr=False)
 
     def __post_init__(self):
