@@ -38,6 +38,10 @@ _ROT_INT_TOL = 1e-6
 class NotInImageError(ValueError):
     """Right-hand side is not in the image of the linear operator."""
 
+    def __init__(self, defect: float):
+        super().__init__(f"right-hand side not in image (defect {defect:.3e})")
+        self.defect = defect
+
 
 # -- problem data types --------------------------------------------------
 
@@ -260,11 +264,9 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
     Raises NotInImageError when the pairing test says h is not in Im(L).
     """
     h = np.asarray(h, dtype=float)
-    defect = image_test(ld, h)
-    if defect.size and np.max(np.abs(defect)) > 1e-9 * (1.0 + sup_norm(h)):
-        raise NotInImageError(
-            f"right-hand side not in image (defect {np.max(np.abs(defect)):.3e})"
-        )
+    defect = float(np.max(np.abs(image_test(ld, h)), initial=0.0))
+    if defect > 1e-9 * (1.0 + sup_norm(h)):
+        raise NotInImageError(defect)
     N = ld.problem.N
     A = ld.A
     s = np.zeros(2)

@@ -1,7 +1,6 @@
-"""Small 2x2 matrix/vector kernels shared by the whole package.
+"""Small 2x2 matrix kernels shared by the whole package.
 
-Matrices are plain numpy arrays of shape (2, 2), vectors of shape (2,).
-Powers are formed by repeated multiplication, singular values come from
+Matrices are plain numpy arrays of shape (2, 2). Singular values come from
 the closed-form 2x2 expression, and the pseudo-inverse goes through an
 SVD with a relative rank cutoff so that rank decisions stay stable at
 monodromy scale (entries O(1) up to O(|c|**N)).
@@ -26,26 +25,6 @@ def as_mat2(a) -> np.ndarray:
     return A
 
 
-def as_vec2(v) -> np.ndarray:
-    x = np.asarray(v, dtype=float)
-    if x.shape != (2,):
-        raise ValueError(f"expected a 2-vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector entries must be finite")
-    return x
-
-
-def mat2_pow(A, t: int) -> np.ndarray:
-    """A**t for integer t >= 0 by repeated multiplication; t=0 is the identity."""
-    A = as_mat2(A)
-    if t != int(t) or t < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    out = np.eye(2)
-    for _ in range(int(t)):
-        out = A @ out
-    return out
-
-
 def svals2(A) -> tuple[float, float]:
     """Both singular values of a 2x2 matrix, largest first.
 
@@ -59,13 +38,6 @@ def svals2(A) -> tuple[float, float]:
     smax = math.sqrt(0.5 * (s1 + s2))
     smin = math.sqrt(max(0.0, 0.5 * (s1 - s2)))
     return smax, smin
-
-
-def rank2(A) -> int:
-    """Numerical rank under the package cutoff."""
-    smax, smin = svals2(A)
-    cut = RANK_RTOL * max(1.0, smax)
-    return int(smax > cut) + int(smin > cut)
 
 
 def pinv2(A) -> np.ndarray:

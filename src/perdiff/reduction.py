@@ -15,8 +15,9 @@ differences of g.
 Depending on the kernel dimension of the linear part this gives three
 solvers:
 
-* ``solve_nonresonant`` -- invertible linear part; plain fixed point of
-  L^{-1} F with damping and a Newton fallback;
+* ``solve_nonresonant`` -- invertible linear part; the auxiliary equation
+  with P = Q = 0, i.e. the fixed point of L^{-1} F, and no bifurcation
+  equation;
 * ``solve_1d`` -- one kernel direction; bisection on the scalar bifurcation
   function over [-r, r] after checking it changes sign, mirroring the sign
   argument that proves existence;
@@ -24,8 +25,9 @@ solvers:
   bifurcation map around a circle provides degree evidence, then Newton from
   a deterministic grid of seeds locates a zero.
 
-All produced solutions are re-validated: the two reduced equations, the
-scalar recurrence residual, and the independent oracle check.
+One damped Picard loop, one damped Newton loop and one bisection loop serve
+all three. All produced solutions are re-validated: the two reduced
+equations, the scalar recurrence residual, and the independent oracle check.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ import numpy as np
 from . import expr, oracle
 from .linear import (
     LinearData,
+    NotInImageError,
     Problem,
-    apply_L,
     build_linear_data,
     image_test,
     mp_solve,
@@ -111,6 +113,9 @@ class BifurcationMap:
     (2N, N) matrix ``aux_operator``: each Picard step of the auxiliary
     equation is one matvec with it, and the Newton Jacobian is built from
     pointwise differences of g.
+
+    A trivial kernel (dim 0) is the degenerate case P = Q = 0: the kernel
+    lift is zero and M_p (I - Q) is L^{-1}.
     """
 
     problem: Problem
@@ -122,8 +127,6 @@ class BifurcationMap:
     _inner_iters: int = field(default=0, repr=False)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("bifurcation map needs a nontrivial kernel")
         if self.inner_tol <= 0:
             raise ValueError("inner_tol must be positive")
 
@@ -132,9 +135,15 @@ class BifurcationMap:
         return self.ld.resonance.dim
 
     def _build_operator(self) -> None:
-        B = _mpiq_blocks(self.ld)
-        self._norm_upper = _upper_from_blocks(B)
         N = self.problem.N
+        try:
+            B = _mpiq_blocks(self.ld)
+        except NotInImageError as e:
+            # the projected unit inputs failed the image test: the linear
+            # data is too inaccurate at this period to build M_p (I - Q)
+            raise SolverError(f"cannot assemble M_p(I-Q): {e}",
+                              diagnostics={"defect": e.defect, "N": N}) from None
+        self._norm_upper = _upper_from_blocks(B)
         self._aux_operator = B[:, :, :, 1].reshape(2 * N, N)
 
     @property
@@ -165,6 +174,38 @@ class BifurcationMap:
         return lift
 
 
+def _damped_newton(resid, jac, x: np.ndarray, norm, tol: float, max_steps: int):
+    """Damped Newton on resid(x) = 0 with an Armijo backtracking line search.
+
+    Returns (x, norm(resid(x)), steps, stop), where stop says why it ended:
+    "converged" (norm <= tol), "singular" (jac(x) could not be solved),
+    "stalled" (no step length down to 1e-12 decreased |resid|^2) or
+    "budget" (max_steps steps taken).
+    """
+    r = resid(x)
+    for it in range(max_steps + 1):
+        rn = norm(r)
+        if rn <= tol:
+            return x, rn, it, "converged"
+        if it == max_steps:
+            return x, rn, it, "budget"
+        try:
+            d = np.linalg.solve(jac(x), -r)
+        except np.linalg.LinAlgError:
+            return x, rn, it, "singular"
+        f0 = float(r @ r)
+        s = 1.0
+        while True:
+            r_new = resid(x + s * d)
+            if float(r_new @ r_new) <= (1.0 - 1e-4 * s) * f0:
+                break
+            s *= 0.5
+            if s < 1e-12:
+                return x, rn, it, "stalled"
+        x = x + s * d
+        r = r_new
+
+
 def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, wf: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of wf -> wf - M_p(I-Q)F(lift + w), flattened.
 
@@ -181,6 +222,13 @@ def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, wf: np.ndarray) -> np.nd
     J = np.eye(2 * N)
     J[:, 0::2] -= bm.aux_operator * dg
     return J
+
+
+_AUX_FAILURE = {
+    "singular": "auxiliary equation: singular Newton system (residual {:.3e})",
+    "stalled": "auxiliary equation stalled (residual {:.3e})",
+    "budget": "auxiliary equation did not converge (residual {:.3e})",
+}
 
 
 def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
@@ -206,9 +254,14 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
     used = 0
     while used < min(_PICARD_BUDGET, bm.inner_max_iter) and res > bm.inner_tol:
         w_new = (1.0 - lam) * w + lam * target
-        target_new = step(w_new)
-        res_new = sup_norm(target_new - w_new)
-        used += 1
+        try:
+            target_new = step(w_new)
+        except expr.DomainError:
+            # the damped step left g's domain: back off, it uses no budget
+            res_new = math.inf
+        else:
+            res_new = sup_norm(target_new - w_new)
+            used += 1
         if res_new <= res:
             w, target, res = w_new, target_new, res_new
             lam = min(1.0, 2.0 * lam)
@@ -227,36 +280,14 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
         ws = wf.reshape(N, 2)
         return (ws - step(ws)).ravel()
 
-    wf = w.ravel().copy()
-    r = resid(wf)
-    max_steps = min(40, bm.inner_max_iter - used)
-    for it in range(max_steps + 1):
-        rn = float(np.max(np.abs(r)))
-        if rn <= bm.inner_tol:
-            bm._inner_iters += it
-            return wf.reshape(N, 2)
-        if it == max_steps:
-            break
-        try:
-            d = np.linalg.solve(_aux_jacobian(bm, lift, wf), -r)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                f"auxiliary equation: singular Newton system (residual {rn:.3e})"
-            ) from None
-        f0 = float(r @ r)
-        s = 1.0
-        while True:
-            r_new = resid(wf + s * d)
-            if float(r_new @ r_new) <= (1.0 - 1e-4 * s) * f0:
-                break
-            s *= 0.5
-            if s < 1e-12:
-                raise ConvergenceError(
-                    f"auxiliary equation stalled (residual {rn:.3e})"
-                )
-        wf = wf + s * d
-        r = r_new
-    raise ConvergenceError(f"auxiliary equation did not converge (residual {rn:.3e})")
+    wf, rn, steps, stop = _damped_newton(
+        resid, lambda v: _aux_jacobian(bm, lift, v), w.ravel(),
+        lambda r: float(np.max(np.abs(r))), bm.inner_tol,
+        min(40, bm.inner_max_iter - used))
+    if stop != "converged":
+        raise ConvergenceError(_AUX_FAILURE[stop].format(rn))
+    bm._inner_iters += steps
+    return wf.reshape(N, 2)
 
 
 def aux_solve(bm: BifurcationMap, alpha) -> np.ndarray:
@@ -358,10 +389,6 @@ class SolveReport:
         }
 
 
-def _system_sequence(y: np.ndarray) -> np.ndarray:
-    return np.stack([y, np.roll(y, -1)], axis=1)
-
-
 def _check_reduced_equations(problem: Problem, ld: LinearData, x: np.ndarray,
                              tol: float) -> None:
     # both halves of the reduction must hold on any accepted solution
@@ -375,23 +402,28 @@ def _check_reduced_equations(problem: Problem, ld: LinearData, x: np.ndarray,
         )
 
 
-def _finalize(problem: Problem, ld: LinearData, y: np.ndarray, regime: int,
-              alpha, tol: float, iterations: dict, winding=None,
-              degree_evidence=None, nontrivial=None) -> SolveReport:
+_REGIME_NAMES = {0: "nonresonant", 1: "resonant 1d", 2: "resonant 2d"}
+
+
+def _finalize(bm: BifurcationMap, y: np.ndarray, alpha, tol: float, iterations: dict,
+              winding=None, degree_evidence=None, nontrivial=None) -> SolveReport:
+    """Polish y with the oracle and re-validate it; the report, or a
+    ConvergenceError carrying it when the residual stays above tol."""
+    problem = bm.problem
     polished = oracle.newton_solve(problem, y, tol=1e-12, max_iter=30)
     if polished is not None and (
         np.max(np.abs(oracle.residual(problem, polished)))
         < np.max(np.abs(oracle.residual(problem, y)))
     ):
         y = polished
-    x = _system_sequence(y)
+    x = np.stack([y, np.roll(y, -1)], axis=1)
     residual_sup = float(np.max(np.abs(oracle.residual(problem, y))))
-    _check_reduced_equations(problem, ld, x, tol)
-    return SolveReport(
+    _check_reduced_equations(problem, bm.ld, x, tol)
+    report = SolveReport(
         y=y,
         solution=x,
         residual_sup=residual_sup,
-        regime=regime,
+        regime=bm.dim,
         alpha=None if alpha is None else np.atleast_1d(np.asarray(alpha, dtype=float)),
         winding=winding,
         degree_evidence=degree_evidence,
@@ -399,6 +431,12 @@ def _finalize(problem: Problem, ld: LinearData, y: np.ndarray, regime: int,
         iterations=iterations,
         nontrivial_root_found=nontrivial,
     )
+    if residual_sup > tol:
+        raise ConvergenceError(
+            f"{_REGIME_NAMES[bm.dim]} solve stalled at residual {residual_sup:.3e}",
+            diagnostics=report.as_dict(),
+        )
+    return report
 
 
 def _forcing_free(problem: Problem) -> bool:
@@ -407,98 +445,45 @@ def _forcing_free(problem: Problem) -> bool:
     return float(np.max(np.abs(np.asarray(vals)))) <= 1e-13
 
 
+def _regime_map(problem: Problem, dim: int) -> BifurcationMap:
+    # the map a public regime solver works on; it must match the kernel dim
+    ld = build_linear_data(problem)
+    if ld.resonance.dim != dim:
+        raise ValueError(f"kernel dimension is {ld.resonance.dim}, not {dim}")
+    return BifurcationMap(problem, ld)
+
+
+def _bisect(f, lo: float, hi: float, f_lo: float, width: float) -> tuple[float, int]:
+    """Halve [lo, hi], on which f changes sign (f_lo = f(lo)), down to width.
+
+    Returns the midpoint of the last bracket, or an exact zero of f met on
+    the way, and the number of f evaluations.
+    """
+    steps = 0
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        steps += 1
+        if f_mid == 0.0:
+            return mid, steps
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), steps
+
+
 # -- regime 0: invertible linear part ---------------------------------------
 
 
-def solve_nonresonant(problem: Problem, tol: float = 1e-9,
-                      max_iter: int = 200) -> SolveReport:
-    """Fixed point of L^{-1} F by damped iteration with a Newton fallback."""
-    ld = build_linear_data(problem)
-    if ld.resonance.dim != 0:
-        raise ValueError("linear part is resonant; use solve_1d or solve_2d")
-    N = problem.N
+def solve_nonresonant(problem: Problem, tol: float = 1e-9) -> SolveReport:
+    """Fixed point of L^{-1} F: the auxiliary equation with P = Q = 0."""
+    return _solve_nonresonant(_regime_map(problem, 0), tol)
 
-    def fixed_point_map(x):
-        return mp_solve(ld, apply_F(problem, x))
 
-    x = np.zeros((N, 2))
-    target = fixed_point_map(x)
-    res = sup_norm(target - x)
-    lam = 1.0
-    picard = 0
-    newton = 0
-    best_x, best_res = x, res
-    while picard < max_iter and res > 1e-13:
-        if float(np.max(np.abs(oracle.residual(problem, x[:, 0])))) <= 0.1 * tol:
-            break
-        x_new = (1.0 - lam) * x + lam * target
-        try:
-            target_new = fixed_point_map(x_new)
-        except expr.DomainError:
-            lam *= 0.5
-            if lam < _DAMPING_FLOOR:
-                break
-            continue
-        res_new = sup_norm(target_new - x_new)
-        picard += 1
-        if res_new <= res:
-            x, target, res = x_new, target_new, res_new
-            lam = min(1.0, 2.0 * lam)
-            if res < best_res:
-                best_x, best_res = x, res
-        else:
-            lam *= 0.5
-            if lam < _DAMPING_FLOOR:
-                break
-
-    if res > 1e-13 and float(np.max(np.abs(oracle.residual(problem, x[:, 0])))) > 0.1 * tol:
-        # Newton on the flattened fixed-point residual
-        def resid(xf):
-            xs = xf.reshape(N, 2)
-            return (xs - fixed_point_map(xs)).ravel()
-
-        xf = best_x.ravel().copy()
-        r = resid(xf)
-        for _ in range(40):
-            newton += 1
-            if float(np.max(np.abs(r))) <= 1e-13:
-                break
-            J = np.empty((2 * N, 2 * N))
-            for j in range(2 * N):
-                h = 1e-6 * (1.0 + abs(xf[j]))
-                xp = xf.copy()
-                xp[j] += h
-                xm = xf.copy()
-                xm[j] -= h
-                J[:, j] = (resid(xp) - resid(xm)) / (2.0 * h)
-            try:
-                d = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                break
-            f0 = float(r @ r)
-            s = 1.0
-            while True:
-                r_new = resid(xf + s * d)
-                if float(r_new @ r_new) <= (1.0 - 1e-4 * s) * f0:
-                    break
-                s *= 0.5
-                if s < 1e-12:
-                    break
-            if s < 1e-12:
-                break
-            xf = xf + s * d
-            r = r_new
-        x = xf.reshape(N, 2)
-
-    iterations = {"picard": picard, "newton": newton}
-    report = _finalize(problem, ld, x[:, 0], 0, None, tol, iterations)
-    if report.residual_sup > tol:
-        raise ConvergenceError(
-            f"nonresonant solve stalled at residual {report.residual_sup:.3e}",
-            diagnostics={"y": [float(v) for v in report.y],
-                         "residual_sup": report.residual_sup},
-        )
-    return report
+def _solve_nonresonant(bm: BifurcationMap, tol: float) -> SolveReport:
+    w = _aux_fixed_point(bm, bm.kernel_lift([]))
+    return _finalize(bm, w[:, 0], None, tol, {"inner_fixed_point": bm._inner_iters})
 
 
 # -- regime 1: one-dimensional kernel ---------------------------------------
@@ -511,12 +496,13 @@ def solve_1d(problem: Problem, r: float = 10.0, tol: float = 1e-9) -> SolveRepor
     what the existence argument guarantees under its hypotheses); raises
     NoSignChangeError otherwise.
     """
+    return _solve_1d(_regime_map(problem, 1), r, tol)
+
+
+def _solve_1d(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
     if r <= 0:
         raise ValueError("r must be positive")
-    ld = build_linear_data(problem)
-    if ld.resonance.dim != 1:
-        raise ValueError("kernel dimension is not 1")
-    bm = BifurcationMap(problem, ld)
+    problem = bm.problem
 
     def beta(a: float) -> float:
         return float(bifurcation_value(bm, [a])[0])
@@ -538,19 +524,7 @@ def solve_1d(problem: Problem, r: float = 10.0, tol: float = 1e-9) -> SolveRepor
             diagnostics={"beta_minus": b_lo, "beta_plus": b_hi, "r": r},
         )
     else:
-        lo, hi, f_lo = -r, r, b_lo
-        while hi - lo > 1e-12 * r:
-            mid = 0.5 * (lo + hi)
-            f_mid = beta(mid)
-            bisection += 1
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        alpha_star = 0.5 * (lo + hi)
+        alpha_star, bisection = _bisect(beta, -r, r, b_lo, 1e-12 * r)
 
     lift = bm.kernel_lift([alpha_star])
     w = _aux_fixed_point(bm, lift)
@@ -558,42 +532,24 @@ def solve_1d(problem: Problem, r: float = 10.0, tol: float = 1e-9) -> SolveRepor
 
     nontrivial = None
     if _forcing_free(problem):
-        nontrivial = _scan_1d_nontrivial(bm, r)
+        nontrivial = _scan_1d_nontrivial(bm, beta, r)
 
     iterations = {"bisection": bisection, "inner_fixed_point": bm._inner_iters}
-    report = _finalize(problem, ld, y, 1, [alpha_star], tol, iterations,
-                       nontrivial=nontrivial)
-    if report.residual_sup > tol:
-        raise ConvergenceError(
-            f"resonant 1d solve stalled at residual {report.residual_sup:.3e}",
-            diagnostics={"alpha": alpha_star, "residual_sup": report.residual_sup},
-        )
-    return report
+    return _finalize(bm, y, [alpha_star], tol, iterations, nontrivial=nontrivial)
 
 
-def _scan_1d_nontrivial(bm: BifurcationMap, r: float) -> bool:
+def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
     # with g(t,0)=0 the zero solution exists; look for sign-change brackets
     # away from 0 and check whether any yields a visibly nonzero solution
     grid = np.linspace(-r, r, 33)
     try:
-        vals = [float(bifurcation_value(bm, [a])[0]) for a in grid]
+        vals = [beta(a) for a in grid]
     except (ConvergenceError, expr.DomainError):
         return False
     for k in range(len(grid) - 1):
-        a0, a1, f0, f1 = grid[k], grid[k + 1], vals[k], vals[k + 1]
-        if f0 == 0.0 or (f0 > 0) == (f1 > 0):
+        if vals[k] == 0.0 or (vals[k] > 0) == (vals[k + 1] > 0):
             continue
-        for _ in range(60):
-            mid = 0.5 * (a0 + a1)
-            fm = float(bifurcation_value(bm, [mid])[0])
-            if fm == 0.0:
-                a0 = a1 = mid
-                break
-            if (fm > 0) == (f0 > 0):
-                a0, f0 = mid, fm
-            else:
-                a1, f1 = mid, fm
-        alpha = 0.5 * (a0 + a1)
+        alpha, _ = _bisect(beta, grid[k], grid[k + 1], vals[k], 1e-12 * r)
         lift = bm.kernel_lift([alpha])
         try:
             w = _aux_fixed_point(bm, lift)
@@ -632,24 +588,23 @@ def solve_2d(problem: Problem, radius: float = 0.0, grid: int = 9,
     points of the square inscribed in the search disk, tried closest to the
     origin first; the first root that reproduces the recurrence to tol wins.
     """
-    ld = build_linear_data(problem)
-    if ld.resonance.dim != 2:
-        raise ValueError("kernel dimension is not 2")
+    return _solve_2d(_regime_map(problem, 2), radius, grid, tol, samples)
+
+
+def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
+              samples: int = 16) -> SolveReport:
     if grid < 1:
         raise ValueError("grid must be >= 1")
-    bm = BifurcationMap(problem, ld)
+    problem = bm.problem
 
     zhat_est, K_est = _estimate_bounds(problem)
     if radius <= 0.0:
         radius = 10.0 * (zhat_est + bm.norm_upper * K_est)
     scale = 1.0 + problem.N * K_est
 
-    winding = None
     try:
         winding = winding_number(bm, radius, samples)
-    except BoundaryZeroError:
-        winding = None
-    except ConvergenceError:
+    except (BoundaryZeroError, ConvergenceError):
         winding = None
     degree_evidence = winding is not None and winding != 0
 
@@ -658,17 +613,33 @@ def solve_2d(problem: Problem, radius: float = 0.0, grid: int = 9,
              if math.hypot(a0, a1) <= radius * (1.0 + 1e-12)]
     seeds.sort(key=lambda a: (float(np.hypot(a[0], a[1])), float(a[0]), float(a[1])))
 
+    def value(a):
+        return bifurcation_value(bm, a)
+
+    def jacobian(a):
+        J = np.empty((2, 2))
+        for j in range(2):
+            h = 1e-6 * (1.0 + abs(a[j]))
+            ap = a.copy()
+            ap[j] += h
+            am = a.copy()
+            am[j] -= h
+            J[:, j] = (value(ap) - value(am)) / (2.0 * h)
+        return J
+
     forcing_free = _forcing_free(problem)
     accepted = None
     newton_iters = 0
     nontrivial = False
     for seed in seeds:
         try:
-            root, iters = _newton_2d(bm, seed, tol * scale)
+            root, _, iters, stop = _damped_newton(
+                value, jacobian, seed, lambda v: float(np.linalg.norm(v)),
+                tol * scale, 40)
         except (ConvergenceError, expr.DomainError):
             continue
         newton_iters += iters
-        if root is None:
+        if stop != "converged":
             continue
         lift = bm.kernel_lift(root)
         try:
@@ -697,62 +668,17 @@ def solve_2d(problem: Problem, radius: float = 0.0, grid: int = 9,
         "inner_fixed_point": bm._inner_iters,
         "winding_samples": samples,
     }
-    report = _finalize(problem, ld, y, 2, root, tol, iterations, winding=winding,
-                       degree_evidence=degree_evidence,
-                       nontrivial=nontrivial if forcing_free else None)
-    if report.residual_sup > tol:
-        raise ConvergenceError(
-            f"resonant 2d solve stalled at residual {report.residual_sup:.3e}",
-            diagnostics={"alpha": [float(a) for a in root],
-                         "residual_sup": report.residual_sup},
-        )
-    return report
-
-
-def _newton_2d(bm: BifurcationMap, seed: np.ndarray,
-               tol_abs: float, max_iter: int = 40):
-    """Damped Newton on alpha -> bifurcation_value; (root, iters) or (None, iters)."""
-    a = np.array(seed, dtype=float)
-    v = bifurcation_value(bm, a)
-    for it in range(max_iter):
-        if float(np.linalg.norm(v)) <= tol_abs:
-            return a, it
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-6 * (1.0 + abs(a[j]))
-            ap = a.copy()
-            ap[j] += h
-            am = a.copy()
-            am[j] -= h
-            J[:, j] = (bifurcation_value(bm, ap) - bifurcation_value(bm, am)) / (2.0 * h)
-        try:
-            d = np.linalg.solve(J, -v)
-        except np.linalg.LinAlgError:
-            return None, it
-        f0 = float(v @ v)
-        s = 1.0
-        while True:
-            v_new = bifurcation_value(bm, a + s * d)
-            if float(v_new @ v_new) <= (1.0 - 1e-4 * s) * f0:
-                break
-            s *= 0.5
-            if s < 1e-12:
-                return None, it
-        a = a + s * d
-        v = v_new
-    return (a, max_iter) if float(np.linalg.norm(v)) <= tol_abs else (None, max_iter)
+    return _finalize(bm, y, root, tol, iterations, winding=winding,
+                     degree_evidence=degree_evidence,
+                     nontrivial=nontrivial if forcing_free else None)
 
 
 def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
           radius: float = 0.0, grid: int = 9) -> SolveReport:
     """Dispatch to the regime solver matching the kernel dimension."""
-    dim = classify_dim(problem)
-    if dim == 0:
-        return solve_nonresonant(problem, tol=tol)
-    if dim == 1:
-        return solve_1d(problem, r=r, tol=tol)
-    return solve_2d(problem, radius=radius, grid=grid, tol=tol)
-
-
-def classify_dim(problem: Problem) -> int:
-    return build_linear_data(problem).resonance.dim
+    bm = BifurcationMap(problem, build_linear_data(problem))
+    if bm.dim == 0:
+        return _solve_nonresonant(bm, tol)
+    if bm.dim == 1:
+        return _solve_1d(bm, r, tol)
+    return _solve_2d(bm, radius, grid, tol)

@@ -87,6 +87,19 @@ def test_solve_failure_exit_code(tmp_path):
     assert "error" in data
 
 
+def test_solve_operator_build_failure_is_a_solver_error(tmp_path):
+    # at N = 25 the drifted adjoint orbit fails the image test while
+    # M_p(I-Q) is assembled: a JSON report with the error, not a traceback
+    path = write_problem(tmp_path / "n25.json", -1.5, 0.5, 25,
+                         "tanh(x)+0.1*cos(2*pi*t/25)")
+    code, out, err = run_cli("solve", path)
+    assert code == 3, err
+    data = json.loads(out)
+    assert "not in image" in data["error"]
+    assert data["diagnostics"]["N"] == 25
+    assert data["diagnostics"]["defect"] > 0.0
+
+
 def test_verify_roundtrip(tmp_path, dim1_file):
     code, out, _ = run_cli("solve", dim1_file)
     y = json.loads(out)["y"]

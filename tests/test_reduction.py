@@ -74,12 +74,14 @@ def test_aux_solve_contract_and_norm_bound():
 
 
 @pytest.mark.parametrize("b,c,N", [
+    (0, 2, 5),
     (-3, 2, 9),
     (-1.5, 0.5, 13),
     (-2.0 * math.cos(2.0 * math.pi / 15), 1, 15),
 ])
 def test_aux_operator_matches_mp_solve(b, c, N):
-    # the cached operator applies M_p(I-Q) to F = (0, g-values)
+    # the cached operator applies M_p(I-Q) to F = (0, g-values); with a
+    # trivial kernel (0, 2, 5) that is the g-column of L^{-1}
     _, bm = _bm(b, c, N, "tanh(x)")
     G = bm.aux_operator
     assert G.shape == (2 * N, N)
@@ -90,6 +92,9 @@ def test_aux_operator_matches_mp_solve(b, c, N):
         expected = mp_solve(bm.ld, F - proj_Q(bm.ld, F))
         got = (G @ F[:, 1]).reshape(N, 2)
         assert sup_norm(got - expected) <= 1e-12 * (1.0 + sup_norm(F))
+        # L M_p (I - Q) = I - Q, which is L L^{-1} = I when Q = 0
+        residual = apply_L(bm.ld, got) - (F - proj_Q(bm.ld, F))
+        assert sup_norm(residual) <= 1e-10 * (1.0 + sup_norm(F))
 
 
 def test_aux_jacobian_matches_full_difference_jacobian():

@@ -45,6 +45,20 @@ def test_solve_nonresonant_with_strong_nonlinearity():
     assert rep.oracle_verified
 
 
+@pytest.mark.parametrize("b,c,N,g", [
+    (0, -2, 3, "4*ln(x+1)+1"),
+    (1, -3, 3, "(x+1)^0.5"),
+    (0, -2, 3, "3*(x+0.5)^0.5"),
+])
+def test_solve_nonresonant_backs_off_at_the_domain_edge(b, c, N, g):
+    # full Picard steps leave the domain of g; the damping must halve and
+    # retry instead of giving up with a DomainError
+    p = make_problem(b, c, N, g)
+    rep = solve_nonresonant(p)
+    assert rep.oracle_verified
+    assert rep.residual_sup <= 1e-9
+
+
 def test_even_period_resonance_classifies_and_solves():
     # b=2, c=1 has the double eigenvalue -1; an even period makes (-1)^N = 1,
     # a one-dimensional kernel with alternating sign structure
