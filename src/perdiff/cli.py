@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, expr, hypotheses, oracle, reduction
-from .linear import Problem, build_linear_data
+from .linear import NotInImageError, Problem, build_linear_data
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,6 +152,14 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _print_failure(shell: dict, message: str, diagnostics: dict | None) -> int:
+    shell["error"] = message
+    if diagnostics:
+        shell["diagnostics"] = diagnostics
+    print(to_json(shell))
+    return EXIT_SOLVER
+
+
 def _cmd_solve(args) -> int:
     problem, seed = load_problem(args.problem)
     if args.seed is not None:
@@ -162,11 +170,7 @@ def _cmd_solve(args) -> int:
         report = reduction.solve(problem, tol=args.tol, r=args.r,
                                  radius=args.radius, grid=args.grid)
     except (reduction.SolverError, expr.DomainError) as e:
-        shell.update({"error": str(e)})
-        if isinstance(e, reduction.SolverError) and e.diagnostics:
-            shell["diagnostics"] = e.diagnostics
-        print(to_json(shell))
-        return EXIT_SOLVER
+        return _print_failure(shell, str(e), getattr(e, "diagnostics", None))
     shell.update(report.as_dict())
     print(to_json(shell))
     return EXIT_OK
@@ -212,6 +216,11 @@ def _cmd_check(args) -> int:
             report = hypotheses.check_corollary(problem, R=args.R, grid=args.grid)
         else:
             report = hypotheses.check_thm2(problem, zhat=args.zhat, grid=args.grid)
+    except NotInImageError as e:
+        # a valid problem whose linear data is too inaccurate at this period
+        # to apply M_p(I-Q): a numerical failure, not a parse error
+        return _print_failure(shell, f"cannot bound the norm of M_p(I-Q): {e}",
+                              {"defect": e.defect, "N": problem.N})
     except ValueError as e:
         raise _CliError(str(e), EXIT_PARSE) from None
     shell.update(report.as_dict())
@@ -225,14 +234,18 @@ def _cmd_scan(args) -> int:
         lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError:
         raise _CliError("--b-range must be lo:hi:steps", EXIT_USAGE) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise _CliError("--b-range bounds must be finite", EXIT_USAGE)
     if steps < 0:
         raise _CliError("steps must be >= 0", EXIT_USAGE)
     try:
         n_list = [int(s) for s in args.N_list.split(",") if s.strip()]
     except ValueError:
         raise _CliError("--N-list must be comma-separated integers", EXIT_USAGE) from None
-    if args.c == 0.0:
-        raise _CliError("c must be nonzero", EXIT_USAGE)
+    if any(N < 2 for N in n_list):
+        raise _CliError("--N-list entries must be >= 2", EXIT_USAGE)
+    if args.c == 0.0 or not math.isfinite(args.c):
+        raise _CliError("c must be finite and nonzero", EXIT_USAGE)
 
     lines = ["b,c,N,dim,theta,in_U,r_int,gcd"]
     bs = np.linspace(lo, hi, steps) if steps else []

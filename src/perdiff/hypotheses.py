@@ -85,28 +85,25 @@ class CheckReport:
 
 def _g_on_grid(problem: Problem, xs: np.ndarray) -> np.ndarray:
     """g sampled at every t in one period over the x grid; shape (N, len(xs))."""
-    return np.array([np.asarray(expr.evaluate(problem.g, t, xs), dtype=float)
-                     for t in range(problem.N)])
+    return expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
+
+
+_PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
 
 
 def _t_periodic(problem: Problem, tol: float = 1e-12) -> bool:
-    probe = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
-    for t in range(problem.N):
-        a = np.asarray(expr.evaluate(problem.g, t, probe))
-        b = np.asarray(expr.evaluate(problem.g, t + problem.N, probe))
-        if np.max(np.abs(a - b)) > tol * (1.0 + np.max(np.abs(a))):
-            return False
-    return True
+    ts = np.arange(problem.N)[:, None]
+    a = expr.evaluate(problem.g, ts, _PROBE)
+    b = expr.evaluate(problem.g, ts + problem.N, _PROBE)
+    return bool(np.all(np.max(np.abs(a - b), axis=1)
+                       <= tol * (1.0 + np.max(np.abs(a), axis=1))))
 
 
 def _t_independent(problem: Problem, tol: float = 1e-12) -> bool:
-    probe = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
-    base = np.asarray(expr.evaluate(problem.g, 0, probe))
-    for t in range(1, problem.N + 1):
-        vals = np.asarray(expr.evaluate(problem.g, t, probe))
-        if np.max(np.abs(vals - base)) > tol * (1.0 + np.max(np.abs(base))):
-            return False
-    return True
+    base = expr.evaluate(problem.g, 0, _PROBE)
+    vals = expr.evaluate(problem.g, np.arange(1, problem.N + 1)[:, None], _PROBE)
+    return bool(np.all(np.max(np.abs(vals - base), axis=1)
+                       <= tol * (1.0 + np.max(np.abs(base)))))
 
 
 def _sign_condition(problem: Problem, lo: float, hi: float, grid: int) -> tuple[bool, float]:

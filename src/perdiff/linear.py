@@ -9,8 +9,9 @@ part L x = x(.+1) - A x(.):
 
 * the monodromy A^N and the resonance classification
   dim Ker(L) = 2 - rank(I - A^N) in {0, 1, 2};
-* bases for Ker(L) (forward orbits of fixed vectors of A^N) and for the
-  periodic solutions of the adjoint recurrence x(t+1) = A^{-T} x(t), whose
+* bases for Ker(L) (forward orbits of fixed vectors of A^N, read off the
+  table of powers A^t) and for the periodic solutions of the adjoint
+  recurrence x(t+1) = A^{-T} x(t) (read off the adjoint table), whose
   shifted pairing annihilates exactly Im(L);
 * the projection P onto Ker(L), the orthogonal projection Q onto the
   complement of Im(L), and the partial inverse M_p (the inverse of L
@@ -18,6 +19,12 @@ part L x = x(.+1) - A x(.):
 * a sound upper bound and a Monte Carlo lower bound for the operator norm
   of M_p(I - Q) in the sup-of-Euclidean norm, which the existence-theorem
   checkers consume.
+
+The operators apply_L, image_test, proj_P, proj_Q and mp_solve take one
+sequence (N, 2) or a stack (..., N, 2) of them and act on each member;
+``mp_solve`` holds the only forward rolls, so every application of M_p,
+including the operator-norm blocks and the Monte Carlo samples, runs
+through it.
 """
 
 from __future__ import annotations
@@ -153,6 +160,19 @@ def build_linear_data(problem: Problem) -> LinearData:
 
     A_inv_T = np.array([[-b / c, 1.0], [-1.0 / c, 0.0]])  # (A^{-1})^T, exact
 
+    # W_table[t] = Gamma(t+1) restricted to the periodic adjoint directions,
+    # zero-padded to 2x2 so the Gram pseudo-inverse handles every dim.
+    W0 = np.zeros((2, 2))
+    for j, w in enumerate(adj_vecs):
+        W0[:, j] = w
+    W_table = np.empty((N, 2, 2))
+    cur = A_inv_T @ W0
+    for t in range(N):
+        W_table[t] = cur
+        cur = A_inv_T @ cur
+    gram = np.einsum("tij,tik->jk", W_table, W_table)
+    gram_inv = pinv2(gram)
+
     constant_kernel = dim >= 1 and abs(1.0 + b + c) <= 1e-9 * (1.0 + abs(b) + abs(c))
     if dim == 2:
         if abs(b) >= 2.0:
@@ -177,35 +197,16 @@ def build_linear_data(problem: Problem) -> LinearData:
         kernel_basis = (np.tile([1.0, 1.0], (N, 1)),)
         adjoint_basis = (np.tile([-c, 1.0], (N, 1)),)
     else:
-        kernel_basis = tuple(_orbit(A, v, N) for v in ker_vecs)
-        adjoint_basis = tuple(_orbit(A_inv_T, w, N) for w in adj_vecs)
+        # orbits t -> A^t v and t -> A^{-T t} w; W_table holds the adjoint
+        # orbit one step ahead, so its first value is w itself
+        kernel_basis = tuple(pows[:N] @ v for v in ker_vecs)
+        adjoint_basis = tuple(np.concatenate([W0[None, :, j], W_table[:-1, :, j]])
+                              for j in range(dim))
 
     resonance = ResonanceClass(dim, kernel_basis, adjoint_basis, theta, r_int)
 
-    # W_table[t] = Gamma(t+1) restricted to the periodic adjoint directions,
-    # zero-padded to 2x2 so the Gram pseudo-inverse handles every dim.
-    W0 = np.zeros((2, 2))
-    for j, w in enumerate(adj_vecs):
-        W0[:, j] = w
-    W_table = np.empty((N, 2, 2))
-    cur = A_inv_T @ W0
-    for t in range(N):
-        W_table[t] = cur
-        cur = A_inv_T @ cur
-    gram = np.einsum("tij,tik->jk", W_table, W_table)
-    gram_inv = pinv2(gram)
-
     return LinearData(problem, A, pows, monodromy, V, W_table, gram_inv,
                       resonance, pinv2(M))
-
-
-def _orbit(T: np.ndarray, v: np.ndarray, N: int) -> np.ndarray:
-    out = np.empty((N, 2))
-    cur = np.array(v, dtype=float)
-    for t in range(N):
-        out[t] = cur
-        cur = T @ cur
-    return out
 
 
 def classify(problem: Problem) -> ResonanceClass:
@@ -219,27 +220,27 @@ def classify(problem: Problem) -> ResonanceClass:
 def apply_L(ld: LinearData, x: np.ndarray) -> np.ndarray:
     """(Lx)(t) = x(t+1) - A x(t) with periodic wraparound."""
     x = np.asarray(x, dtype=float)
-    return np.roll(x, -1, axis=0) - x @ ld.A.T
+    return np.roll(x, -1, axis=-2) - x @ ld.A.T
 
 
 def image_test(ld: LinearData, h: np.ndarray) -> np.ndarray:
     """Pairings of h against the shifted periodic adjoint solutions.
 
-    Returns one value per kernel dimension; h lies in Im(L) iff all of them
-    vanish (|value| <= 1e-9 * (1 + sup_norm(h)) in practice). The empty
-    array in the nonresonant case means "always in the image".
+    Returns one value per kernel dimension, shape (..., dim); h lies in
+    Im(L) iff all of them vanish (|value| <= 1e-9 * (1 + sup_norm(h)) in
+    practice). The empty last axis in the nonresonant case means "always
+    in the image".
     """
     h = np.asarray(h, dtype=float)
-    return np.array(
-        [np.sum(np.roll(z, -1, axis=0) * h) for z in ld.resonance.adjoint_basis]
-    )
+    z = np.reshape(ld.resonance.adjoint_basis, (-1, ld.problem.N, 2))
+    return np.sum(np.roll(z, -1, axis=1) * h[..., None, :, :], axis=(-2, -1))
 
 
 def proj_P(ld: LinearData, x: np.ndarray) -> np.ndarray:
     """Projection onto Ker(L): (Px)(t) = A^t V x(0)."""
     x = np.asarray(x, dtype=float)
     N = ld.problem.N
-    return np.einsum("tij,j->ti", ld.A_pows[:N], ld.V @ x[0])
+    return np.einsum("tij,...j->...ti", ld.A_pows[:N], x[..., 0, :] @ ld.V.T)
 
 
 def proj_Q(ld: LinearData, h: np.ndarray) -> np.ndarray:
@@ -249,8 +250,8 @@ def proj_Q(ld: LinearData, h: np.ndarray) -> np.ndarray:
     Q h = 0 iff image_test(ld, h) vanishes.
     """
     h = np.asarray(h, dtype=float)
-    coef = ld.gram_inv @ np.einsum("tij,ti->j", ld.W_table, h)
-    return np.einsum("tij,j->ti", ld.W_table, coef)
+    coef = np.einsum("tij,...ti->...j", ld.W_table, h) @ ld.gram_inv.T
+    return np.einsum("tij,...j->...ti", ld.W_table, coef)
 
 
 def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
@@ -260,24 +261,26 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
     right-hand side, picks the minimum-norm initial vector solving
     (I - A^N) x(0) = A^N sum_i A^{-(i+1)} h(i) (which is automatically
     orthogonal to Ker(I - A^N), hence P x = 0), then rolls forward again.
+    A stack of right-hand sides is rolled together.
 
-    Raises NotInImageError when the pairing test says h is not in Im(L).
+    Raises NotInImageError, with the largest defect, when the pairing test
+    says some member of h is not in Im(L).
     """
     h = np.asarray(h, dtype=float)
-    defect = float(np.max(np.abs(image_test(ld, h)), initial=0.0))
-    if defect > 1e-9 * (1.0 + sup_norm(h)):
-        raise NotInImageError(defect)
+    defect = np.max(np.abs(image_test(ld, h)), axis=-1, initial=0.0)
+    scale = 1.0 + np.max(np.hypot(h[..., 0], h[..., 1]), axis=-1)
+    if np.any(defect > 1e-9 * scale):
+        raise NotInImageError(float(np.max(defect)))
     N = ld.problem.N
-    A = ld.A
-    s = np.zeros(2)
+    A_T = ld.A.T
+    s = np.zeros(h.shape[:-2] + (2,))
     for t in range(N):
-        s = A @ s + h[t]
-    x0 = ld.IA_pinv @ s
-    out = np.empty((N, 2))
-    cur = x0
+        s = s @ A_T + h[..., t, :]
+    cur = s @ ld.IA_pinv.T
+    out = np.empty_like(h)
     for t in range(N):
-        out[t] = cur
-        cur = A @ cur + h[t]
+        out[..., t, :] = cur
+        cur = cur @ A_T + h[..., t, :]
     return out
 
 
@@ -285,40 +288,22 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
 
 
 def _mpiq_blocks(ld: LinearData) -> np.ndarray:
-    """(N, 2, N, 2) block representation of h -> M_p (I - Q) h."""
+    """(N, 2, N, 2) block representation of h -> M_p (I - Q) h.
+
+    Entry [t, :, i, k] is the value at t of M_p (I - Q) applied to the unit
+    sequence at (i, k); the 2N unit sequences are solved as one stack.
+    """
     N = ld.problem.N
-    B = np.empty((N, 2, N, 2))
-    for i in range(N):
-        for k in range(2):
-            e = np.zeros((N, 2))
-            e[i, k] = 1.0
-            B[:, :, i, k] = mp_solve(ld, e - proj_Q(ld, e))
-    return B
+    E = np.eye(2 * N).reshape(2 * N, N, 2)
+    E -= proj_Q(ld, E)
+    return mp_solve(ld, E).reshape(N, 2, N, 2).transpose(2, 3, 0, 1)
 
 
 def _upper_from_blocks(B: np.ndarray) -> float:
-    N = B.shape[0]
-    rows = np.zeros(N)
-    for t in range(N):
-        rows[t] = sum(svals2(B[t, :, i, :])[0] for i in range(N))
-    return float(np.max(rows)) if N else 0.0
-
-
-def _apply_mpiq_batch(ld: LinearData, H: np.ndarray) -> np.ndarray:
-    # H: (S, N, 2) -> M_p (I - Q) applied sample-wise, no image check
-    # (the projected input is in Im(L) by construction)
-    N = ld.problem.N
-    coef = np.einsum("tij,sti->sj", ld.W_table, H) @ ld.gram_inv.T
-    Hq = H - np.einsum("tij,sj->sti", ld.W_table, coef)
-    s = np.zeros((H.shape[0], 2))
-    for t in range(N):
-        s = s @ ld.A.T + Hq[:, t]
-    cur = s @ ld.IA_pinv.T
-    out = np.empty_like(H)
-    for t in range(N):
-        out[:, t] = cur
-        cur = cur @ ld.A.T + Hq[:, t]
-    return out
+    # per output index t, the sum over i of the largest singular values of
+    # the 2x2 blocks B[t, :, i, :]
+    smax, _ = svals2(B.transpose(0, 2, 1, 3))
+    return float(np.max(np.sum(smax, axis=1), initial=0.0))
 
 
 def norm_bound_mp_iq(ld: LinearData, mc_samples: int, seed: int = 0) -> tuple[float, float]:
@@ -341,7 +326,7 @@ def norm_bound_mp_iq(ld: LinearData, mc_samples: int, seed: int = 0) -> tuple[fl
         H = rng.standard_normal((batch, ld.problem.N, 2))
         scale = np.max(np.linalg.norm(H, axis=2), axis=1)
         H /= scale[:, None, None]
-        out = _apply_mpiq_batch(ld, H)
+        out = mp_solve(ld, H - proj_Q(ld, H))
         lower = max(lower, float(np.max(np.linalg.norm(out, axis=2))))
         remaining -= batch
     return lower, upper

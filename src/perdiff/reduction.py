@@ -567,8 +567,7 @@ def _estimate_bounds(problem: Problem, span: float = 100.0,
                      points: int = 401) -> tuple[float, float]:
     """Sampled (zhat_est, K_est): sign-condition onset and sup of |g|."""
     xs = np.linspace(-span, span, points)
-    ts = np.arange(problem.N)
-    vals = np.array([expr.evaluate(problem.g, t, xs) for t in ts])
+    vals = expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
     K_est = float(np.max(np.abs(vals)))
     zhat_est = 1.0
     for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):

@@ -52,20 +52,6 @@ def criterion(n, desc):
     print(f"criterion {n:02d} [{desc}]: PASS")
 
 
-def _batch_P(ld, X):
-    v = X[:, 0, :] @ ld.V.T
-    return np.einsum("tij,sj->sti", ld.A_pows[: ld.problem.N], v)
-
-
-def _batch_Q(ld, X):
-    coef = np.einsum("tij,sti->sj", ld.W_table, X) @ ld.gram_inv.T
-    return np.einsum("tij,sj->sti", ld.W_table, coef)
-
-
-def _batch_L(ld, X):
-    return np.roll(X, -1, axis=1) - X @ ld.A.T
-
-
 def test_criterion_01_projection_suite():
     start = time.monotonic()
     with criterion(1, "projection suite"):
@@ -78,11 +64,11 @@ def test_criterion_01_projection_suite():
             dims_seen.add(ld.resonance.dim)
             X = rng.standard_normal((100, N, 2))
             scale = 1.0 + np.max(np.linalg.norm(X, axis=2))
-            PX = _batch_P(ld, X)
-            assert np.max(np.abs(_batch_P(ld, PX) - PX)) <= 1e-10 * scale
-            QX = _batch_Q(ld, X)
-            assert np.max(np.abs(_batch_Q(ld, QX) - QX)) <= 1e-10 * scale
-            assert np.max(np.abs(_batch_Q(ld, _batch_L(ld, X)))) <= 1e-10 * scale
+            PX = proj_P(ld, X)
+            assert np.max(np.abs(proj_P(ld, PX) - PX)) <= 1e-10 * scale
+            QX = proj_Q(ld, X)
+            assert np.max(np.abs(proj_Q(ld, QX) - QX)) <= 1e-10 * scale
+            assert np.max(np.abs(proj_Q(ld, apply_L(ld, X)))) <= 1e-10 * scale
             for z in ld.resonance.kernel_basis:
                 assert sup_norm(apply_L(ld, z)) <= 1e-10 * (1.0 + sup_norm(z))
         assert dims_seen == {0, 1, 2}

@@ -5,6 +5,8 @@ import sys
 import numpy as np
 import pytest
 
+from perdiff import cli
+
 CANONICAL_G = "tanh(x)+0.1*cos(2*pi*t/3)"
 
 
@@ -152,6 +154,19 @@ def test_check_exit_codes(tmp_path, dim0_file, dim1_file, dim2_file):
     assert c1["passed"] is True
 
 
+def test_check_image_failure_is_a_solver_error(tmp_path):
+    # at N = 81 the monodromy scale makes (0.5, -3) look resonant and the
+    # norm bound's unit inputs fail the image test: exit 3 with the defect
+    path = write_problem(tmp_path / "n81.json", 0.5, -3, 81,
+                         "tanh(x)+0.1*cos(2*pi*t/81)")
+    code, out, err = run_cli("check", path, "--theorem", "thm1")
+    assert code == 3, err
+    data = json.loads(out)
+    assert "not in image" in data["error"]
+    assert data["diagnostics"]["N"] == 81
+    assert data["diagnostics"]["defect"] > 0.0
+
+
 def test_scan_csv(tmp_path):
     out_file = tmp_path / "scan.csv"
     code, _, _ = run_cli("scan", "--b-range", "1:1:1", "--c", "1",
@@ -184,6 +199,18 @@ def test_parse_error_exits(tmp_path):
 
 def test_usage_error_exits():
     assert run_cli("scan", "--b-range", "oops", "--c", "1", "--N-list", "3")[0] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--b-range=-1:1:3", "--c", "1", "--N-list", "1,3"],
+    ["--b-range=-1:1:3", "--c", "nan", "--N-list", "3"],
+    ["--b-range=-inf:1:3", "--c", "1", "--N-list", "3"],
+])
+def test_scan_rejects_invalid_values(argv, capsys):
+    assert cli.main(["scan", *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip()
 
 
 def test_float_serialization_17_digits(dim1_file):

@@ -17,7 +17,7 @@ from perdiff import (
     proj_Q,
     sup_norm,
 )
-from perdiff.linear import _apply_mpiq_batch, _mpiq_blocks, _upper_from_blocks
+from perdiff.linear import _mpiq_blocks, _upper_from_blocks
 from perdiff.mat2 import RANK_RTOL
 
 from conftest import instance_grid, make_problem
@@ -182,7 +182,7 @@ def test_projection_idempotence_across_grid():
 
 def test_image_test_iff_Q_annihilates():
     rng = np.random.default_rng(4)
-    for b, c, N in [(-3, 2, 3), (1, 1, 3), (0, 2, 5), (-2, 1, 5)]:
+    for b, c, N in [(-3, 2, 3), (1, 1, 3), (0, 2, 5), (-2, 1, 5), (3, 2, 4)]:
         ld = _ld(b, c, N)
         for _ in range(25):
             h = rng.standard_normal((N, 2))
@@ -196,7 +196,7 @@ def test_image_test_iff_Q_annihilates():
 
 def test_mp_solve_contract():
     rng = np.random.default_rng(5)
-    for b, c, N in [(-3, 2, 3), (1, 1, 3), (0, 2, 3), (0, 2, 7), (-2, 1, 5)]:
+    for b, c, N in [(-3, 2, 3), (1, 1, 3), (0, 2, 3), (0, 2, 7), (-2, 1, 5), (3, 2, 4)]:
         ld = _ld(b, c, N)
         assert sup_norm(mp_solve(ld, np.zeros((N, 2)))) == 0.0
         for _ in range(10):
@@ -224,6 +224,30 @@ def test_mp_solve_inverts_L_on_complement():
             xc = x - proj_P(ld, x)
             back = mp_solve(ld, apply_L(ld, xc))
             assert sup_norm(back - xc) <= 1e-8 * (1.0 + sup_norm(xc))
+
+
+@pytest.mark.parametrize("b, c, N", [(0, 2, 5), (-3, 2, 5), (3, 2, 4), (1, 1, 3)])
+def test_operators_on_a_stack_match_a_loop(b, c, N):
+    # one row per regime, and (3, 2, 4) for the kernel of multiplier -1
+    ld = _ld(b, c, N)
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((2, 3, N, 2))
+    H = X - proj_Q(ld, X)
+    for op, arg in [(apply_L, X), (image_test, X), (proj_P, X), (proj_Q, X),
+                    (mp_solve, H)]:
+        stacked = op(ld, arg)
+        for m in np.ndindex(arg.shape[:2]):
+            single = op(ld, arg[m])
+            assert stacked[m].shape == single.shape
+            np.testing.assert_allclose(stacked[m], single, rtol=1e-13, atol=1e-13)
+    if ld.resonance.dim == 0:
+        assert image_test(ld, X[0]).shape == (3, 0)
+    else:
+        # one member outside the image fails the whole stack
+        H[1, 2] += ld.W_table[:, :, 0]
+        with pytest.raises(NotInImageError) as info:
+            mp_solve(ld, H)
+        assert info.value.defect > 1e-9
 
 
 def test_adjoint_table_satisfies_recurrence_exactly():
@@ -282,13 +306,18 @@ def test_norm_bound_zero_blocks_degenerate_case():
 
 
 def test_norm_bound_batch_matches_single():
-    ld = _ld(-3, 2, 3)
-    rng = np.random.default_rng(8)
-    H = rng.standard_normal((4, 3, 2))
-    batch = _apply_mpiq_batch(ld, H)
-    for s in range(4):
-        single = mp_solve(ld, H[s] - proj_Q(ld, H[s]))
-        np.testing.assert_allclose(batch[s], single, atol=1e-12)
+    # the blocks come from one stacked solve; each column is the single
+    # solve on the projected unit sequence
+    for b, c, N in [(-3, 2, 3), (0, 2, 4), (1, 1, 3), (3, 2, 4)]:
+        ld = _ld(b, c, N)
+        B = _mpiq_blocks(ld)
+        assert B.shape == (N, 2, N, 2)
+        for i in range(N):
+            for k in range(2):
+                e = np.zeros((N, 2))
+                e[i, k] = 1.0
+                single = mp_solve(ld, e - proj_Q(ld, e))
+                np.testing.assert_allclose(B[:, :, i, k], single, rtol=0, atol=1e-12)
 
 
 def test_norm_bound_lower_never_exceeds_upper_across_grid():
