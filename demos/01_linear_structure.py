@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 # Walk through the linear side of the periodic problem: companion system,
-# monodromy, resonance classification, and the projection/partial-inverse
-# machinery that everything else is built on.
+# circulant symbol, resonance classification, and the projection/partial-
+# inverse machinery that everything else is built on.
 
 import numpy as np
 
@@ -28,7 +28,9 @@ for b, c in [(0, 2), (-3, 2), (1, 1)]:
     rc = ld.resonance
     print(f"\n(b, c) = ({b}, {c})")
     print("companion matrix A:\n", ld.A)
-    print("monodromy A^N:\n", ld.monodromy)
+    print("symbol lambda_k on the modes k = 0..N//2:", ld.symbol)
+    print(f"min |lambda_k| = {np.min(np.abs(ld.symbol)):.3e}, resonant modes:",
+          np.flatnonzero(ld.symbol_inv == 0).tolist())
     print("kernel dimension of the periodic problem:", rc.dim)
     if rc.dim == 1:
         print("kernel direction (constant):", rc.kernel_basis[0][0])

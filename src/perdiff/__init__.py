@@ -37,7 +37,7 @@ from .linear import (
     proj_Q,
     sup_norm,
 )
-from .mat2 import pinv2, svals2
+from .mat2 import svals2
 from .oracle import check_solution, multistart_search, newton_solve, residual
 from .reduction import (
     BifurcationMap,
@@ -66,7 +66,7 @@ __all__ = [
     "build_linear_data", "check_corollary", "check_solution", "check_thm1",
     "check_thm2", "classify", "companion_matrix", "evaluate", "image_test",
     "membership_U", "mp_solve", "multistart_search",
-    "newton_solve", "norm_bound_mp_iq", "parse", "pinv2", "proj_P", "proj_Q",
+    "newton_solve", "norm_bound_mp_iq", "parse", "proj_P", "proj_Q",
     "residual", "solve", "solve_1d", "solve_2d", "solve_nonresonant",
     "sup_norm", "svals2", "to_text", "winding_number", "winding_of_map",
 ]

@@ -217,8 +217,8 @@ def _cmd_check(args) -> int:
         else:
             report = hypotheses.check_thm2(problem, zhat=args.zhat, grid=args.grid)
     except NotInImageError as e:
-        # a valid problem whose linear data is too inaccurate at this period
-        # to apply M_p(I-Q): a numerical failure, not a parse error
+        # a valid problem whose linear data is too inaccurate to apply
+        # M_p(I-Q): a numerical failure, not a parse error
         return _print_failure(shell, f"cannot bound the norm of M_p(I-Q): {e}",
                               {"defect": e.defect, "N": problem.N})
     except ValueError as e:

@@ -5,41 +5,52 @@ becomes a first-order system x(t+1) = A x(t) + (0, g(t, x1(t))) for the
 companion matrix A = [[0, 1], [-c, -b]], posed on the space of N-periodic
 R^2-valued sequences (stored as arrays of shape (N, 2), sup-of-Euclidean
 norm). This module builds everything the reduction needs from the linear
-part L x = x(.+1) - A x(.):
+part L x = x(.+1) - A x(.).
 
-* the monodromy A^N and the resonance classification
-  dim Ker(L) = 2 - rank(I - A^N) in {0, 1, 2};
-* bases for Ker(L) (forward orbits of fixed vectors of A^N, read off the
-  table of powers A^t) and for the periodic solutions of the adjoint
-  recurrence x(t+1) = A^{-T} x(t) (read off the adjoint table), whose
-  shifted pairing annihilates exactly Im(L);
+L x = h holds exactly when x2 = x1(.+1) - h1 and x1 solves the scalar
+equation x1(t+2) + b*x1(t+1) + c*x1(t) = h2(t) + h1(t+1) + b*h1(t). On
+N-periodic sequences that scalar operator is a circulant with symbol
+lambda_k = w^{2k} + b*w^k + c, w = e^{2*pi*i/N} (P. J. Davis, *Circulant
+Matrices*, 1979), so everything follows from the modes where lambda_k
+vanishes:
+
+* the resonance classification dim Ker(L) in {0, 1, 2}: the number of
+  resonant modes, |lambda_k| <= RESONANT_RTOL * (1 + |b| + |c|), a cutoff
+  that does not depend on N;
+* bases for Ker(L) and for the periodic solutions of the adjoint
+  recurrence x(t+1) = A^{-T} x(t), whose shifted pairing annihilates
+  exactly Im(L): a resonant mode mu = w^k gives mu^t (1, mu) and
+  mu^t (-c, 1/mu), a conjugate pair k, N - k their real and imaginary
+  parts;
 * the projection P onto Ker(L), the orthogonal projection Q onto the
   complement of Im(L), and the partial inverse M_p (the inverse of L
-  restricted to Ker(P)), via one monodromy solve plus forward rolling;
+  restricted to Ker(P)): one real FFT of the scalar right-hand side, a
+  multiply by the inverse symbol (0 on the resonant modes), one inverse
+  FFT, and the removal of the P component;
 * a sound upper bound and a Monte Carlo lower bound for the operator norm
   of M_p(I - Q) in the sup-of-Euclidean norm, which the existence-theorem
   checkers consume.
 
 The operators apply_L, image_test, proj_P, proj_Q and mp_solve take one
-sequence (N, 2) or a stack (..., N, 2) of them and act on each member;
-``mp_solve`` holds the only forward rolls, so every application of M_p,
-including the operator-norm blocks and the Monte Carlo samples, runs
-through it.
+sequence (N, 2) or a stack (..., N, 2) of them and act on each member, so
+every application of M_p, including the operator-norm blocks and the Monte
+Carlo samples, runs through ``mp_solve``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr
-from .mat2 import RANK_RTOL, pinv2, svals2
+from .mat2 import svals2
 
-# |N*theta/(2*pi) - round(...)| must be below this for the rotation count
-# of a two-dimensional kernel to be accepted as an integer.
-_ROT_INT_TOL = 1e-6
+# A mode k is resonant iff |lambda_k| <= RESONANT_RTOL * (1 + |b| + |c|).
+# Three N-th roots of unity cannot all pass this for a monic quadratic
+# unless N is in the tens of thousands, so dim <= 2 below that.
+RESONANT_RTOL = 1e-9
 
 
 class NotInImageError(ValueError):
@@ -80,35 +91,38 @@ class Problem:
 class ResonanceClass:
     """Kernel dimension of the periodic linear problem plus bases.
 
-    kernel_basis / adjoint_basis hold dim-many (N, 2) sequences. In the
-    one-dimensional constant-kernel case (1 + b + c = 0) the bases are
-    normalized to the constant sequences (1, 1) and (-c, 1); in the
-    two-dimensional case they are the trigonometric columns
+    kernel_basis / adjoint_basis are (dim, N, 2) arrays of sequences, one
+    per resonant mode mu = e^{2*pi*i*k/N} (two for a conjugate pair): the
+    kernel solutions mu^t (1, mu) and the adjoint solutions mu^t (-c, 1/mu),
+    or their real and imaginary parts. The multiplier 1 (1 + b + c = 0)
+    gives the constant sequences (1, 1) and (-c, 1); the multiplier -1 at
+    even N gives ((-1)^t, -(-1)^t) and (-1)^t (-c, -1). A two-dimensional
+    kernel is either such a real pair (e.g. b = 0, c = -1 at even N, with
+    theta and r_int None) or a rotation: the trigonometric columns
     (cos(theta*t), cos(theta*(t+1))) / (sin ...) and their adjoint
     counterparts, with theta = arccos(-b/2) and N*theta = 2*pi*r_int.
+    theta is also set whenever c = 1 and |b| < 2.
     """
 
     dim: int
-    kernel_basis: tuple
-    adjoint_basis: tuple
+    kernel_basis: np.ndarray
+    adjoint_basis: np.ndarray
     theta: float | None = None
     r_int: int | None = None
 
 
 @dataclass(frozen=True)
 class LinearData:
-    """Everything derived from (b, c, N): powers, monodromy, projections."""
+    """Everything derived from (b, c, N): symbol, bases, projections."""
 
     problem: Problem
     A: np.ndarray           # companion matrix
-    A_pows: np.ndarray      # (N+1, 2, 2), A_pows[t] = A^t
-    monodromy: np.ndarray   # A^N
-    V: np.ndarray           # orthogonal projector onto Ker(I - A^N)
-    W_table: np.ndarray     # (N, 2, 2); column j is the j-th periodic adjoint
-                            # solution advanced one step, zero-padded past dim
-    gram_inv: np.ndarray    # pseudo-inverse of sum_t W(t)^T W(t)
+    symbol: np.ndarray      # lambda_k on the real-FFT modes k = 0..N//2
+    symbol_inv: np.ndarray  # 1 / lambda_k, 0 on the resonant modes
     resonance: ResonanceClass
-    IA_pinv: np.ndarray = field(repr=False, default=None)  # pinv of I - A^N
+    ker_coef: np.ndarray    # (2, dim): x(0) -> kernel coordinates of P x
+    adj_shift: np.ndarray   # (dim, N, 2): adjoint basis advanced one step
+    adj_dual: np.ndarray    # (dim, N, 2): Gram^{-1} adj_shift
 
 
 def sup_norm(x: np.ndarray) -> float:
@@ -126,87 +140,41 @@ def companion_matrix(b: float, c: float) -> np.ndarray:
     return np.array([[0.0, 1.0], [-float(c), -float(b)]])
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    # fix the sign ambiguity of SVD vectors: largest-magnitude entry positive
-    i = int(np.argmax(np.abs(v)))
-    return -v if v[i] < 0 else v
-
-
 def build_linear_data(problem: Problem) -> LinearData:
     b, c, N = problem.b, problem.c, problem.N
-    A = companion_matrix(b, c)
-    pows = np.empty((N + 1, 2, 2))
-    pows[0] = np.eye(2)
-    for t in range(N):
-        pows[t + 1] = A @ pows[t]
-    monodromy = pows[N]
-    M = np.eye(2) - monodromy
+    w = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+    symbol = w * w + b * w + c
+    resonant = np.abs(symbol) <= RESONANT_RTOL * (1.0 + abs(b) + abs(c))
+    symbol_inv = np.zeros_like(symbol)
+    symbol_inv[~resonant] = 1.0 / symbol[~resonant]
 
-    U, s, Vt = np.linalg.svd(M)
-    cut = RANK_RTOL * max(1.0, s[0])
-    rank = int(np.sum(s > cut))
-    dim = 2 - rank
-    ker_vecs = [_canonical_sign(Vt[j]) for j in range(rank, 2)]
-    adj_vecs = [_canonical_sign(U[:, j]) for j in range(rank, 2)]
-
-    V = np.zeros((2, 2))
-    for v in ker_vecs:
-        V += np.outer(v, v)
+    kernel, adjoint, r_int = [], [], None
+    for k in np.flatnonzero(resonant):
+        mu_t = np.exp(2j * np.pi * k * np.arange(-1, N + 1) / N)  # mu^t, t = -1..N
+        ker = np.stack([mu_t[1:-1], mu_t[2:]], axis=1)
+        adj = np.stack([-c * mu_t[1:-1], mu_t[:-2]], axis=1)
+        kernel.append(ker.real)
+        adjoint.append(adj.real)
+        if 2 * k % N:
+            # a conjugate pair k, N - k: a rotation by 2*pi*k/N
+            kernel.append(ker.imag)
+            adjoint.append(adj.imag)
+            r_int = int(k)
+    dim = len(kernel)
+    kernel_basis = np.reshape(kernel, (dim, N, 2))
+    adjoint_basis = np.reshape(adjoint, (dim, N, 2))
 
     theta = None
-    if abs(b) < 2.0 and abs(c - 1.0) <= 1e-12:
-        theta = math.acos(-b / 2.0)
-    r_int = None
+    if r_int is not None or (abs(b) < 2.0 and abs(c - 1.0) <= 1e-12):
+        theta = math.acos(min(1.0, max(-1.0, -b / 2.0)))
 
-    A_inv_T = np.array([[-b / c, 1.0], [-1.0 / c, 0.0]])  # (A^{-1})^T, exact
-
-    # W_table[t] = Gamma(t+1) restricted to the periodic adjoint directions,
-    # zero-padded to 2x2 so the Gram pseudo-inverse handles every dim.
-    W0 = np.zeros((2, 2))
-    for j, w in enumerate(adj_vecs):
-        W0[:, j] = w
-    W_table = np.empty((N, 2, 2))
-    cur = A_inv_T @ W0
-    for t in range(N):
-        W_table[t] = cur
-        cur = A_inv_T @ cur
-    gram = np.einsum("tij,tik->jk", W_table, W_table)
-    gram_inv = pinv2(gram)
-
-    constant_kernel = dim >= 1 and abs(1.0 + b + c) <= 1e-9 * (1.0 + abs(b) + abs(c))
-    if dim == 2:
-        if abs(b) >= 2.0:
-            # A^N = I needs a complex-conjugate eigenvalue pair, i.e. |b| < 2
-            raise RuntimeError("two-dimensional kernel outside the rotation case")
-        theta = math.acos(-b / 2.0)
-        rot = N * theta / (2.0 * math.pi)
-        r_int = int(round(rot))
-        if abs(rot - r_int) > _ROT_INT_TOL:
-            raise RuntimeError("two-dimensional kernel without integer rotation count")
-        ts = np.arange(N)
-        kernel_basis = (
-            np.stack([np.cos(theta * ts), np.cos(theta * (ts + 1))], axis=1),
-            np.stack([np.sin(theta * ts), np.sin(theta * (ts + 1))], axis=1),
-        )
-        adjoint_basis = (
-            np.stack([-np.cos(theta * ts), np.cos(theta * (ts - 1))], axis=1),
-            np.stack([-np.sin(theta * ts), np.sin(theta * (ts - 1))], axis=1),
-        )
-    elif dim == 1 and constant_kernel:
-        # A fixes (1,1) and A^{-T} fixes (-c,1) exactly when 1 + b + c = 0
-        kernel_basis = (np.tile([1.0, 1.0], (N, 1)),)
-        adjoint_basis = (np.tile([-c, 1.0], (N, 1)),)
-    else:
-        # orbits t -> A^t v and t -> A^{-T t} w; W_table holds the adjoint
-        # orbit one step ahead, so its first value is w itself
-        kernel_basis = tuple(pows[:N] @ v for v in ker_vecs)
-        adjoint_basis = tuple(np.concatenate([W0[None, :, j], W_table[:-1, :, j]])
-                              for j in range(dim))
+    adj_shift = np.roll(adjoint_basis, -1, axis=1)
+    W = adj_shift.reshape(dim, 2 * N)
+    adj_dual = np.linalg.solve(W @ W.T, W).reshape(dim, N, 2)
 
     resonance = ResonanceClass(dim, kernel_basis, adjoint_basis, theta, r_int)
-
-    return LinearData(problem, A, pows, monodromy, V, W_table, gram_inv,
-                      resonance, pinv2(M))
+    return LinearData(problem, companion_matrix(b, c), symbol, symbol_inv, resonance,
+                      np.linalg.pinv(kernel_basis[:, 0, :]), adj_shift, adj_dual)
 
 
 def classify(problem: Problem) -> ResonanceClass:
@@ -231,16 +199,18 @@ def image_test(ld: LinearData, h: np.ndarray) -> np.ndarray:
     practice). The empty last axis in the nonresonant case means "always
     in the image".
     """
-    h = np.asarray(h, dtype=float)
-    z = np.reshape(ld.resonance.adjoint_basis, (-1, ld.problem.N, 2))
-    return np.sum(np.roll(z, -1, axis=1) * h[..., None, :, :], axis=(-2, -1))
+    return np.einsum("jti,...ti->...j", ld.adj_shift, np.asarray(h, dtype=float))
 
 
 def proj_P(ld: LinearData, x: np.ndarray) -> np.ndarray:
-    """Projection onto Ker(L): (Px)(t) = A^t V x(0)."""
+    """Projection onto Ker(L): (Px)(t) = A^t p(x(0)).
+
+    p is the orthogonal projection onto Ker(I - A^N), the span of the kernel
+    basis values at t = 0; the kernel element through p(x(0)) is read off
+    the kernel basis.
+    """
     x = np.asarray(x, dtype=float)
-    N = ld.problem.N
-    return np.einsum("tij,...j->...ti", ld.A_pows[:N], x[..., 0, :] @ ld.V.T)
+    return np.einsum("...j,jti->...ti", x[..., 0, :] @ ld.ker_coef, ld.resonance.kernel_basis)
 
 
 def proj_Q(ld: LinearData, h: np.ndarray) -> np.ndarray:
@@ -249,19 +219,17 @@ def proj_Q(ld: LinearData, h: np.ndarray) -> np.ndarray:
     Its kernel is exactly Im(L), which is the property the reduction needs:
     Q h = 0 iff image_test(ld, h) vanishes.
     """
-    h = np.asarray(h, dtype=float)
-    coef = np.einsum("tij,...ti->...j", ld.W_table, h) @ ld.gram_inv.T
-    return np.einsum("tij,...j->...ti", ld.W_table, coef)
+    coef = np.einsum("jti,...ti->...j", ld.adj_dual, np.asarray(h, dtype=float))
+    return np.einsum("...j,jti->...ti", coef, ld.adj_shift)
 
 
 def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
     """The unique x with L x = h and P x = 0, for h in Im(L).
 
-    Forward-rolls x(t+1) = A x(t) + h(t) from zero to obtain the monodromy
-    right-hand side, picks the minimum-norm initial vector solving
-    (I - A^N) x(0) = A^N sum_i A^{-(i+1)} h(i) (which is automatically
-    orthogonal to Ker(I - A^N), hence P x = 0), then rolls forward again.
-    A stack of right-hand sides is rolled together.
+    Solves the scalar circulant equation for x1 with one real FFT, a
+    multiply by the inverse symbol (which drops the resonant modes) and one
+    inverse FFT, sets x2 = x1(.+1) - h1, and removes the kernel component
+    P x. A stack of right-hand sides is transformed together.
 
     Raises NotInImageError, with the largest defect, when the pairing test
     says some member of h is not in Im(L).
@@ -271,17 +239,19 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
     scale = 1.0 + np.max(np.hypot(h[..., 0], h[..., 1]), axis=-1)
     if np.any(defect > 1e-9 * scale):
         raise NotInImageError(float(np.max(defect)))
-    N = ld.problem.N
-    A_T = ld.A.T
-    s = np.zeros(h.shape[:-2] + (2,))
-    for t in range(N):
-        s = s @ A_T + h[..., t, :]
-    cur = s @ ld.IA_pinv.T
-    out = np.empty_like(h)
-    for t in range(N):
-        out[..., t, :] = cur
-        cur = cur @ A_T + h[..., t, :]
-    return out
+    h1 = h[..., 0]
+    # one expression, so no stack-sized temporary outlives its use
+    x1 = np.fft.irfft(np.fft.rfft(np.roll(h1, -1, axis=-1) + ld.problem.b * h1 + h[..., 1])
+                      * ld.symbol_inv, n=ld.problem.N)
+    x = np.empty_like(h)
+    x[..., 0] = x1
+    # x2 = x1(.+1) - h1, written in place
+    x[..., :-1, 1] = x1[..., 1:]
+    x[..., -1, 1] = x1[..., 0]
+    x[..., 1] -= h1
+    if ld.resonance.dim:  # P = 0 on a trivial kernel
+        x -= proj_P(ld, x)
+    return x
 
 
 # -- operator norm of M_p (I - Q) ----------------------------------------

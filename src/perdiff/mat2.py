@@ -2,17 +2,12 @@
 
 Matrices are plain numpy arrays of shape (2, 2). Singular values come from
 the closed-form 2x2 expression, evaluated elementwise over a whole stack
-(..., 2, 2) of matrices at once, and the pseudo-inverse of one matrix goes
-through an SVD with a relative rank cutoff so that rank decisions stay
-stable at monodromy scale (entries O(1) up to O(|c|**N)).
+(..., 2, 2) of matrices at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# A singular value counts as zero iff sigma <= RANK_RTOL * max(1, sigma_max).
-RANK_RTOL = 1e-9
 
 
 def as_mat2(a) -> np.ndarray:
@@ -43,10 +38,3 @@ def svals2(A) -> tuple[float, float]:
     smax = (0.5 * (s1 + s2)) ** 0.5
     return smax, smin
 
-
-def pinv2(A) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with the package rank cutoff."""
-    U, s, Vt = np.linalg.svd(as_mat2(A))
-    cut = RANK_RTOL * max(1.0, s[0])
-    inv = np.array([1.0 / sv if sv > cut else 0.0 for sv in s])
-    return (Vt.T * inv) @ U.T

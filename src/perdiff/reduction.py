@@ -140,7 +140,7 @@ class BifurcationMap:
             B = _mpiq_blocks(self.ld)
         except NotInImageError as e:
             # the projected unit inputs failed the image test: the linear
-            # data is too inaccurate at this period to build M_p (I - Q)
+            # data is too inaccurate to build M_p (I - Q)
             raise SolverError(f"cannot assemble M_p(I-Q): {e}",
                               diagnostics={"defect": e.defect, "N": N}) from None
         self._norm_upper = _upper_from_blocks(B)

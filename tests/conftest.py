@@ -1,4 +1,6 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,19 @@ import pytest
 from perdiff import Problem
 
 CANONICAL_G = "tanh(x)+0.1*cos(2*pi*t/3)"
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env():
+    """The environment with this checkout's src first on PYTHONPATH.
+
+    pytest's ``pythonpath`` setting reaches only its own process; child
+    interpreters (``python -m perdiff``, the demos) need it here.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def make_problem(b, c, N, g):

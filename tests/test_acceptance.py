@@ -23,6 +23,7 @@ from perdiff import (
     check_corollary,
     check_thm1,
     check_thm2,
+    companion_matrix,
     image_test,
     membership_U,
     mp_solve,
@@ -37,9 +38,8 @@ from perdiff import (
     winding_number,
 )
 from perdiff.hypotheses import RATIONAL_ANGLE_TOL
-from perdiff.mat2 import RANK_RTOL
 
-from conftest import CANONICAL_G, instance_grid, make_problem
+from conftest import CANONICAL_G, instance_grid, make_problem, subprocess_env
 
 
 @contextmanager
@@ -106,9 +106,11 @@ def test_criterion_02_image_kernel_duality():
                     continue
                 for N in (3, 5, 7, 9, 11):
                     ld = build_linear_data(make_problem(float(b), float(c), N, "0"))
-                    M = np.eye(2) - ld.monodromy
+                    # independent rule: rank of I - A^N with a relative cutoff
+                    M = np.eye(2) - np.linalg.matrix_power(
+                        companion_matrix(float(b), float(c)), N)
                     smax = np.linalg.svd(M, compute_uv=False)[0]
-                    rank = np.linalg.matrix_rank(M, tol=RANK_RTOL * max(1.0, smax))
+                    rank = np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, smax))
                     if ld.resonance.dim != 2 - rank:
                         mismatches += 1
         assert mismatches == 0
@@ -274,7 +276,7 @@ def test_criterion_09_slow_growth_reproduction():
 
 def _run_cli(*args):
     proc = subprocess.run([sys.executable, "-m", "perdiff", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=subprocess_env())
     return proc.returncode, proc.stdout
 
 

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from perdiff import cli
+from perdiff import NotInImageError, cli, hypotheses, reduction
+
+from conftest import subprocess_env
 
 CANONICAL_G = "tanh(x)+0.1*cos(2*pi*t/3)"
 
@@ -13,7 +15,7 @@ CANONICAL_G = "tanh(x)+0.1*cos(2*pi*t/3)"
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "perdiff", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -89,12 +91,18 @@ def test_solve_failure_exit_code(tmp_path):
     assert "error" in data
 
 
-def test_solve_operator_build_failure_is_a_solver_error(tmp_path):
-    # at N = 25 the drifted adjoint orbit fails the image test while
-    # M_p(I-Q) is assembled: a JSON report with the error, not a traceback
+def _not_in_image(*args, **kwargs):
+    raise NotInImageError(3.3e-9)
+
+
+def test_solve_operator_build_failure_is_a_solver_error(tmp_path, monkeypatch, capsys):
+    # an image-test failure while M_p(I-Q) is assembled: a JSON report with
+    # the error, not a traceback
     path = write_problem(tmp_path / "n25.json", -1.5, 0.5, 25,
                          "tanh(x)+0.1*cos(2*pi*t/25)")
-    code, out, err = run_cli("solve", path)
+    monkeypatch.setattr(reduction, "_mpiq_blocks", _not_in_image)
+    code = cli.main(["solve", path])
+    out, err = capsys.readouterr()
     assert code == 3, err
     data = json.loads(out)
     assert "not in image" in data["error"]
@@ -154,17 +162,32 @@ def test_check_exit_codes(tmp_path, dim0_file, dim1_file, dim2_file):
     assert c1["passed"] is True
 
 
-def test_check_image_failure_is_a_solver_error(tmp_path):
-    # at N = 81 the monodromy scale makes (0.5, -3) look resonant and the
-    # norm bound's unit inputs fail the image test: exit 3 with the defect
+def test_check_image_failure_is_a_solver_error(tmp_path, monkeypatch, capsys):
+    # the norm bound's unit inputs failing the image test: exit 3 with the
+    # defect
     path = write_problem(tmp_path / "n81.json", 0.5, -3, 81,
                          "tanh(x)+0.1*cos(2*pi*t/81)")
-    code, out, err = run_cli("check", path, "--theorem", "thm1")
+    monkeypatch.setattr(hypotheses, "norm_bound_mp_iq", _not_in_image)
+    code = cli.main(["check", path, "--theorem", "thm1"])
+    out, err = capsys.readouterr()
     assert code == 3, err
     data = json.loads(out)
     assert "not in image" in data["error"]
     assert data["diagnostics"]["N"] == 81
     assert data["diagnostics"]["defect"] > 0.0
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_classify_two_real_multipliers(tmp_path, N):
+    # b = 0, c = -1: multipliers 1 and -1, a two-dimensional kernel at even
+    # N that is not a rotation
+    path = write_problem(tmp_path / "pm.json", 0, -1, N, "tanh(x)")
+    code, out, err = run_cli("classify", path)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["dim"] == 2
+    assert data["r_int"] is None and data["theta"] is None
+    assert data["kernel_basis"][1][:2] == [[1.0, -1.0], [-1.0, 1.0]]
 
 
 def test_scan_csv(tmp_path):

@@ -1,21 +1,17 @@
 """Every demo script runs to completion in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, subprocess_env
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                          env=env, cwd=ROOT, timeout=120)
+                          env=subprocess_env(), cwd=ROOT, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -93,6 +93,18 @@ def test_thm1_growth_window_family():
     assert delta == pytest.approx(1.05 * 0.001 * 4.0**3, rel=1e-12)
 
 
+@pytest.mark.parametrize("b, c, N", [(0.5, -3, 81), (0.5, -3, 243), (0, 2, 243)])
+def test_thm1_at_large_period_off_the_unit_circle(b, c, N):
+    # multipliers 1.5 and -2, or of modulus sqrt(2): |mu|^N is huge, but the
+    # kernel stays trivial and the Monte Carlo lower bound stays below the
+    # sound upper bound
+    p = make_problem(b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+    rep = check_thm1(p, r=10.0, zhat=1.0)
+    assert rep.metadata["dim"] == 0
+    q = rep.condition("C3").quantities
+    assert 0.0 < q["norm_lower_mc"] <= q["norm_upper"]
+
+
 def test_thm1_requires_odd_period():
     with pytest.raises(ValueError):
         check_thm1(make_problem(0, 2, 4, "tanh(x)"), r=10.0, zhat=1.0)

@@ -18,13 +18,21 @@ from perdiff import (
     sup_norm,
 )
 from perdiff.linear import _mpiq_blocks, _upper_from_blocks
-from perdiff.mat2 import RANK_RTOL
 
 from conftest import instance_grid, make_problem
 
 
 def _ld(b, c, N, g="0"):
     return build_linear_data(make_problem(b, c, N, g))
+
+
+def _monodromy(b, c, N):
+    # A^N by repeated squaring, independent of the symbol
+    return np.linalg.matrix_power(companion_matrix(b, c), N)
+
+
+def _rotation_row(N):
+    return (-2.0 * math.cos(2.0 * math.pi / N), 1.0, N)
 
 
 def test_companion_matrix_values():
@@ -43,12 +51,18 @@ def test_problem_validation():
 
 
 def test_monodromy_values():
-    np.testing.assert_allclose(_ld(1, 1, 3).monodromy, np.eye(2), atol=1e-14)
-    np.testing.assert_allclose(_ld(-3, 2, 3).monodromy, [[-6, 7], [-14, 15]], atol=1e-12)
-    ld = _ld(0, 2, 3)
-    IA = np.eye(2) - ld.monodromy
+    np.testing.assert_allclose(_monodromy(1, 1, 3), np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(_monodromy(-3, 2, 3), [[-6, 7], [-14, 15]], atol=1e-12)
+    IA = np.eye(2) - _monodromy(0, 2, 3)
     np.testing.assert_allclose(IA, [[1, 2], [-4, 1]], atol=1e-12)
     assert abs(np.linalg.det(IA) - 9.0) < 1e-10
+    # det(I - A^N) is the product of the symbol over all N modes, where
+    # lambda_{N-k} = conj(lambda_k) fills in the modes past N//2
+    for b, c, N in [(0, 2, 3), (-3, 2, 5), (0.5, -3, 8), (1.3, 0.7, 6), (1, 1, 3)]:
+        lam = _ld(b, c, N).symbol
+        prod = np.prod(lam) * np.prod(np.conj(lam[1:(N + 1) // 2]))
+        det = np.linalg.det(np.eye(2) - _monodromy(b, c, N))
+        assert abs(prod - det) <= 1e-10 * (1.0 + abs(det))
 
 
 def test_classify_dims():
@@ -80,6 +94,29 @@ def test_classify_dim2_rotation_data():
         )
 
 
+def test_classify_near_resonance_does_not_depend_on_N():
+    # |lambda_0| = |1 + b + c| = 1e-6 at every period: not resonant, and the
+    # monodromy scale 2^N must not change that
+    for N in (5, 11, 21):
+        assert classify(make_problem(-3.000001, 2, N, "0")).dim == 0
+
+
+@pytest.mark.parametrize("N", [4, 6, 8])
+def test_classify_two_real_multipliers(N):
+    # b = 0, c = -1: multipliers 1 and -1; at even N both are N-th roots of
+    # unity, a two-dimensional kernel that is not a rotation
+    rc = classify(make_problem(0, -1, N, "0"))
+    assert rc.dim == 2
+    assert rc.theta is None and rc.r_int is None
+    alt = (-1.0) ** np.arange(N)
+    np.testing.assert_allclose(rc.kernel_basis[0], np.ones((N, 2)), atol=1e-12)
+    np.testing.assert_allclose(rc.kernel_basis[1], np.stack([alt, -alt], axis=1),
+                               atol=1e-12)
+    np.testing.assert_allclose(rc.adjoint_basis[0], np.tile([1.0, 1.0], (N, 1)), atol=1e-12)
+    np.testing.assert_allclose(rc.adjoint_basis[1], np.stack([alt, -alt], axis=1),
+                               atol=1e-12)
+
+
 def test_classify_jordan_case_is_one_dimensional():
     # b=-2, c=1: eigenvalue 1 with a single Jordan block
     rc = classify(make_problem(-2, 1, 5, "0"))
@@ -95,16 +132,17 @@ def test_classify_agrees_with_independent_rank():
                 continue
             for N in (3, 5, 7, 9, 11):
                 ld = _ld(float(b), float(c), N)
-                M = np.eye(2) - ld.monodromy
+                M = np.eye(2) - _monodromy(float(b), float(c), N)
                 smax = np.linalg.svd(M, compute_uv=False)[0]
-                rank = np.linalg.matrix_rank(M, tol=RANK_RTOL * max(1.0, smax))
+                rank = np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, smax))
                 if ld.resonance.dim != 2 - rank:
                     mismatches += 1
     assert mismatches == 0
 
 
 def test_kernel_basis_is_in_kernel():
-    for b, c, N in instance_grid():
+    # plus b = 0, c = -1 at even N: multipliers 1 and -1, no rotation
+    for b, c, N in instance_grid() + [(0.0, -1.0, 4), (0.0, -1.0, 6), (0.0, -1.0, 8)]:
         ld = _ld(b, c, N)
         for z in ld.resonance.kernel_basis:
             assert sup_norm(apply_L(ld, z)) <= 1e-9 * (1.0 + sup_norm(z))
@@ -159,9 +197,8 @@ def test_proj_Q_examples():
     for _ in range(10):
         x = rng.standard_normal((3, 2))
         assert sup_norm(proj_Q(ld, apply_L(ld, x))) <= 1e-12
-    # columns of the adjoint table are fixed by Q
-    for j in range(2):
-        h = ld.W_table[:, :, j]
+    # the shifted adjoint solutions are fixed by Q
+    for h in np.roll(ld.resonance.adjoint_basis, -1, axis=1):
         np.testing.assert_allclose(proj_Q(ld, h), h, atol=1e-12)
     # trivial kernel: Q is the zero map
     ld0 = _ld(0, 2, 3)
@@ -196,7 +233,10 @@ def test_image_test_iff_Q_annihilates():
 
 def test_mp_solve_contract():
     rng = np.random.default_rng(5)
-    for b, c, N in [(-3, 2, 3), (1, 1, 3), (0, 2, 3), (0, 2, 7), (-2, 1, 5), (3, 2, 4)]:
+    # N = 243: multipliers off the unit circle (|mu|^N up to 3^243) and a
+    # rotation whose other symbol entries are as small as 7e-4
+    for b, c, N in [(-3, 2, 3), (1, 1, 3), (0, 2, 3), (0, 2, 7), (-2, 1, 5), (3, 2, 4),
+                    (0, 2, 243), (0.5, -3, 243), _rotation_row(243)]:
         ld = _ld(b, c, N)
         assert sup_norm(mp_solve(ld, np.zeros((N, 2)))) == 0.0
         for _ in range(10):
@@ -244,18 +284,22 @@ def test_operators_on_a_stack_match_a_loop(b, c, N):
         assert image_test(ld, X[0]).shape == (3, 0)
     else:
         # one member outside the image fails the whole stack
-        H[1, 2] += ld.W_table[:, :, 0]
+        H[1, 2] += np.roll(ld.resonance.adjoint_basis[0], -1, axis=0)
         with pytest.raises(NotInImageError) as info:
             mp_solve(ld, H)
         assert info.value.defect > 1e-9
 
 
-def test_adjoint_table_satisfies_recurrence_exactly():
-    for b, c, N in [(-3, 2, 3), (1, 1, 3), (0.5, -1.5, 5)]:
+def test_adjoint_basis_satisfies_recurrence():
+    # z(t+1) = A^{-T} z(t) around the whole period, for every adjoint element
+    for b, c, N in [(-3, 2, 3), (1, 1, 3), (0.5, -1.5, 5), (3, 2, 4), (0, -1, 6),
+                    _rotation_row(25), (-1.5, 0.5, 25)]:
         ld = _ld(b, c, N)
         A_inv_T = np.array([[-b / c, 1.0], [-1.0 / c, 0.0]])
-        for t in range(N - 1):
-            assert np.array_equal(ld.W_table[t + 1], A_inv_T @ ld.W_table[t])
+        assert len(ld.resonance.adjoint_basis) == ld.resonance.dim > 0
+        for z in ld.resonance.adjoint_basis:
+            np.testing.assert_allclose(np.roll(z, -1, axis=0), z @ A_inv_T.T,
+                                       atol=1e-12 * (1.0 + abs(c)))
 
 
 def test_trigonometric_adjoint_cross_check():
@@ -280,13 +324,25 @@ def test_trigonometric_adjoint_cross_check():
 
 
 def test_V_is_orthogonal_projector():
-    for b, c, N in instance_grid()[::3]:
+    # (Px)(t) = A^t V x(0), with V the orthogonal projection onto Ker(I - A^N)
+    for b, c, N in instance_grid()[::3] + [(0.0, -1.0, 6)]:
         ld = _ld(b, c, N)
-        np.testing.assert_allclose(ld.V @ ld.V, ld.V, atol=1e-12)
-        np.testing.assert_allclose(ld.V.T, ld.V, atol=1e-12)
-        M = np.eye(2) - ld.monodromy
+        E = np.zeros((2, N, 2))
+        E[0, 0, 0] = E[1, 0, 1] = 1.0
+        V = proj_P(ld, E)[:, 0, :].T
+        np.testing.assert_allclose(V @ V, V, atol=1e-12)
+        np.testing.assert_allclose(V.T, V, atol=1e-12)
+        assert np.linalg.matrix_rank(V) == ld.resonance.dim
+        M = np.eye(2) - _monodromy(b, c, N)
         smax = np.linalg.svd(M, compute_uv=False)[0]
-        assert np.max(np.abs(M @ ld.V)) <= RANK_RTOL * max(1.0, smax) * 10
+        assert np.max(np.abs(M @ V)) <= 1e-9 * max(1.0, smax) * 10
+        x0 = np.random.default_rng(8).standard_normal(2)
+        x = np.zeros((N, 2))
+        x[0] = x0
+        Px = proj_P(ld, x)
+        for t in range(N):
+            np.testing.assert_allclose(Px[t], np.linalg.matrix_power(ld.A, t) @ V @ x0,
+                                       atol=1e-10 * max(1.0, smax))
 
 
 def test_norm_bound_soundness_and_pinned_value():
@@ -321,7 +377,8 @@ def test_norm_bound_batch_matches_single():
 
 
 def test_norm_bound_lower_never_exceeds_upper_across_grid():
-    for b, c, N in instance_grid()[::7]:
+    # N = 243: multipliers of modulus sqrt(2), and 1.5 and -2
+    for b, c, N in instance_grid()[::7] + [(0.0, 2.0, 243), (0.5, -3.0, 243)]:
         ld = _ld(b, c, N)
         lower, upper = norm_bound_mp_iq(ld, 50, seed=1)
         assert lower <= upper * (1.0 + 1e-12)

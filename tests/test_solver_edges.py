@@ -38,6 +38,27 @@ def test_solve_1d_at_large_period(N):
     assert rep.residual_sup <= 1e-9
 
 
+def test_solve_1d_with_multiplier_one_half_at_period_25():
+    # multipliers 1 and 1/2: an adjoint orbit rolled backward over the
+    # period drifts by 2^N times the rounding and fails the image test
+    p = make_problem(-1.5, 0.5, 25, "tanh(x)+0.1*cos(2*pi*t/25)")
+    rep = solve(p)
+    assert rep.regime == 1
+    assert rep.oracle_verified
+    assert rep.residual_sup <= 1e-9
+
+
+@pytest.mark.parametrize("b, c, N", [(0, 2, 63), (0, 2, 243), (0.5, -3, 81)])
+def test_solve_nonresonant_at_large_period(b, c, N):
+    # multipliers off the unit circle: |mu|^N up to 3^81 once broke the
+    # reduced-equation post-check
+    p = make_problem(b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+    rep = solve(p)
+    assert rep.regime == 0
+    assert rep.oracle_verified
+    assert rep.residual_sup <= 1e-9
+
+
 def test_solve_nonresonant_with_strong_nonlinearity():
     p = make_problem(0, 2, 3, "1.5*sin(x)+0.3*cos(2*pi*t/3)")
     rep = solve_nonresonant(p)
