@@ -1,14 +1,14 @@
 """Nonlinear machinery: reduction of the periodic problem to kernel coordinates.
 
 Solving L x = F(x) splits into the auxiliary equation
-x = P x + M_p (I - Q) F(x), solved by a damped fixed-point iteration (with a
-finite-difference Newton fallback) for each choice of kernel coordinates, and
-a finite-dimensional bifurcation equation: the pairing of F against the
-periodic adjoint solutions must vanish. A sequence solves the original
-problem exactly when both hold.
+x = P x + M_p (I - Q) F(x), solved by damped Newton (Armijo line search,
+with the Picard step as the second search direction) for each choice of
+kernel coordinates, and a finite-dimensional bifurcation equation: the
+pairing of F against the periodic adjoint solutions must vanish. A sequence
+solves the original problem exactly when both hold.
 
 The operator M_p (I - Q) is assembled once per bifurcation map, from the
-same blocks that give its norm bound, so each fixed-point step is one
+same blocks that give its norm bound, so each residual is one
 matrix-vector product, and the Newton Jacobian is built from pointwise
 differences of g.
 
@@ -25,9 +25,9 @@ solvers:
   bifurcation map around a circle provides degree evidence, then Newton from
   a deterministic grid of seeds locates a zero.
 
-One damped Picard loop, one damped Newton loop and one bisection loop serve
-all three. All produced solutions are re-validated: the two reduced
-equations, the scalar recurrence residual, and the independent oracle check.
+One damped Newton loop and one bisection loop serve all three. All
+produced solutions are re-validated: the two reduced equations, the scalar
+recurrence residual, and the independent oracle check.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ from .linear import (
     _upper_from_blocks,
 )
 
-_PICARD_BUDGET = 80
-_DAMPING_FLOOR = 2.0**-10
+# tolerance and Newton step budget of one auxiliary solve
+_AUX_TOL = 1e-12
+_AUX_NEWTON_STEPS = 40
 
 
 class SolverError(RuntimeError):
@@ -105,14 +106,15 @@ def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BifurcationMap:
-    """Reduced problem in kernel coordinates, with the inner solve settings.
+    """Reduced problem in kernel coordinates.
 
     The operator M_p (I - Q) is assembled once per map, from the same
     (N, 2, N, 2) blocks that give its norm bound. Because F(x) = (0, g(t,
     x1)), only the blocks acting on the g component are kept, as the
-    (2N, N) matrix ``aux_operator``: each Picard step of the auxiliary
+    (2N, N) matrix ``aux_operator``: each residual of the auxiliary
     equation is one matvec with it, and the Newton Jacobian is built from
-    pointwise differences of g.
+    pointwise differences of g. ``_inner_iters`` counts the auxiliary
+    Newton steps taken on this map.
 
     A trivial kernel (dim 0) is the degenerate case P = Q = 0: the kernel
     lift is zero and M_p (I - Q) is L^{-1}.
@@ -120,15 +122,9 @@ class BifurcationMap:
 
     problem: Problem
     ld: LinearData
-    inner_tol: float = 1e-12
-    inner_max_iter: int = 500
     _norm_upper: float | None = field(default=None, init=False, repr=False)
     _aux_operator: np.ndarray | None = field(default=None, init=False, repr=False)
-    _inner_iters: int = field(default=0, repr=False)
-
-    def __post_init__(self):
-        if self.inner_tol <= 0:
-            raise ValueError("inner_tol must be positive")
+    _inner_iters: int = field(default=0, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -174,13 +170,20 @@ class BifurcationMap:
         return lift
 
 
-def _damped_newton(resid, jac, x: np.ndarray, norm, tol: float, max_steps: int):
+def _damped_newton(resid, jac, x: np.ndarray, norm, tol: float, max_steps: int,
+                   picard: bool = False):
     """Damped Newton on resid(x) = 0 with an Armijo backtracking line search.
 
+    A trial point that leaves g's domain counts as an infinite residual.
+    With picard set, resid is a fixed-point residual x - T(x), and a step
+    whose Newton search finds no decrease, or whose jac(x) is singular,
+    searches along -resid(x) instead: the damped Picard step.
+
     Returns (x, norm(resid(x)), steps, stop), where stop says why it ended:
-    "converged" (norm <= tol), "singular" (jac(x) could not be solved),
-    "stalled" (no step length down to 1e-12 decreased |resid|^2) or
-    "budget" (max_steps steps taken).
+    "converged" (norm <= tol), "stalled" (no step length down to 1e-12
+    along any direction decreased |resid|^2, or jac(x) was singular and
+    picard unset) or "budget" (max_steps steps taken). On "converged" the
+    last resid call was at the returned x.
     """
     r = resid(x)
     for it in range(max_steps + 1):
@@ -190,54 +193,68 @@ def _damped_newton(resid, jac, x: np.ndarray, norm, tol: float, max_steps: int):
         if it == max_steps:
             return x, rn, it, "budget"
         try:
-            d = np.linalg.solve(jac(x), -r)
+            directions = [np.linalg.solve(jac(x), -r)]
         except np.linalg.LinAlgError:
-            return x, rn, it, "singular"
-        f0 = float(r @ r)
+            directions = []
+        if picard:
+            directions.append(-r)
+        step = _armijo(resid, x, r, directions)
+        if step is None:
+            return x, rn, it, "stalled"
+        x, r = step
+
+
+def _armijo(resid, x: np.ndarray, r: np.ndarray, directions):
+    # first (x + s d, resid(x + s d)) with sufficient decrease of |resid|^2,
+    # halving s from 1 down to 1e-12 along each direction in turn
+    f0 = float(r @ r)
+    for d in directions:
         s = 1.0
-        while True:
-            r_new = resid(x + s * d)
+        while s >= 1e-12:
+            try:
+                r_new = resid(x + s * d)
+            except expr.DomainError:
+                r_new = np.full_like(r, np.inf)
             if float(r_new @ r_new) <= (1.0 - 1e-4 * s) * f0:
-                break
+                return x + s * d, r_new
             s *= 0.5
-            if s < 1e-12:
-                return x, rn, it, "stalled"
-        x = x + s * d
-        r = r_new
+    return None
 
 
-def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of wf -> wf - M_p(I-Q)F(lift + w), flattened.
+def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of w1 -> w1 - G[0::2] g(lift1 + w1).
 
-    g acts pointwise, so the Jacobian is I - G diag(dg) on the w1 columns and
-    I on the w2 columns; dg holds the central difference quotients of g at
-    x1 +- h, h = 1e-6 * (1 + |w1|), the ones a column-by-column difference
-    of the whole residual takes, without the rounding noise of the operator.
+    g acts pointwise, so it is I - G[0::2] diag(dg); dg holds the central
+    difference quotients of g at x1 +- h, h = 1e-6 * (1 + |w1|), the ones a
+    column-by-column difference of the whole residual takes, without the
+    rounding noise of the operator. (The Jacobian of the full residual in w
+    is the identity on the w2 columns, so only this block needs solving.)
     """
-    N = bm.problem.N
-    w1 = wf[0::2]
     h = 1e-6 * (1.0 + np.abs(w1))
     x1 = lift[:, 0] + w1
     dg = (_g_values(bm.problem, x1 + h) - _g_values(bm.problem, x1 - h)) / (2.0 * h)
-    J = np.eye(2 * N)
-    J[:, 0::2] -= bm.aux_operator * dg
-    return J
+    return np.eye(bm.problem.N) - bm.aux_operator[0::2] * dg
 
 
 _AUX_FAILURE = {
-    "singular": "auxiliary equation: singular Newton system (residual {:.3e})",
     "stalled": "auxiliary equation stalled (residual {:.3e})",
     "budget": "auxiliary equation did not converge (residual {:.3e})",
 }
 
 
 def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
-    """Solve w = M_p (I - Q) F(lift + w) in Ker(P) to bm.inner_tol."""
+    """Solve w = M_p (I - Q) F(lift + w) in Ker(P) to _AUX_TOL.
+
+    The right-hand side depends on w1 only, so damped Newton runs on
+    w1 - G[0::2] g(lift1 + w1) from w1 = 0, and w2 is read off the last
+    evaluation of the right-hand side.
+    """
     N = bm.problem.N
     G = bm.aux_operator
+    last = {}
 
-    def step(w):
-        gv = _g_values(bm.problem, lift[:, 0] + w[:, 0])
+    def resid(w1):
+        gv = _g_values(bm.problem, lift[:, 0] + w1)
         target = (G @ gv).reshape(N, 2)
         # the image of M_p(I-Q) is bounded by its operator norm times the
         # largest nonlinearity value actually reached; a violation would
@@ -245,57 +262,26 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
         bound = bm.norm_upper * float(np.max(np.abs(gv), initial=0.0))
         if sup_norm(target) > bound * (1.0 + 1e-9) + 1e-12:
             raise RuntimeError("auxiliary iterate exceeded the operator-norm bound")
-        return target
+        last["target"] = target
+        return w1 - target[:, 0]
 
-    w = np.zeros((N, 2))
-    target = step(w)
-    res = sup_norm(target - w)
-    lam = 1.0
-    used = 0
-    while used < min(_PICARD_BUDGET, bm.inner_max_iter) and res > bm.inner_tol:
-        w_new = (1.0 - lam) * w + lam * target
-        try:
-            target_new = step(w_new)
-        except expr.DomainError:
-            # the damped step left g's domain: back off, it uses no budget
-            res_new = math.inf
-        else:
-            res_new = sup_norm(target_new - w_new)
-            used += 1
-        if res_new <= res:
-            w, target, res = w_new, target_new, res_new
-            lam = min(1.0, 2.0 * lam)
-        else:
-            lam *= 0.5
-            if lam < _DAMPING_FLOOR:
-                break
-    bm._inner_iters += used
-
-    if res <= bm.inner_tol:
-        return w
-
-    # Newton fallback on the flattened residual w - M_p(I-Q)F(lift + w);
-    # steps stay inside Ker(P) because the right-hand map lands there
-    def resid(wf):
-        ws = wf.reshape(N, 2)
-        return (ws - step(ws)).ravel()
-
-    wf, rn, steps, stop = _damped_newton(
-        resid, lambda v: _aux_jacobian(bm, lift, v), w.ravel(),
-        lambda r: float(np.max(np.abs(r))), bm.inner_tol,
-        min(40, bm.inner_max_iter - used))
+    w1, rn, steps, stop = _damped_newton(
+        resid, lambda v: _aux_jacobian(bm, lift, v), np.zeros(N),
+        lambda r: float(np.max(np.abs(r))), _AUX_TOL, _AUX_NEWTON_STEPS, picard=True)
+    bm._inner_iters += steps
     if stop != "converged":
         raise ConvergenceError(_AUX_FAILURE[stop].format(rn))
-    bm._inner_iters += steps
-    return wf.reshape(N, 2)
+    w = last["target"]
+    w[:, 0] = w1
+    return w
 
 
 def aux_solve(bm: BifurcationMap, alpha) -> np.ndarray:
     """Converged auxiliary solution w(alpha) in Ker(P).
 
-    Satisfies sup_norm(w - M_p(I-Q)F(kernel_lift(alpha) + w)) <= inner_tol.
-    Raises ConvergenceError when the damped iteration and the Newton
-    fallback both fail.
+    Satisfies sup_norm(w - M_p(I-Q)F(kernel_lift(alpha) + w)) <= _AUX_TOL.
+    Raises ConvergenceError when damped Newton from w = 0 stalls or spends
+    its step budget.
     """
     return _aux_fixed_point(bm, bm.kernel_lift(alpha))
 

@@ -67,7 +67,7 @@ def test_aux_solve_contract_and_norm_bound():
         lift = bm.kernel_lift([alpha])
         Fx = apply_F(p, lift + w)
         target = mp_solve(ld, Fx - proj_Q(ld, Fx))
-        assert sup_norm(w - target) <= bm.inner_tol
+        assert sup_norm(w - target) <= reduction._AUX_TOL
         assert sup_norm(proj_P(ld, w)) <= 1e-10
         # the fixed point obeys the operator-norm estimate
         assert sup_norm(w) <= bm.norm_upper * 0.01 * (1 + 1e-9)
@@ -116,13 +116,17 @@ def test_aux_jacobian_matches_full_difference_jacobian():
         e = np.zeros(2 * N)
         e[j] = 1e-6 * (1.0 + abs(wf[j]))
         expected[:, j] = (resid(wf + e) - resid(wf - e)) / (2.0 * e[j])
-    np.testing.assert_allclose(_aux_jacobian(bm, lift, wf), expected, rtol=0, atol=1e-6)
+    # Newton runs on the w1 block; the w2 columns of the full Jacobian are I
+    np.testing.assert_allclose(expected[:, 1::2], np.eye(2 * N)[:, 1::2], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(_aux_jacobian(bm, lift, wf[0::2]), expected[0::2, 0::2],
+                               rtol=0, atol=1e-6)
 
 
 def test_inner_iterations_count_newton_on_its_last_step(monkeypatch):
-    # at alpha = 0 damping collapses and the Newton fallback finishes the
-    # solve; with the budget cut to exactly the steps used, Newton converges
-    # on its last allowed step and those steps must still be counted
+    # at alpha = 0 the plain fixed-point iteration does not contract and
+    # Newton does the solve; with the budget cut to exactly the steps used,
+    # Newton converges on its last allowed step and those steps must still
+    # be counted
     p, bm = _bm(-3, 2, 9, "tanh(x)+0.1*cos(2*pi*t/9)")
     jacobians = []
 
@@ -134,11 +138,22 @@ def test_inner_iterations_count_newton_on_its_last_step(monkeypatch):
     aux_solve(bm, [0.0])
     assert jacobians
     used = bm._inner_iters
-    tight = BifurcationMap(p, bm.ld, inner_max_iter=used)
+    monkeypatch.setattr(reduction, "_AUX_NEWTON_STEPS", used)
+    tight = BifurcationMap(p, bm.ld)
     aux_solve(tight, [0.0])
     assert tight._inner_iters == used
+    monkeypatch.setattr(reduction, "_AUX_NEWTON_STEPS", used - 1)
     with pytest.raises(ConvergenceError):
-        aux_solve(BifurcationMap(p, bm.ld, inner_max_iter=used - 1), [0.0])
+        aux_solve(BifurcationMap(p, bm.ld), [0.0])
+
+
+@pytest.mark.parametrize("field", ["inner_tol", "inner_max_iter", "_inner_iters"])
+def test_bifurcation_map_takes_no_inner_solve_settings(field):
+    # the auxiliary tolerance and step budget are module constants, and the
+    # step counter starts at zero
+    p = make_problem(-3, 2, 3, CANONICAL_G)
+    with pytest.raises(TypeError):
+        BifurcationMap(p, build_linear_data(p), **{field: 5})
 
 
 def test_bifurcation_value_odd_symmetry():

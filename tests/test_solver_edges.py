@@ -1,4 +1,4 @@
-"""Harder solver paths: damping fallbacks, even periods, degenerate forcing."""
+"""Harder solver paths: line-search fallbacks, even periods, degenerate forcing."""
 
 import numpy as np
 import pytest
@@ -70,11 +70,26 @@ def test_solve_nonresonant_with_strong_nonlinearity():
     (0, -2, 3, "4*ln(x+1)+1"),
     (1, -3, 3, "(x+1)^0.5"),
     (0, -2, 3, "3*(x+0.5)^0.5"),
+    (0, 2, 3, "4*ln(x+1)+1"),
+    (0, 2, 64, "4*ln(x+1)+1"),
 ])
 def test_solve_nonresonant_backs_off_at_the_domain_edge(b, c, N, g):
-    # full Picard steps leave the domain of g; the damping must halve and
-    # retry instead of giving up with a DomainError
+    # full Newton or Picard steps leave the domain of g; the line search
+    # must count such a trial as an infinite residual and halve the step
+    # instead of giving up with a DomainError
     p = make_problem(b, c, N, g)
+    rep = solve_nonresonant(p)
+    assert rep.oracle_verified
+    assert rep.residual_sup <= 1e-9
+
+
+@pytest.mark.parametrize("g", ["tanh(x)+0.1*cos(2*pi*t/4)", "atan(x)+0.2*sin(2*pi*t/4)"])
+def test_solve_nonresonant_from_a_stationary_start(g):
+    # g'(0) = 1 makes the linearisation at w = 0 resonant (z^2 + 1 has the
+    # roots +-i, of period 4): the Newton system is singular and 0 is a
+    # stationary point of |residual|^2, so the search must fall back to the
+    # Picard direction
+    p = make_problem(0, 2, 4, g)
     rep = solve_nonresonant(p)
     assert rep.oracle_verified
     assert rep.residual_sup <= 1e-9
