@@ -11,7 +11,7 @@ G = "tanh(x)+0.1*cos(2*pi*t/3)"
 
 for b, c, label in [
     (0, 2, "trivial kernel: damped fixed point of L^{-1} F"),
-    (-3, 2, "one-dimensional kernel: bisection on the bifurcation function"),
+    (-3, 2, "one-dimensional kernel: Brent's method on the bifurcation function"),
     (1, 1, "two-dimensional kernel: winding evidence + planar Newton"),
 ]:
     p = Problem.from_text(b, c, 3, G)

@@ -6,7 +6,15 @@
 
 import numpy as np
 
-from perdiff import BifurcationMap, Problem, bifurcation_value, build_linear_data, winding_number
+from perdiff import (
+    BifurcationMap,
+    Problem,
+    bifurcation_jacobian,
+    bifurcation_value,
+    build_linear_data,
+    solve,
+    winding_number,
+)
 
 G = "tanh(x)+0.1*cos(2*pi*t/3)"
 
@@ -16,7 +24,8 @@ bm1 = BifurcationMap(p1, build_linear_data(p1))
 for a in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0):
     v = bifurcation_value(bm1, [a])[0]
     print(f"  beta({a:+6.1f}) = {v:+.6f}")
-print("  -> opposite signs at the interval ends pin a zero by bisection")
+print("  -> opposite signs at the interval ends pin a zero; Brent's method keeps")
+print("     a sign-change bracket around it while closing in")
 
 print()
 print("two-dimensional kernel (b, c) = (1, 1): winding of the planar map")
@@ -34,3 +43,11 @@ for k in range(8):
     v = bifurcation_value(bm2, alpha)
     print(f"  phi = {phi:5.2f}: beta = ({v[0]:+8.4f}, {v[1]:+8.4f})")
 print("  -> the image walks once around the origin: degree one, a zero exists")
+
+# the derivative of the map at that zero, from the implicit-function theorem,
+# gives its local index: the sign of the determinant
+root = solve(p2, radius=50.0).alpha
+J = bifurcation_jacobian(bm2, root)
+print()
+print(f"zero at alpha = ({root[0]:+.6f}, {root[1]:+.6f}), det of the Jacobian = {np.linalg.det(J):+.4f}")
+print(f"  -> local index {int(np.sign(np.linalg.det(J))):+d}, consistent with degree one")

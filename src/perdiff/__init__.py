@@ -48,6 +48,7 @@ from .reduction import (
     SolverError,
     apply_F,
     aux_solve,
+    bifurcation_jacobian,
     bifurcation_value,
     solve,
     solve_1d,
@@ -62,7 +63,8 @@ __all__ = [
     "BifurcationMap", "BoundaryZeroError", "CheckReport", "ConvergenceError",
     "DomainError", "ExprError", "LinearData", "NoSignChangeError",
     "NotInImageError", "Problem", "ResonanceClass", "SolveReport",
-    "SolverError", "apply_F", "apply_L", "aux_solve", "bifurcation_value",
+    "SolverError", "apply_F", "apply_L", "aux_solve", "bifurcation_jacobian",
+    "bifurcation_value",
     "build_linear_data", "check_corollary", "check_solution", "check_thm1",
     "check_thm2", "classify", "companion_matrix", "evaluate", "image_test",
     "membership_U", "mp_solve", "multistart_search",

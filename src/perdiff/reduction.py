@@ -10,7 +10,9 @@ solves the original problem exactly when both hold.
 The operator M_p (I - Q) is assembled once per bifurcation map, from the
 same blocks that give its norm bound, so each residual is one
 matrix-vector product, and the Newton Jacobian is built from pointwise
-differences of g.
+differences of g. The same Jacobian, at a converged auxiliary solution,
+gives the derivative of the bifurcation map by the implicit-function
+theorem, so the planar Newton step needs no further auxiliary solve.
 
 Depending on the kernel dimension of the linear part this gives three
 solvers:
@@ -18,14 +20,15 @@ solvers:
 * ``solve_nonresonant`` -- invertible linear part; the auxiliary equation
   with P = Q = 0, i.e. the fixed point of L^{-1} F, and no bifurcation
   equation;
-* ``solve_1d`` -- one kernel direction; bisection on the scalar bifurcation
-  function over [-r, r] after checking it changes sign, mirroring the sign
-  argument that proves existence;
+* ``solve_1d`` -- one kernel direction; Brent's method on the scalar
+  bifurcation function over [-r, r] after checking it changes sign; it
+  keeps a sign-change bracket throughout, mirroring the sign argument that
+  proves existence;
 * ``solve_2d`` -- two kernel directions; the winding number of the planar
   bifurcation map around a circle provides degree evidence, then Newton from
   a deterministic grid of seeds locates a zero.
 
-One damped Newton loop and one bisection loop serve all three. All
+One damped Newton loop and one bracketing root finder serve all three. All
 produced solutions are re-validated: the two reduced equations, the scalar
 recurrence residual, and the independent oracle check.
 """
@@ -114,7 +117,9 @@ class BifurcationMap:
     (2N, N) matrix ``aux_operator``: each residual of the auxiliary
     equation is one matvec with it, and the Newton Jacobian is built from
     pointwise differences of g. ``_inner_iters`` counts the auxiliary
-    Newton steps taken on this map.
+    Newton steps taken on this map. The last auxiliary solution is kept,
+    keyed by its kernel lift, so a Jacobian or a solution read at the point
+    of the last value costs no second solve.
 
     A trivial kernel (dim 0) is the degenerate case P = Q = 0: the kernel
     lift is zero and M_p (I - Q) is L^{-1}.
@@ -125,6 +130,7 @@ class BifurcationMap:
     _norm_upper: float | None = field(default=None, init=False, repr=False)
     _aux_operator: np.ndarray | None = field(default=None, init=False, repr=False)
     _inner_iters: int = field(default=0, init=False, repr=False)
+    _last_aux: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -221,19 +227,23 @@ def _armijo(resid, x: np.ndarray, r: np.ndarray, directions):
     return None
 
 
+def _g_slopes(problem: Problem, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    # central difference quotients of g at x1 = lift1 + w1, step
+    # h = 1e-6 * (1 + |w1|): the ones a column-by-column difference of the
+    # whole auxiliary residual takes, without the rounding noise of the operator
+    h = 1e-6 * (1.0 + np.abs(w1))
+    x1 = lift[:, 0] + w1
+    return (_g_values(problem, x1 + h) - _g_values(problem, x1 - h)) / (2.0 * h)
+
+
 def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of w1 -> w1 - G[0::2] g(lift1 + w1).
 
-    g acts pointwise, so it is I - G[0::2] diag(dg); dg holds the central
-    difference quotients of g at x1 +- h, h = 1e-6 * (1 + |w1|), the ones a
-    column-by-column difference of the whole residual takes, without the
-    rounding noise of the operator. (The Jacobian of the full residual in w
-    is the identity on the w2 columns, so only this block needs solving.)
+    g acts pointwise, so it is I - G[0::2] diag(dg), dg from ``_g_slopes``.
+    (The Jacobian of the full residual in w is the identity on the w2
+    columns, so only this block needs solving.)
     """
-    h = 1e-6 * (1.0 + np.abs(w1))
-    x1 = lift[:, 0] + w1
-    dg = (_g_values(bm.problem, x1 + h) - _g_values(bm.problem, x1 - h)) / (2.0 * h)
-    return np.eye(bm.problem.N) - bm.aux_operator[0::2] * dg
+    return np.eye(bm.problem.N) - bm.aux_operator[0::2] * _g_slopes(bm.problem, lift, w1)
 
 
 _AUX_FAILURE = {
@@ -247,8 +257,12 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
 
     The right-hand side depends on w1 only, so damped Newton runs on
     w1 - G[0::2] g(lift1 + w1) from w1 = 0, and w2 is read off the last
-    evaluation of the right-hand side.
+    evaluation of the right-hand side. A repeat of the map's last lift
+    returns a copy of its solution without solving again.
     """
+    key = lift.tobytes()
+    if bm._last_aux is not None and bm._last_aux[0] == key:
+        return bm._last_aux[1].copy()
     N = bm.problem.N
     G = bm.aux_operator
     last = {}
@@ -273,6 +287,7 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
         raise ConvergenceError(_AUX_FAILURE[stop].format(rn))
     w = last["target"]
     w[:, 0] = w1
+    bm._last_aux = (key, w.copy())
     return w
 
 
@@ -297,6 +312,25 @@ def bifurcation_value(bm: BifurcationMap, alpha) -> np.ndarray:
     lift = bm.kernel_lift(alpha)
     w = _aux_fixed_point(bm, lift)
     return image_test(bm.ld, apply_F(bm.problem, lift + w))
+
+
+def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
+    """(dim, dim) derivative of ``bifurcation_value`` at alpha.
+
+    By the implicit-function theorem: with x1 = lift1 + w1 the converged
+    auxiliary solution, D = diag(dg) the slopes of g at x1 and z1 the first
+    components of the kernel basis, x1 = z1 alpha + G[0::2] g(x1) gives
+    (I - G[0::2] D) dx1/dalpha = z1, whose matrix is the auxiliary Newton
+    matrix at the solution, and dbeta/dalpha = adj_shift[:, :, 1] D
+    dx1/dalpha. Costs one auxiliary solve, or none right after a value at
+    the same alpha.
+    """
+    lift = bm.kernel_lift(alpha)
+    w1 = _aux_fixed_point(bm, lift)[:, 0]
+    dg = _g_slopes(bm.problem, lift, w1)
+    dx1 = np.linalg.solve(np.eye(bm.problem.N) - bm.aux_operator[0::2] * dg,
+                          bm.ld.resonance.kernel_basis[:, :, 0].T)
+    return bm.ld.adj_shift[:, :, 1] @ (dg[:, None] * dx1)
 
 
 # -- winding numbers -------------------------------------------------------
@@ -439,24 +473,55 @@ def _regime_map(problem: Problem, dim: int) -> BifurcationMap:
     return BifurcationMap(problem, ld)
 
 
-def _bisect(f, lo: float, hi: float, f_lo: float, width: float) -> tuple[float, int]:
-    """Halve [lo, hi], on which f changes sign (f_lo = f(lo)), down to width.
+def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
+           width: float) -> tuple[float, int]:
+    """Brent's method on [lo, hi], where f changes sign (f_lo = f(lo), f_hi = f(hi)).
 
-    Returns the midpoint of the last bracket, or an exact zero of f met on
-    the way, and the number of f evaluations.
+    Keeps a bracket [b, c] on which f changes sign, with |f(b)| <= |f(c)|,
+    and steps from b by inverse quadratic interpolation through the last
+    three points or the secant through the last two; when that step leaves
+    the bracket's near three quarters, or is not half the step before last,
+    it bisects instead (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4). Steps are at least width / 2.
+
+    Returns b once |c - b| <= width (plus the rounding of b), or an exact
+    zero of f met on the way, and the number of f evaluations.
     """
-    steps = 0
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        steps += 1
-        if f_mid == 0.0:
-            return mid, steps
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc = a, fa
+    d = e = b - a
+    evaluations = 0
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * width
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b, evaluations
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, t = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - t) - (b - a) * (t - 1.0))
+                q = (q - 1.0) * (t - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi), steps
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        evaluations += 1
 
 
 # -- regime 0: invertible linear part ---------------------------------------
@@ -476,11 +541,13 @@ def _solve_nonresonant(bm: BifurcationMap, tol: float) -> SolveReport:
 
 
 def solve_1d(problem: Problem, r: float = 10.0, tol: float = 1e-9) -> SolveReport:
-    """Bisection on the scalar bifurcation function over [-r, r].
+    """Brent's method on the scalar bifurcation function over [-r, r].
 
     Requires the function to take opposite signs at the two ends (this is
     what the existence argument guarantees under its hypotheses); raises
-    NoSignChangeError otherwise.
+    NoSignChangeError otherwise. The sign-change bracket is kept down to
+    width 1e-12 * r; ``iterations["bisection"]`` counts the evaluations of
+    the bifurcation function inside it.
     """
     return _solve_1d(_regime_map(problem, 1), r, tol)
 
@@ -510,7 +577,7 @@ def _solve_1d(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
             diagnostics={"beta_minus": b_lo, "beta_plus": b_hi, "r": r},
         )
     else:
-        alpha_star, bisection = _bisect(beta, -r, r, b_lo, 1e-12 * r)
+        alpha_star, bisection = _brent(beta, -r, r, b_lo, b_hi, 1e-12 * r)
 
     lift = bm.kernel_lift([alpha_star])
     w = _aux_fixed_point(bm, lift)
@@ -535,11 +602,11 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
     for k in range(len(grid) - 1):
         if vals[k] == 0.0 or (vals[k] > 0) == (vals[k + 1] > 0):
             continue
-        alpha, _ = _bisect(beta, grid[k], grid[k + 1], vals[k], 1e-12 * r)
-        lift = bm.kernel_lift([alpha])
         try:
+            alpha, _ = _brent(beta, grid[k], grid[k + 1], vals[k], vals[k + 1], 1e-12 * r)
+            lift = bm.kernel_lift([alpha])
             w = _aux_fixed_point(bm, lift)
-        except ConvergenceError:
+        except (ConvergenceError, expr.DomainError):
             continue
         if sup_norm(lift + w) > 1e-6:
             return True
@@ -572,6 +639,8 @@ def solve_2d(problem: Problem, radius: float = 0.0, grid: int = 9,
     K_est) is used, both estimates sampled from g. Seeds are the grid x grid
     points of the square inscribed in the search disk, tried closest to the
     origin first; the first root that reproduces the recurrence to tol wins.
+    The Newton Jacobian is ``bifurcation_jacobian``, which reuses the
+    auxiliary solution of the value at the same point.
     """
     return _solve_2d(_regime_map(problem, 2), radius, grid, tol, samples)
 
@@ -598,20 +667,6 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
              if math.hypot(a0, a1) <= radius * (1.0 + 1e-12)]
     seeds.sort(key=lambda a: (float(np.hypot(a[0], a[1])), float(a[0]), float(a[1])))
 
-    def value(a):
-        return bifurcation_value(bm, a)
-
-    def jacobian(a):
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-6 * (1.0 + abs(a[j]))
-            ap = a.copy()
-            ap[j] += h
-            am = a.copy()
-            am[j] -= h
-            J[:, j] = (value(ap) - value(am)) / (2.0 * h)
-        return J
-
     forcing_free = _forcing_free(problem)
     accepted = None
     newton_iters = 0
@@ -619,7 +674,8 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
     for seed in seeds:
         try:
             root, _, iters, stop = _damped_newton(
-                value, jacobian, seed, lambda v: float(np.linalg.norm(v)),
+                lambda a: bifurcation_value(bm, a), lambda a: bifurcation_jacobian(bm, a),
+                seed, lambda v: float(np.linalg.norm(v)),
                 tol * scale, 40)
         except (ConvergenceError, expr.DomainError):
             continue

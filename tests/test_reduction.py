@@ -11,6 +11,7 @@ from perdiff import (
     apply_F,
     apply_L,
     aux_solve,
+    bifurcation_jacobian,
     bifurcation_value,
     build_linear_data,
     check_solution,
@@ -27,8 +28,9 @@ from perdiff import (
     winding_of_map,
 )
 
+import perdiff.expr as expr
 from perdiff import reduction
-from perdiff.reduction import _aux_jacobian
+from perdiff.reduction import _aux_jacobian, _brent
 
 from conftest import CANONICAL_G, make_problem
 
@@ -147,10 +149,10 @@ def test_inner_iterations_count_newton_on_its_last_step(monkeypatch):
         aux_solve(BifurcationMap(p, bm.ld), [0.0])
 
 
-@pytest.mark.parametrize("field", ["inner_tol", "inner_max_iter", "_inner_iters"])
+@pytest.mark.parametrize("field", ["inner_tol", "inner_max_iter", "_inner_iters", "_last_aux"])
 def test_bifurcation_map_takes_no_inner_solve_settings(field):
     # the auxiliary tolerance and step budget are module constants, and the
-    # step counter starts at zero
+    # step counter and the kept last solution start empty
     p = make_problem(-3, 2, 3, CANONICAL_G)
     with pytest.raises(TypeError):
         BifurcationMap(p, build_linear_data(p), **{field: 5})
@@ -168,8 +170,6 @@ def test_bifurcation_value_signs_at_ends():
 
 
 def test_bifurcation_value_matches_explicit_rows():
-    import perdiff.expr as expr
-
     # constant kernel: the reduced equation is the plain sum of g values
     p, bm = _bm(-3, 2, 3, CANONICAL_G)
     alpha = 0.7
@@ -191,6 +191,104 @@ def test_bifurcation_value_matches_explicit_rows():
         sum(math.sin(th * t) * gs[t] for t in range(3)),
     ])
     np.testing.assert_allclose(bifurcation_value(bm2, alpha2), expected, atol=1e-12)
+
+
+def _rotation_row(N):
+    return (-2.0 * math.cos(2.0 * math.pi / N), 1.0, N)
+
+
+@pytest.mark.parametrize("b,c,N", [
+    (-3, 2, 9), (-1.5, 0.5, 21), _rotation_row(5), _rotation_row(33), (0, -1, 6),
+])
+def test_bifurcation_jacobian_matches_central_difference(b, c, N):
+    # the implicit-function derivative against a central difference of the
+    # map itself, the Jacobian the planar Newton took before
+    _, bm = _bm(b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+    for a0 in (0.0, 0.7, -2.5):
+        alpha = np.full(bm.dim, a0)
+        alpha[1:] = 0.3 - 0.5 * a0
+        J = bifurcation_jacobian(bm, alpha)
+        assert J.shape == (bm.dim, bm.dim)
+        expected = np.empty_like(J)
+        for j in range(bm.dim):
+            e = np.zeros(bm.dim)
+            e[j] = 1e-6 * (1.0 + abs(alpha[j]))
+            expected[:, j] = (bifurcation_value(bm, alpha + e)
+                              - bifurcation_value(bm, alpha - e)) / (2.0 * e[j])
+        assert np.max(np.abs(J - expected)) <= 1e-6 * np.max(np.abs(J))
+
+
+def test_bifurcation_jacobian_reuses_the_value_solve():
+    # right after a value at the same alpha the Jacobian takes no auxiliary
+    # Newton step; at a fresh alpha it solves once
+    _, bm = _bm(-3, 2, 9, "tanh(x)+0.1*cos(2*pi*t/9)")
+    bifurcation_value(bm, [0.4])
+    steps = bm._inner_iters
+    bifurcation_jacobian(bm, [0.4])
+    assert bm._inner_iters == steps
+    bifurcation_jacobian(bm, [0.9])
+    assert bm._inner_iters > steps
+
+
+def test_brent_meets_the_width_on_a_smooth_root():
+    f = lambda x: math.tanh(x - 0.3)
+    x, evaluations = _brent(f, -10.0, 10.0, f(-10.0), f(10.0), 1e-11)
+    assert abs(x - 0.3) <= 1e-11
+    assert evaluations <= 12
+
+
+def test_brent_returns_an_exact_zero():
+    # the first secant step lands on the zero of a linear f exactly
+    f = lambda x: 2.0 * x
+    assert _brent(f, -1.0, 3.0, f(-1.0), f(3.0), 1e-12) == (0.0, 1)
+    # a zero at the bracket end is returned without an evaluation
+    assert _brent(f, -1.0, 0.0, f(-1.0), 0.0, 1e-12) == (0.0, 0)
+
+
+def test_brent_converges_where_interpolation_is_useless():
+    # a step function: its values +-1 say nothing about where the jump is,
+    # so interpolation is useless; the bracket must still close on the jump
+    f = lambda x: float(np.sign(x - 0.3))
+    x, evaluations = _brent(f, -10.0, 10.0, -1.0, 1.0, 1e-11)
+    assert abs(x - 0.3) <= 1e-11
+    assert evaluations <= 2 * 41
+
+
+@pytest.mark.parametrize("b,c,Ns", [(-3, 2, (3, 9, 13, 17)), (-1.5, 0.5, (5, 13, 21, 25))])
+def test_solve_1d_root_finder_evaluations(b, c, Ns):
+    # counts that do not depend on the machine: the bisection it replaced
+    # took 41 evaluations on each of these rows
+    for N in Ns:
+        for shape in ("tanh(x)", "atan(x)", "x/(1+abs(x))"):
+            rep = solve(make_problem(b, c, N, f"{shape}+0.15*cos(2*pi*t/{N}+1.0)"))
+            assert rep.oracle_verified
+            assert 1 <= rep.iterations["bisection"] <= 12
+
+
+@pytest.mark.parametrize("error", [ConvergenceError, expr.DomainError])
+def test_nontrivial_scan_skips_a_bracket_whose_refinement_fails(monkeypatch, error):
+    # the solve has found its root when the scan for nontrivial roots
+    # starts; an auxiliary solve that fails inside a bracket's refinement
+    # drops that bracket instead of the whole solve
+    p = make_problem(-3, 2, 3, "1.5*sin(x)")
+    grid = np.linspace(-10.0, 10.0, 33)
+    scanning = []
+    real_forcing_free, real_aux = reduction._forcing_free, reduction._aux_fixed_point
+
+    def forcing_free(problem):
+        scanning.append(True)
+        return real_forcing_free(problem)
+
+    def aux(bm, lift):
+        if scanning and not any(np.array_equal(lift, bm.kernel_lift([a])) for a in grid):
+            raise error("refinement failed")
+        return real_aux(bm, lift)
+
+    monkeypatch.setattr(reduction, "_forcing_free", forcing_free)
+    monkeypatch.setattr(reduction, "_aux_fixed_point", aux)
+    rep = solve_1d(p)
+    assert rep.oracle_verified
+    assert rep.nontrivial_root_found is False
 
 
 def test_winding_synthetic_maps():
