@@ -10,7 +10,7 @@ from perdiff import Problem, multistart_search, residual, solve
 G = "tanh(x)+0.1*cos(2*pi*t/3)"
 
 for b, c, label in [
-    (0, 2, "trivial kernel: damped fixed point of L^{-1} F"),
+    (0, 2, "trivial kernel: fixed point of L^{-1} F by damped Newton"),
     (-3, 2, "one-dimensional kernel: Brent's method on the bifurcation function"),
     (1, 1, "two-dimensional kernel: winding evidence + planar Newton"),
 ]:

@@ -7,8 +7,8 @@ The package computes N-periodic solutions of
 by reducing the periodic boundary-value problem to kernel coordinates of
 its linear part (a Lyapunov-Schmidt splitting), classifies the resonance
 structure, machine-checks the hypotheses of the underlying existence
-theorems, and cross-validates every solution against an independent
-brute-force cyclic Newton solver.
+theorems, and judges every solution by the recurrence residual that an
+independent oracle module computes.
 """
 
 __version__ = "0.1.0"

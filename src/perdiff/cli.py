@@ -161,6 +161,13 @@ def _print_failure(shell: dict, message: str, diagnostics: dict | None) -> int:
 
 
 def _cmd_solve(args) -> int:
+    for flag, value in (("--tol", args.tol), ("--r", args.r)):
+        if not (math.isfinite(value) and value > 0):
+            raise _CliError(f"{flag} must be finite and positive", EXIT_USAGE)
+    if not math.isfinite(args.radius):
+        raise _CliError("--radius must be finite", EXIT_USAGE)
+    if args.grid < 1:
+        raise _CliError("--grid must be >= 1", EXIT_USAGE)
     problem, seed = load_problem(args.problem)
     if args.seed is not None:
         seed = args.seed
@@ -290,7 +297,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="compute an N-periodic solution")
     p.add_argument("problem")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="sup-norm recurrence residual to reach (down to a few 1e-12)")
     p.add_argument("--r", type=float, default=10.0,
                    help="search half-width for the one-dimensional kernel")
     p.add_argument("--radius", type=float, default=0.0,

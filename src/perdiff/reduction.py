@@ -427,15 +427,9 @@ _REGIME_NAMES = {0: "nonresonant", 1: "resonant 1d", 2: "resonant 2d"}
 
 def _finalize(bm: BifurcationMap, y: np.ndarray, alpha, tol: float, iterations: dict,
               winding=None, degree_evidence=None, nontrivial=None) -> SolveReport:
-    """Polish y with the oracle and re-validate it; the report, or a
-    ConvergenceError carrying it when the residual stays above tol."""
+    """Judge the reduction's y, unchanged, by the oracle's residual; the
+    report, or a ConvergenceError carrying it when that residual is above tol."""
     problem = bm.problem
-    polished = oracle.newton_solve(problem, y, tol=1e-12, max_iter=30)
-    if polished is not None and (
-        np.max(np.abs(oracle.residual(problem, polished)))
-        < np.max(np.abs(oracle.residual(problem, y)))
-    ):
-        y = polished
     x = np.stack([y, np.roll(y, -1)], axis=1)
     residual_sup = float(np.max(np.abs(oracle.residual(problem, y))))
     _check_reduced_equations(problem, bm.ld, x, tol)
@@ -562,21 +556,17 @@ def _solve_1d(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
 
     b_hi = beta(r)
     b_lo = beta(-r)
-    scale = max(abs(b_hi), abs(b_lo))
     bisection = 0
-    if scale <= 1e-14:
+    if max(abs(b_hi), abs(b_lo)) <= 1e-14:
         alpha_star = 0.0
-    elif b_hi == 0.0:
-        alpha_star = r
-    elif b_lo == 0.0:
-        alpha_star = -r
-    elif (b_hi > 0) == (b_lo > 0):
+    elif np.sign(b_hi) * np.sign(b_lo) > 0:
         raise NoSignChangeError(
             f"bifurcation function has the same sign at -r and +r "
             f"({b_lo:.3e}, {b_hi:.3e}); existence hypotheses likely violated",
             diagnostics={"beta_minus": b_lo, "beta_plus": b_hi, "r": r},
         )
     else:
+        # Brent returns an end where beta is exactly zero without evaluating
         alpha_star, bisection = _brent(beta, -r, r, b_lo, b_hi, 1e-12 * r)
 
     lift = bm.kernel_lift([alpha_star])
@@ -616,10 +606,9 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
 # -- regime 2: two-dimensional kernel ----------------------------------------
 
 
-def _estimate_bounds(problem: Problem, span: float = 100.0,
-                     points: int = 401) -> tuple[float, float]:
-    """Sampled (zhat_est, K_est): sign-condition onset and sup of |g|."""
-    xs = np.linspace(-span, span, points)
+def _estimate_bounds(problem: Problem) -> tuple[float, float]:
+    """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup of |g|."""
+    xs = np.linspace(-100.0, 100.0, 401)
     vals = expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
     K_est = float(np.max(np.abs(vals)))
     zhat_est = 1.0
@@ -651,10 +640,9 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
         raise ValueError("grid must be >= 1")
     problem = bm.problem
 
-    zhat_est, K_est = _estimate_bounds(problem)
     if radius <= 0.0:
+        zhat_est, K_est = _estimate_bounds(problem)
         radius = 10.0 * (zhat_est + bm.norm_upper * K_est)
-    scale = 1.0 + problem.N * K_est
 
     try:
         winding = winding_number(bm, radius, samples)
@@ -673,22 +661,20 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
     nontrivial = False
     for seed in seeds:
         try:
+            # |beta| <= tol suffices: the residual is the Q-part, ~|beta|/N, plus the aux error
             root, _, iters, stop = _damped_newton(
                 lambda a: bifurcation_value(bm, a), lambda a: bifurcation_jacobian(bm, a),
-                seed, lambda v: float(np.linalg.norm(v)),
-                tol * scale, 40)
+                seed, lambda v: float(np.linalg.norm(v)), tol, 40)
         except (ConvergenceError, expr.DomainError):
             continue
         newton_iters += iters
         if stop != "converged":
             continue
         lift = bm.kernel_lift(root)
-        try:
-            w = _aux_fixed_point(bm, lift)
-        except ConvergenceError:
-            continue
+        # the last value was at root, so this reads the map's kept solution
+        w = _aux_fixed_point(bm, lift)
         y = (lift + w)[:, 0]
-        if float(np.max(np.abs(oracle.residual(problem, y)))) > max(tol, 1e-6):
+        if float(np.max(np.abs(oracle.residual(problem, y)))) > tol:
             continue
         if accepted is None:
             accepted = (root, y)
@@ -716,7 +702,12 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
 
 def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
           radius: float = 0.0, grid: int = 9) -> SolveReport:
-    """Dispatch to the regime solver matching the kernel dimension."""
+    """Dispatch to the regime solver matching the kernel dimension.
+
+    The reduction alone produces y, and the oracle's residual judges it
+    against tol: finite and positive, reachable down to a few 1e-12."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     bm = BifurcationMap(problem, build_linear_data(problem))
     if bm.dim == 0:
         return _solve_nonresonant(bm, tol)

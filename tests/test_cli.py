@@ -236,6 +236,24 @@ def test_scan_rejects_invalid_values(argv, capsys):
     assert captured.err.strip()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--tol", "-1"],
+    ["--tol", "nan"],
+    ["--tol", "inf"],
+    ["--r", "-1"],
+    ["--r", "nan"],
+    ["--radius", "inf"],
+    ["--grid", "0"],
+])
+def test_solve_rejects_invalid_options(argv, dim1_file, dim2_file, capsys):
+    # every option is checked, whichever regime would read it
+    for path in (dim1_file, dim2_file):
+        assert cli.main(["solve", path, *argv]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert argv[0] in captured.err
+
+
 def test_float_serialization_17_digits(dim1_file):
     _, out, _ = run_cli("solve", dim1_file)
     data = json.loads(out)

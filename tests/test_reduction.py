@@ -29,7 +29,7 @@ from perdiff import (
 )
 
 import perdiff.expr as expr
-from perdiff import reduction
+from perdiff import oracle, reduction
 from perdiff.reduction import _aux_jacobian, _brent
 
 from conftest import CANONICAL_G, make_problem
@@ -75,12 +75,16 @@ def test_aux_solve_contract_and_norm_bound():
         assert sup_norm(w) <= bm.norm_upper * 0.01 * (1 + 1e-9)
 
 
-@pytest.mark.parametrize("b,c,N", [
+# one row per regime, the last a rotation at N = 15
+_REGIME_ROWS = [
     (0, 2, 5),
     (-3, 2, 9),
     (-1.5, 0.5, 13),
     (-2.0 * math.cos(2.0 * math.pi / 15), 1, 15),
-])
+]
+
+
+@pytest.mark.parametrize("b,c,N", _REGIME_ROWS)
 def test_aux_operator_matches_mp_solve(b, c, N):
     # the cached operator applies M_p(I-Q) to F = (0, g-values); with a
     # trivial kernel (0, 2, 5) that is the g-column of L^{-1}
@@ -97,6 +101,28 @@ def test_aux_operator_matches_mp_solve(b, c, N):
         # L M_p (I - Q) = I - Q, which is L L^{-1} = I when Q = 0
         residual = apply_L(bm.ld, got) - (F - proj_Q(bm.ld, F))
         assert sup_norm(residual) <= 1e-10 * (1.0 + sup_norm(F))
+
+
+@pytest.mark.parametrize("b,c,N", _REGIME_ROWS)
+def test_solve_leaves_the_oracle_to_judge(b, c, N, monkeypatch):
+    # the reduction alone lands at tol, down to a few 1e-12; the oracle
+    # computes the residual but never runs its own Newton solver
+    def no_newton(*args, **kwargs):
+        raise AssertionError("solve called oracle.newton_solve")
+
+    monkeypatch.setattr(oracle, "newton_solve", no_newton)
+    p = make_problem(b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+    for tol in (1e-9, 3e-12):
+        rep = solve(p, tol=tol)
+        assert rep.regime == build_linear_data(p).resonance.dim
+        assert rep.oracle_verified
+        assert rep.residual_sup <= tol
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_solve_rejects_a_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        solve(make_problem(-3, 2, 3, CANONICAL_G), tol=tol)
 
 
 def test_aux_jacobian_matches_full_difference_jacobian():

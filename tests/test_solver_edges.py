@@ -135,3 +135,12 @@ def test_large_period_rotation_case():
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
     assert check_solution(p, rep.y, tol=1e-9)
+
+
+def test_solve_2d_with_a_radius_samples_g_only_on_the_disk():
+    # ln(x+50) is undefined below x = -50: the default-radius estimate
+    # samples g on [-100, 100], which a caller-given radius must skip
+    p = make_problem(0, 1, 4, "atan(x)+0.1*cos(pi*t/2)+0.001*ln(x+50)")
+    rep = solve_2d(p, radius=5)
+    assert rep.oracle_verified
+    assert rep.winding == 1
