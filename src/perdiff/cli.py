@@ -47,6 +47,14 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(f"usage error: {message}", EXIT_USAGE)
 
 
+def _positive_float(text: str) -> float:
+    # option type of tolerances and widths: finite and > 0, else a usage error
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be finite and positive")
+    return value
+
+
 # -- deterministic JSON ------------------------------------------------------
 
 
@@ -115,16 +123,10 @@ def load_problem(path: str) -> tuple[Problem, int]:
     return problem, seed
 
 
-def _echo(problem: Problem, seed: int, **flags) -> dict:
-    return {
-        "b": problem.b, "c": problem.c, "N": problem.N,
-        "g": problem.g_text, "seed": seed, **flags,
-    }
-
-
 def _report_shell(command: str, problem: Problem, seed: int, **flags) -> dict:
     return {"tool": "perdiff", "version": __version__, "command": command,
-            "input": _echo(problem, seed, **flags)}
+            "input": {"b": problem.b, "c": problem.c, "N": problem.N,
+                      "g": problem.g_text, "seed": seed, **flags}}
 
 
 # -- subcommands -------------------------------------------------------------
@@ -161,9 +163,6 @@ def _print_failure(shell: dict, message: str, diagnostics: dict | None) -> int:
 
 
 def _cmd_solve(args) -> int:
-    for flag, value in (("--tol", args.tol), ("--r", args.r)):
-        if not (math.isfinite(value) and value > 0):
-            raise _CliError(f"{flag} must be finite and positive", EXIT_USAGE)
     if not math.isfinite(args.radius):
         raise _CliError("--radius must be finite", EXIT_USAGE)
     if args.grid < 1:
@@ -297,9 +296,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="compute an N-periodic solution")
     p.add_argument("problem")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_positive_float, default=1e-9,
                    help="sup-norm recurrence residual to reach (down to a few 1e-12)")
-    p.add_argument("--r", type=float, default=10.0,
+    p.add_argument("--r", type=_positive_float, default=10.0,
                    help="search half-width for the one-dimensional kernel")
     p.add_argument("--radius", type=float, default=0.0,
                    help="search radius for the two-dimensional kernel (0 = auto)")
@@ -311,7 +310,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="residual-check a solution file")
     p.add_argument("problem")
     p.add_argument("solution")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("check", help="verify existence-theorem hypotheses")

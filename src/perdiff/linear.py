@@ -257,16 +257,20 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
 # -- operator norm of M_p (I - Q) ----------------------------------------
 
 
-def _mpiq_blocks(ld: LinearData) -> np.ndarray:
-    """(N, 2, N, 2) block representation of h -> M_p (I - Q) h.
+def _mpiq_blocks(ld: LinearData, inputs=(0, 1)) -> np.ndarray:
+    """(N, 2, N, len(inputs)) block representation of h -> M_p (I - Q) h.
 
-    Entry [t, :, i, k] is the value at t of M_p (I - Q) applied to the unit
-    sequence at (i, k); the 2N unit sequences are solved as one stack.
+    Entry [t, :, i, j] is the value at t of M_p (I - Q) applied to the unit
+    sequence at (i, inputs[j]); these unit sequences are solved as one
+    stack, so ``inputs=(1,)`` solves only the N acting on the g component.
     """
     N = ld.problem.N
-    E = np.eye(2 * N).reshape(2 * N, N, 2)
+    m = len(inputs)
+    E = np.zeros((N * m, N, 2))
+    for j, k in enumerate(inputs):
+        np.fill_diagonal(E[j::m, :, k], 1.0)
     E -= proj_Q(ld, E)
-    return mp_solve(ld, E).reshape(N, 2, N, 2).transpose(2, 3, 0, 1)
+    return mp_solve(ld, E).reshape(N, m, N, 2).transpose(2, 3, 0, 1)
 
 
 def _upper_from_blocks(B: np.ndarray) -> float:

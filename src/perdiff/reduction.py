@@ -7,12 +7,12 @@ kernel coordinates, and a finite-dimensional bifurcation equation: the
 pairing of F against the periodic adjoint solutions must vanish. A sequence
 solves the original problem exactly when both hold.
 
-The operator M_p (I - Q) is assembled once per bifurcation map, from the
-same blocks that give its norm bound, so each residual is one
-matrix-vector product, and the Newton Jacobian is built from pointwise
-differences of g. The same Jacobian, at a converged auxiliary solution,
-gives the derivative of the bifurcation map by the implicit-function
-theorem, so the planar Newton step needs no further auxiliary solve.
+As F(x) = (0, g(t, x1)), only the g-columns of M_p (I - Q) are assembled,
+once per bifurcation map, so each residual is one matrix-vector product,
+and the Newton Jacobian is built from pointwise differences of g. The
+same Jacobian, at a converged auxiliary solution, gives the derivative of
+the bifurcation map by the implicit-function theorem, so the planar Newton
+step needs no further auxiliary solve.
 
 Depending on the kernel dimension of the linear part this gives three
 solvers:
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,9 @@ from .linear import (
 # tolerance and Newton step budget of one auxiliary solve
 _AUX_TOL = 1e-12
 _AUX_NEWTON_STEPS = 40
+# initial sample count and cap of the winding sweep of the planar solver
+_WINDING_SAMPLES = 16
+_WINDING_MAX_SAMPLES = 1 << 14
 
 
 class SolverError(RuntimeError):
@@ -111,15 +115,15 @@ def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
 class BifurcationMap:
     """Reduced problem in kernel coordinates.
 
-    The operator M_p (I - Q) is assembled once per map, from the same
-    (N, 2, N, 2) blocks that give its norm bound. Because F(x) = (0, g(t,
-    x1)), only the blocks acting on the g component are kept, as the
-    (2N, N) matrix ``aux_operator``: each residual of the auxiliary
-    equation is one matvec with it, and the Newton Jacobian is built from
-    pointwise differences of g. ``_inner_iters`` counts the auxiliary
-    Newton steps taken on this map. The last auxiliary solution is kept,
-    keyed by its kernel lift, so a Jacobian or a solution read at the point
-    of the last value costs no second solve.
+    Because F(x) = (0, g(t, x1)), only the g-columns of M_p (I - Q) are
+    assembled, once per map, as the (2N, N) matrix ``aux_operator``: each
+    residual of the auxiliary equation is one matvec with it, and the
+    Newton Jacobian is built from pointwise differences of g. The norm
+    bound ``norm_upper`` needs the full (N, 2, N, 2) blocks; it is built
+    on first read only. ``_inner_iters`` counts the auxiliary Newton steps
+    taken on this map. The last auxiliary solution is kept, keyed by its
+    kernel lift, so a Jacobian or a solution read at the point of the last
+    value costs no second solve.
 
     A trivial kernel (dim 0) is the degenerate case P = Q = 0: the kernel
     lift is zero and M_p (I - Q) is L^{-1}.
@@ -127,8 +131,6 @@ class BifurcationMap:
 
     problem: Problem
     ld: LinearData
-    _norm_upper: float | None = field(default=None, init=False, repr=False)
-    _aux_operator: np.ndarray | None = field(default=None, init=False, repr=False)
     _inner_iters: int = field(default=0, init=False, repr=False)
     _last_aux: tuple | None = field(default=None, init=False, repr=False)
 
@@ -136,34 +138,27 @@ class BifurcationMap:
     def dim(self) -> int:
         return self.ld.resonance.dim
 
-    def _build_operator(self) -> None:
-        N = self.problem.N
+    def _blocks(self, inputs=(0, 1)) -> np.ndarray:
         try:
-            B = _mpiq_blocks(self.ld)
+            return _mpiq_blocks(self.ld, inputs)
         except NotInImageError as e:
             # the projected unit inputs failed the image test: the linear
             # data is too inaccurate to build M_p (I - Q)
             raise SolverError(f"cannot assemble M_p(I-Q): {e}",
-                              diagnostics={"defect": e.defect, "N": N}) from None
-        self._norm_upper = _upper_from_blocks(B)
-        self._aux_operator = B[:, :, :, 1].reshape(2 * N, N)
+                              diagnostics={"defect": e.defect, "N": self.problem.N}) from None
 
-    @property
+    @cached_property
     def norm_upper(self) -> float:
         """Cached sound upper bound for the norm of M_p (I - Q)."""
-        if self._norm_upper is None:
-            self._build_operator()
-        return self._norm_upper
+        return _upper_from_blocks(self._blocks())
 
-    @property
+    @cached_property
     def aux_operator(self) -> np.ndarray:
         """Cached (2N, N) matrix G of M_p (I - Q) on the g component.
 
         M_p (I - Q) F(x) = (G @ g(t, x1(t))).reshape(N, 2).
         """
-        if self._aux_operator is None:
-            self._build_operator()
-        return self._aux_operator
+        return self._blocks(inputs=(1,)).reshape(2 * self.problem.N, self.problem.N)
 
     def kernel_lift(self, alpha) -> np.ndarray:
         """Kernel element with coordinates alpha in the classified basis."""
@@ -270,12 +265,6 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
     def resid(w1):
         gv = _g_values(bm.problem, lift[:, 0] + w1)
         target = (G @ gv).reshape(N, 2)
-        # the image of M_p(I-Q) is bounded by its operator norm times the
-        # largest nonlinearity value actually reached; a violation would
-        # mean the linear data is inconsistent
-        bound = bm.norm_upper * float(np.max(np.abs(gv), initial=0.0))
-        if sup_norm(target) > bound * (1.0 + 1e-9) + 1e-12:
-            raise RuntimeError("auxiliary iterate exceeded the operator-norm bound")
         last["target"] = target
         return w1 - target[:, 0]
 
@@ -336,22 +325,26 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
 # -- winding numbers -------------------------------------------------------
 
 
-def winding_of_map(fn, radius: float, samples: int = 8,
-                   max_samples: int = 1 << 14) -> int:
+def winding_of_map(fn, radius: float, samples: int = 8) -> int:
     """Winding number of t -> fn(radius * e^{it}) around the origin.
 
-    Doubles the sample count until consecutive image points subtend less
-    than pi/2 each, then rounds the accumulated angle to an integer.
-    Raises BoundaryZeroError if an image point (relative to the largest)
-    is numerically zero, and ConvergenceError if refinement never settles.
+    Doubles the sample count, up to 2^14, until consecutive image points
+    subtend less than pi/2 each, then rounds the accumulated angle to an
+    integer; fn is called once per point. Raises BoundaryZeroError if an
+    image point (relative to the largest) is numerically zero, and
+    ConvergenceError if refinement never settles.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     m = max(8, int(samples))
-    while m <= max_samples:
-        phis = 2.0 * math.pi * np.arange(m) / m
-        vals = np.array([fn(radius * np.array([math.cos(p), math.sin(p)]))
-                         for p in phis], dtype=float)
+    vals = np.empty((0, 2))
+    while m <= _WINDING_MAX_SAMPLES:
+        # the last sweep's points are the even ones of this one, as
+        # 2 pi (2k) / (2m) rounds exactly like 2 pi k / m: only odd k are new
+        ks = np.arange(1, m, 2) if len(vals) else np.arange(m)
+        new = np.array([fn(radius * np.array([math.cos(p), math.sin(p)]))
+                        for p in 2.0 * math.pi * ks / m], dtype=float)
+        vals = np.stack([vals, new], axis=1).reshape(m, 2) if len(vals) else new
         mags = np.linalg.norm(vals, axis=1)
         scale = float(np.max(mags))
         if scale == 0.0 or np.any(mags < 1e-8 * scale):
@@ -621,7 +614,7 @@ def _estimate_bounds(problem: Problem) -> tuple[float, float]:
 
 
 def solve_2d(problem: Problem, radius: float = 0.0, grid: int = 9,
-             tol: float = 1e-9, samples: int = 16) -> SolveReport:
+             tol: float = 1e-9) -> SolveReport:
     """Winding-number evidence plus Newton on the planar bifurcation map.
 
     With radius <= 0 a heuristic default 10 * (zhat_est + ||M_p(I-Q)|| *
@@ -631,11 +624,10 @@ def solve_2d(problem: Problem, radius: float = 0.0, grid: int = 9,
     The Newton Jacobian is ``bifurcation_jacobian``, which reuses the
     auxiliary solution of the value at the same point.
     """
-    return _solve_2d(_regime_map(problem, 2), radius, grid, tol, samples)
+    return _solve_2d(_regime_map(problem, 2), radius, grid, tol)
 
 
-def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
-              samples: int = 16) -> SolveReport:
+def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float) -> SolveReport:
     if grid < 1:
         raise ValueError("grid must be >= 1")
     problem = bm.problem
@@ -644,8 +636,15 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
         zhat_est, K_est = _estimate_bounds(problem)
         radius = 10.0 * (zhat_est + bm.norm_upper * K_est)
 
+    sweep = 0  # bifurcation-map evaluations of the winding sweep
+
+    def swept_value(a):
+        nonlocal sweep
+        sweep += 1
+        return bifurcation_value(bm, a)
+
     try:
-        winding = winding_number(bm, radius, samples)
+        winding = winding_of_map(swept_value, radius, _WINDING_SAMPLES)
     except (BoundaryZeroError, ConvergenceError):
         winding = None
     degree_evidence = winding is not None and winding != 0
@@ -690,11 +689,8 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float,
             diagnostics={"radius": radius, "grid": grid, "winding": winding},
         )
     root, y = accepted
-    iterations = {
-        "newton": newton_iters,
-        "inner_fixed_point": bm._inner_iters,
-        "winding_samples": samples,
-    }
+    iterations = {"newton": newton_iters, "inner_fixed_point": bm._inner_iters,
+                  "winding_samples": sweep}
     return _finalize(bm, y, root, tol, iterations, winding=winding,
                      degree_evidence=degree_evidence,
                      nontrivial=nontrivial if forcing_free else None)

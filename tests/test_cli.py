@@ -137,6 +137,19 @@ def test_verify_zero_solution(tmp_path):
     assert code == 0 and json.loads(out)["passed"] is True
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "0"])
+def test_verify_rejects_invalid_tol(tol, tmp_path, capsys):
+    # the zero sequence solves this problem exactly, so only the check of
+    # --tol can refuse it
+    path = write_problem(tmp_path / "p.json", 0, 2, 3, "0")
+    sol = tmp_path / "zero.json"
+    sol.write_text(json.dumps({"y": [0.0, 0.0, 0.0]}))
+    assert cli.main(["verify", path, str(sol), "--tol", tol]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
 def test_verify_length_mismatch(tmp_path, dim1_file):
     sol = tmp_path / "short.json"
     sol.write_text(json.dumps({"y": [0.0, 0.0]}))

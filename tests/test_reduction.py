@@ -7,6 +7,7 @@ from perdiff import (
     BifurcationMap,
     ConvergenceError,
     BoundaryZeroError,
+    NotInImageError,
     NoSignChangeError,
     apply_F,
     apply_L,
@@ -23,6 +24,7 @@ from perdiff import (
     solve_1d,
     solve_2d,
     solve_nonresonant,
+    SolverError,
     sup_norm,
     winding_number,
     winding_of_map,
@@ -30,6 +32,7 @@ from perdiff import (
 
 import perdiff.expr as expr
 from perdiff import oracle, reduction
+from perdiff.linear import _mpiq_blocks
 from perdiff.reduction import _aux_jacobian, _brent
 
 from conftest import CANONICAL_G, make_problem
@@ -84,13 +87,18 @@ _REGIME_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("b,c,N", _REGIME_ROWS)
+@pytest.mark.parametrize("b,c,N", _REGIME_ROWS + [(0, 2, 243)])
 def test_aux_operator_matches_mp_solve(b, c, N):
     # the cached operator applies M_p(I-Q) to F = (0, g-values); with a
     # trivial kernel (0, 2, 5) that is the g-column of L^{-1}
     _, bm = _bm(b, c, N, "tanh(x)")
     G = bm.aux_operator
     assert G.shape == (2 * N, N)
+    # built from the N g-unit inputs alone, it is the g-column slice of the
+    # full blocks (up to rounding of the differently sized FFT stack)
+    B = _mpiq_blocks(bm.ld)
+    np.testing.assert_allclose(G, B[:, :, :, 1].reshape(2 * N, N), rtol=0,
+                               atol=4 * np.finfo(float).eps * np.max(np.abs(B)))
     rng = np.random.default_rng(N)
     for _ in range(4):
         F = np.zeros((N, 2))
@@ -101,6 +109,34 @@ def test_aux_operator_matches_mp_solve(b, c, N):
         # L M_p (I - Q) = I - Q, which is L L^{-1} = I when Q = 0
         residual = apply_L(bm.ld, got) - (F - proj_Q(bm.ld, F))
         assert sup_norm(residual) <= 1e-10 * (1.0 + sup_norm(F))
+        # the norm bound dominates every image of the g-columns
+        assert sup_norm(got) <= bm.norm_upper * np.max(np.abs(F[:, 1])) * (1 + 1e-9)
+
+
+def test_norm_bound_is_computed_only_where_read(monkeypatch):
+    # dim-0 and dim-1 solves, and a planar solve with a given radius, never
+    # build the full blocks for the bound; the default radius reads it
+    def no_bound(B):
+        raise AssertionError("norm bound computed")
+
+    monkeypatch.setattr(reduction, "_upper_from_blocks", no_bound)
+    assert solve(make_problem(0, 2, 5, CANONICAL_G)).oracle_verified
+    assert solve(make_problem(-3, 2, 3, CANONICAL_G)).oracle_verified
+    assert solve(make_problem(1, 1, 3, CANONICAL_G), radius=50.0).oracle_verified
+    with pytest.raises(AssertionError, match="norm bound"):
+        solve(make_problem(1, 1, 3, CANONICAL_G))
+
+
+def test_norm_bound_image_failure_is_a_solver_error(monkeypatch):
+    _, bm = _bm(1, 1, 3, CANONICAL_G)
+
+    def not_in_image(ld, inputs=(0, 1)):
+        raise NotInImageError(3.3e-9)
+
+    monkeypatch.setattr(reduction, "_mpiq_blocks", not_in_image)
+    with pytest.raises(SolverError, match="not in image") as info:
+        bm.norm_upper
+    assert info.value.diagnostics == {"defect": 3.3e-9, "N": 3}
 
 
 @pytest.mark.parametrize("b,c,N", _REGIME_ROWS)
@@ -325,6 +361,27 @@ def test_winding_synthetic_maps():
         winding_of_map(lambda a: np.zeros(2), 1.0)
     with pytest.raises(ValueError):
         winding_of_map(lambda a: a, -1.0)
+
+
+def test_winding_evaluates_each_point_once():
+    # z -> z^5 settles at 32 points; the sweeps of 8 and 16 points are the
+    # even points of the next one, so the map is called 32 times, not 56
+    points = []
+
+    def z5(a):
+        points.append(tuple(a))
+        z = complex(a[0], a[1]) ** 5
+        return np.array([z.real, z.imag])
+
+    assert winding_of_map(z5, 1.0) == 5
+    assert len(points) == len(set(points)) == 32
+
+
+def test_winding_samples_counts_the_sweep():
+    # this sweep refines from 16 to 32 points, and the report says so
+    rep = solve(make_problem(0, 1, 4, "0.8*sin(x)+0.5*tanh(x)"))
+    assert rep.winding == -3
+    assert rep.iterations["winding_samples"] == 32
 
 
 def test_winding_canonical_dim2():
