@@ -13,7 +13,7 @@ independent oracle module computes.
 
 __version__ = "0.1.0"
 
-from .expr import DomainError, ExprError, evaluate, parse, to_text
+from .expr import DomainError, ExprError, evaluate, parse
 from .hypotheses import (
     CheckReport,
     check_corollary,
@@ -47,7 +47,6 @@ from .reduction import (
     SolveReport,
     SolverError,
     apply_F,
-    aux_solve,
     bifurcation_jacobian,
     bifurcation_value,
     solve,
@@ -63,12 +62,12 @@ __all__ = [
     "BifurcationMap", "BoundaryZeroError", "CheckReport", "ConvergenceError",
     "DomainError", "ExprError", "LinearData", "NoSignChangeError",
     "NotInImageError", "Problem", "ResonanceClass", "SolveReport",
-    "SolverError", "apply_F", "apply_L", "aux_solve", "bifurcation_jacobian",
+    "SolverError", "apply_F", "apply_L", "bifurcation_jacobian",
     "bifurcation_value",
     "build_linear_data", "check_corollary", "check_solution", "check_thm1",
     "check_thm2", "classify", "companion_matrix", "evaluate", "image_test",
     "membership_U", "mp_solve", "multistart_search",
     "newton_solve", "norm_bound_mp_iq", "parse", "proj_P", "proj_Q",
     "residual", "solve", "solve_1d", "solve_2d", "solve_nonresonant",
-    "sup_norm", "svals2", "to_text", "winding_number", "winding_of_map",
+    "sup_norm", "svals2", "winding_number", "winding_of_map",
 ]

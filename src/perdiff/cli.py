@@ -209,6 +209,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.grid < 2:
+        raise _CliError("--grid must be >= 2", EXIT_USAGE)
     problem, seed = load_problem(args.problem)
     if args.seed is not None:
         seed = args.seed
@@ -316,9 +318,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="verify existence-theorem hypotheses")
     p.add_argument("problem")
     p.add_argument("--theorem", choices=["thm1", "cor", "thm2"], required=True)
-    p.add_argument("--r", type=float, default=10.0)
-    p.add_argument("--zhat", type=float, default=1.0)
-    p.add_argument("--R", type=float, default=1.0)
+    p.add_argument("--r", type=_positive_float, default=10.0)
+    p.add_argument("--zhat", type=_positive_float, default=1.0)
+    p.add_argument("--R", type=_positive_float, default=1.0)
     p.add_argument("--grid", type=int, default=201)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_check)

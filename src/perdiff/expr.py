@@ -245,37 +245,6 @@ def parse(text: str) -> Node:
     return _Parser(text).parse()
 
 
-# -- printing ----------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def to_text(node: Node) -> str:
-    """Render an AST back to parseable text (parse(to_text(a)) == a)."""
-    return _render(node, 0)
-
-
-def _render(node: Node, ctx: int) -> str:
-    if isinstance(node, Num):
-        if node.value == math.pi:
-            return "pi"
-        s = repr(node.value)
-        return f"({s})" if s.startswith("-") and ctx >= 3 else s
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = f"-{_render(node.arg, _PREC['neg'])}"
-        return f"({inner})" if ctx > _PREC["neg"] else inner
-    if isinstance(node, Call):
-        return f"{node.fn}({', '.join(_render(a, 0) for a in node.args)})"
-    p = _PREC[node.op]
-    # left operand needs parens at equal precedence only for '^' (right-assoc)
-    left = _render(node.left, p + 1 if node.op == "^" else p)
-    right = _render(node.right, p if node.op == "^" else p + 1)
-    out = f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-    return f"({out})" if p < ctx else out
-
-
 # -- evaluation --------------------------------------------------------
 
 

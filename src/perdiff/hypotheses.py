@@ -137,6 +137,8 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201,
         raise ValueError("this check requires an odd period N > 1")
     if r <= 0 or zhat <= 0:
         raise ValueError("r and zhat must be positive")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
 
     periodic_ok = _t_periodic(problem)
     xs = np.linspace(-2.0 * r, 2.0 * r, grid)
@@ -247,6 +249,8 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
     """
     if R <= 0:
         raise ValueError("R must be positive")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     if r_schedule is None:
         r_schedule = [10.0**k for k in range(1, 7)]
     r_schedule = [float(r) for r in r_schedule]
@@ -313,6 +317,8 @@ def check_thm2(problem: Problem, zhat: float, grid: int = 201,
         raise ValueError("this check requires an odd period N > 1")
     if zhat <= 0:
         raise ValueError("zhat must be positive")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     ld = build_linear_data(problem)
     if ld.resonance.dim != 2:
         raise ValueError("kernel dimension is not 2; this theorem does not apply")

@@ -7,12 +7,14 @@ kernel coordinates, and a finite-dimensional bifurcation equation: the
 pairing of F against the periodic adjoint solutions must vanish. A sequence
 solves the original problem exactly when both hold.
 
-As F(x) = (0, g(t, x1)), only the g-columns of M_p (I - Q) are assembled,
-once per bifurcation map, so each residual is one matrix-vector product,
-and the Newton Jacobian is built from pointwise differences of g. The
-same Jacobian, at a converged auxiliary solution, gives the derivative of
-the bifurcation map by the implicit-function theorem, so the planar Newton
-step needs no further auxiliary solve.
+As F(x) = (0, g(t, x1)) and the solvers read only x1 = y, the auxiliary
+equation is solved for w1 alone: only the (N, N) first-component block of
+M_p (I - Q) on the g component is assembled, once per bifurcation map, so
+each residual is one matrix-vector product, and the Newton Jacobian is
+built from pointwise differences of g. The bifurcation value reuses the
+g-values of the converged residual, and the same Jacobian gives its
+derivative by the implicit-function theorem, so the planar Newton step
+needs no further auxiliary solve.
 
 Depending on the kernel dimension of the linear part this gives three
 solvers:
@@ -47,7 +49,6 @@ from .linear import (
     NotInImageError,
     Problem,
     build_linear_data,
-    image_test,
     mp_solve,
     proj_P,
     proj_Q,
@@ -115,15 +116,14 @@ def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
 class BifurcationMap:
     """Reduced problem in kernel coordinates.
 
-    Because F(x) = (0, g(t, x1)), only the g-columns of M_p (I - Q) are
-    assembled, once per map, as the (2N, N) matrix ``aux_operator``: each
-    residual of the auxiliary equation is one matvec with it, and the
-    Newton Jacobian is built from pointwise differences of g. The norm
-    bound ``norm_upper`` needs the full (N, 2, N, 2) blocks; it is built
-    on first read only. ``_inner_iters`` counts the auxiliary Newton steps
-    taken on this map. The last auxiliary solution is kept, keyed by its
-    kernel lift, so a Jacobian or a solution read at the point of the last
-    value costs no second solve.
+    The auxiliary equation is solved for w1 alone, with the (N, N)
+    first-component block of M_p (I - Q) on the g component, assembled
+    once per map as ``aux_operator``. The norm bound ``norm_upper`` needs
+    the full (N, 2, N, 2) blocks; it is built on first read only.
+    ``_inner_iters`` counts the auxiliary Newton steps taken on this map.
+    The last auxiliary solution and its g-values are kept, keyed by the
+    kernel lift, so a value, a Jacobian or a solution read at the point of
+    the last one costs no second solve and no g evaluation.
 
     A trivial kernel (dim 0) is the degenerate case P = Q = 0: the kernel
     lift is zero and M_p (I - Q) is L^{-1}.
@@ -154,11 +154,11 @@ class BifurcationMap:
 
     @cached_property
     def aux_operator(self) -> np.ndarray:
-        """Cached (2N, N) matrix G of M_p (I - Q) on the g component.
+        """Cached (N, N) matrix G1: the first component of M_p (I - Q) on g.
 
-        M_p (I - Q) F(x) = (G @ g(t, x1(t))).reshape(N, 2).
+        (M_p (I - Q) F(x))[:, 0] = G1 @ g(t, x1(t)).
         """
-        return self._blocks(inputs=(1,)).reshape(2 * self.problem.N, self.problem.N)
+        return np.ascontiguousarray(self._blocks(inputs=(1,))[:, 0, :, 0])
 
     def kernel_lift(self, alpha) -> np.ndarray:
         """Kernel element with coordinates alpha in the classified basis."""
@@ -232,13 +232,11 @@ def _g_slopes(problem: Problem, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
 
 
 def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of w1 -> w1 - G[0::2] g(lift1 + w1).
+    """Central-difference Jacobian of w1 -> w1 - G1 g(lift1 + w1).
 
-    g acts pointwise, so it is I - G[0::2] diag(dg), dg from ``_g_slopes``.
-    (The Jacobian of the full residual in w is the identity on the w2
-    columns, so only this block needs solving.)
+    g acts pointwise, so it is I - G1 diag(dg), dg from ``_g_slopes``.
     """
-    return np.eye(bm.problem.N) - bm.aux_operator[0::2] * _g_slopes(bm.problem, lift, w1)
+    return np.eye(bm.problem.N) - bm.aux_operator * _g_slopes(bm.problem, lift, w1)
 
 
 _AUX_FAILURE = {
@@ -247,60 +245,46 @@ _AUX_FAILURE = {
 }
 
 
-def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> np.ndarray:
-    """Solve w = M_p (I - Q) F(lift + w) in Ker(P) to _AUX_TOL.
+def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the first component of w = M_p (I - Q) F(lift + w) to _AUX_TOL.
 
-    The right-hand side depends on w1 only, so damped Newton runs on
-    w1 - G[0::2] g(lift1 + w1) from w1 = 0, and w2 is read off the last
-    evaluation of the right-hand side. A repeat of the map's last lift
-    returns a copy of its solution without solving again.
+    Damped Newton runs on w1 - G1 g(lift1 + w1) from w1 = 0 and raises
+    ConvergenceError when it stalls or spends its step budget. Returns
+    (w1, g(lift1 + w1)); the g-values are those of the last residual call,
+    which on convergence was at the returned w1. A repeat of the map's last
+    lift returns copies of them without solving again.
     """
     key = lift.tobytes()
-    if bm._last_aux is not None and bm._last_aux[0] == key:
-        return bm._last_aux[1].copy()
-    N = bm.problem.N
-    G = bm.aux_operator
-    last = {}
+    if bm._last_aux is None or bm._last_aux[0] != key:
+        G1 = bm.aux_operator
+        gv = None
 
-    def resid(w1):
-        gv = _g_values(bm.problem, lift[:, 0] + w1)
-        target = (G @ gv).reshape(N, 2)
-        last["target"] = target
-        return w1 - target[:, 0]
+        def resid(w1):
+            nonlocal gv
+            gv = _g_values(bm.problem, lift[:, 0] + w1)
+            return w1 - G1 @ gv
 
-    w1, rn, steps, stop = _damped_newton(
-        resid, lambda v: _aux_jacobian(bm, lift, v), np.zeros(N),
-        lambda r: float(np.max(np.abs(r))), _AUX_TOL, _AUX_NEWTON_STEPS, picard=True)
-    bm._inner_iters += steps
-    if stop != "converged":
-        raise ConvergenceError(_AUX_FAILURE[stop].format(rn))
-    w = last["target"]
-    w[:, 0] = w1
-    bm._last_aux = (key, w.copy())
-    return w
-
-
-def aux_solve(bm: BifurcationMap, alpha) -> np.ndarray:
-    """Converged auxiliary solution w(alpha) in Ker(P).
-
-    Satisfies sup_norm(w - M_p(I-Q)F(kernel_lift(alpha) + w)) <= _AUX_TOL.
-    Raises ConvergenceError when damped Newton from w = 0 stalls or spends
-    its step budget.
-    """
-    return _aux_fixed_point(bm, bm.kernel_lift(alpha))
+        w1, rn, steps, stop = _damped_newton(
+            resid, lambda v: _aux_jacobian(bm, lift, v), np.zeros(bm.problem.N),
+            lambda r: float(np.max(np.abs(r))), _AUX_TOL, _AUX_NEWTON_STEPS, picard=True)
+        bm._inner_iters += steps
+        if stop != "converged":
+            raise ConvergenceError(_AUX_FAILURE[stop].format(rn))
+        bm._last_aux = (key, w1, gv)
+    return bm._last_aux[1].copy(), bm._last_aux[2].copy()
 
 
 def bifurcation_value(bm: BifurcationMap, alpha) -> np.ndarray:
     """Reduced equation values at alpha (one entry per kernel dimension).
 
-    Pairs F(kernel_lift(alpha) + w(alpha)) against the shifted adjoint
-    basis. With the classified bases this is the plain sum of g-values in
-    the one-dimensional constant-kernel case and the cos/sin-weighted sums
-    in the two-dimensional rotation case.
+    Pairs F(kernel_lift(alpha) + w(alpha)) = (0, g) against the shifted
+    adjoint basis, with the g-values of the auxiliary solve. With the
+    classified bases this is the plain sum of g-values in the
+    one-dimensional constant-kernel case and the cos/sin-weighted sums in
+    the two-dimensional rotation case.
     """
-    lift = bm.kernel_lift(alpha)
-    w = _aux_fixed_point(bm, lift)
-    return image_test(bm.ld, apply_F(bm.problem, lift + w))
+    _, gv = _aux_fixed_point(bm, bm.kernel_lift(alpha))
+    return bm.ld.adj_shift[:, :, 1] @ gv
 
 
 def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
@@ -308,16 +292,16 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
 
     By the implicit-function theorem: with x1 = lift1 + w1 the converged
     auxiliary solution, D = diag(dg) the slopes of g at x1 and z1 the first
-    components of the kernel basis, x1 = z1 alpha + G[0::2] g(x1) gives
-    (I - G[0::2] D) dx1/dalpha = z1, whose matrix is the auxiliary Newton
+    components of the kernel basis, x1 = z1 alpha + G1 g(x1) gives
+    (I - G1 D) dx1/dalpha = z1, whose matrix is the auxiliary Newton
     matrix at the solution, and dbeta/dalpha = adj_shift[:, :, 1] D
     dx1/dalpha. Costs one auxiliary solve, or none right after a value at
     the same alpha.
     """
     lift = bm.kernel_lift(alpha)
-    w1 = _aux_fixed_point(bm, lift)[:, 0]
+    w1, _ = _aux_fixed_point(bm, lift)
     dg = _g_slopes(bm.problem, lift, w1)
-    dx1 = np.linalg.solve(np.eye(bm.problem.N) - bm.aux_operator[0::2] * dg,
+    dx1 = np.linalg.solve(np.eye(bm.problem.N) - bm.aux_operator * dg,
                           bm.ld.resonance.kernel_basis[:, :, 0].T)
     return bm.ld.adj_shift[:, :, 1] @ (dg[:, None] * dx1)
 
@@ -520,8 +504,8 @@ def solve_nonresonant(problem: Problem, tol: float = 1e-9) -> SolveReport:
 
 
 def _solve_nonresonant(bm: BifurcationMap, tol: float) -> SolveReport:
-    w = _aux_fixed_point(bm, bm.kernel_lift([]))
-    return _finalize(bm, w[:, 0], None, tol, {"inner_fixed_point": bm._inner_iters})
+    y, _ = _aux_fixed_point(bm, bm.kernel_lift([]))
+    return _finalize(bm, y, None, tol, {"inner_fixed_point": bm._inner_iters})
 
 
 # -- regime 1: one-dimensional kernel ---------------------------------------
@@ -563,8 +547,7 @@ def _solve_1d(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
         alpha_star, bisection = _brent(beta, -r, r, b_lo, b_hi, 1e-12 * r)
 
     lift = bm.kernel_lift([alpha_star])
-    w = _aux_fixed_point(bm, lift)
-    y = (lift + w)[:, 0]
+    y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
 
     nontrivial = None
     if _forcing_free(problem):
@@ -588,10 +571,10 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
         try:
             alpha, _ = _brent(beta, grid[k], grid[k + 1], vals[k], vals[k + 1], 1e-12 * r)
             lift = bm.kernel_lift([alpha])
-            w = _aux_fixed_point(bm, lift)
+            y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
         except (ConvergenceError, expr.DomainError):
             continue
-        if sup_norm(lift + w) > 1e-6:
+        if sup_norm(y) > 1e-6:
             return True
     return False
 
@@ -671,15 +654,14 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Solve
             continue
         lift = bm.kernel_lift(root)
         # the last value was at root, so this reads the map's kept solution
-        w = _aux_fixed_point(bm, lift)
-        y = (lift + w)[:, 0]
+        y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
         if float(np.max(np.abs(oracle.residual(problem, y)))) > tol:
             continue
         if accepted is None:
             accepted = (root, y)
             if not forcing_free:
                 break
-        if forcing_free and sup_norm(lift + w) > 1e-6:
+        if forcing_free and sup_norm(y) > 1e-6:
             nontrivial = True
             break
 

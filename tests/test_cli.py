@@ -267,6 +267,26 @@ def test_solve_rejects_invalid_options(argv, dim1_file, dim2_file, capsys):
         assert argv[0] in captured.err
 
 
+@pytest.mark.parametrize("theorem,argv", [
+    ("thm1", ["--r", "nan"]),
+    ("thm1", ["--r", "0"]),
+    ("thm1", ["--zhat", "nan"]),
+    ("thm1", ["--zhat", "inf"]),
+    ("cor", ["--R", "nan"]),
+    ("thm1", ["--grid", "1"]),
+    ("thm1", ["--grid", "0"]),
+    ("thm2", ["--grid", "1"]),
+])
+def test_check_rejects_invalid_options(theorem, argv, tmp_path, capsys):
+    # a usage error, not a traceback, a parse error or a pass from one sample
+    b, c = (1, 1) if theorem == "thm2" else (-3, 2)
+    path = write_problem(tmp_path / "p.json", b, c, 3, "tanh(x)")
+    assert cli.main(["check", path, "--theorem", theorem, *argv]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert argv[0] in captured.err
+
+
 def test_float_serialization_17_digits(dim1_file):
     _, out, _ = run_cli("solve", dim1_file)
     data = json.loads(out)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from perdiff import expr
-from perdiff.expr import Bin, Call, DomainError, ExprError, Num, Var, evaluate, parse, to_text
+from perdiff.expr import Bin, Call, DomainError, ExprError, Num, Var, evaluate, parse
 
 
 def test_parse_variable():
@@ -78,19 +78,6 @@ def test_parse_errors_carry_offset(bad, offset):
 def test_eval_domain_errors(bad):
     with pytest.raises(DomainError):
         evaluate(parse(bad), 0, 1000.0)
-
-
-def test_roundtrip_through_text():
-    cases = [
-        "x", "t", "pi", "1.5e-3",
-        "tanh(x)+0.1*cos(2*pi*t/3)",
-        "2^3^2", "-x^2", "(x+1)*(x-1)/4",
-        "sign(x)*min(abs(x),1)", "max(x,-x)-1",
-        "logfade(x)", "x/(1+x^2)", "1-2-3", "2^(1/2)",
-    ]
-    for text in cases:
-        ast = parse(text)
-        assert parse(to_text(ast)) == ast
 
 
 def test_logfade_continuity_at_branch_points():

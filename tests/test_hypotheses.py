@@ -150,6 +150,17 @@ def test_corollary_c3_star_routes():
     assert rep.condition("C3*").passed
 
 
+@pytest.mark.parametrize("grid", [1, 0])
+def test_checks_reject_a_grid_below_two(grid):
+    # one sample cannot show a sign condition or a supremum
+    with pytest.raises(ValueError, match="grid"):
+        check_thm1(make_problem(-3, 2, 3, "tanh(x)"), r=10.0, zhat=1.0, grid=grid)
+    with pytest.raises(ValueError, match="grid"):
+        check_corollary(make_problem(-3, 2, 3, "tanh(x)"), R=1.0, grid=grid)
+    with pytest.raises(ValueError, match="grid"):
+        check_thm2(make_problem(1, 1, 3, "tanh(x)"), zhat=1.0, grid=grid)
+
+
 def test_corollary_rejects_time_dependent_g():
     with pytest.raises(ValueError):
         check_corollary(make_problem(0, 2, 3, CANONICAL_G), R=1.0)

@@ -11,7 +11,6 @@ from perdiff import (
     NoSignChangeError,
     apply_F,
     apply_L,
-    aux_solve,
     bifurcation_jacobian,
     bifurcation_value,
     build_linear_data,
@@ -43,6 +42,24 @@ def _bm(b, c, N, g):
     return p, BifurcationMap(p, build_linear_data(p))
 
 
+def _with_w2(bm, v1, gv):
+    # (v1, v2), v2 the second component of M_p(I-Q)(0, gv) rebuilt through
+    # mp_solve: the solver reads only first components
+    F = np.zeros((bm.problem.N, 2))
+    F[:, 1] = gv
+    v = mp_solve(bm.ld, F - proj_Q(bm.ld, F))
+    v[:, 0] = v1
+    return v
+
+
+def _aux_solution(bm, alpha):
+    # the full auxiliary solution w(alpha): the solver's w1, and w2 from
+    # g evaluated afresh at lift1 + w1
+    lift = bm.kernel_lift(alpha)
+    w1, _ = reduction._aux_fixed_point(bm, lift)
+    return _with_w2(bm, w1, expr.evaluate(bm.problem.g, np.arange(bm.problem.N), lift[:, 0] + w1))
+
+
 def test_apply_F_values():
     p = make_problem(0, 2, 3, "x")
     out = apply_F(p, np.tile([2.0, 5.0], (3, 1)))
@@ -61,14 +78,14 @@ def test_apply_F_values():
 def test_aux_solve_zero_nonlinearity():
     _, bm = _bm(-3, 2, 3, "0")
     for alpha in (0.0, 1.0, -7.5):
-        assert sup_norm(aux_solve(bm, [alpha])) == 0.0
+        assert sup_norm(_aux_solution(bm, [alpha])) == 0.0
 
 
 def test_aux_solve_contract_and_norm_bound():
     p, bm = _bm(-3, 2, 3, "0.01*tanh(x)")
     ld = bm.ld
     for alpha in (0.0, 0.5, 3.0):
-        w = aux_solve(bm, [alpha])
+        w = _aux_solution(bm, [alpha])
         lift = bm.kernel_lift([alpha])
         Fx = apply_F(p, lift + w)
         target = mp_solve(ld, Fx - proj_Q(ld, Fx))
@@ -89,27 +106,28 @@ _REGIME_ROWS = [
 
 @pytest.mark.parametrize("b,c,N", _REGIME_ROWS + [(0, 2, 243)])
 def test_aux_operator_matches_mp_solve(b, c, N):
-    # the cached operator applies M_p(I-Q) to F = (0, g-values); with a
-    # trivial kernel (0, 2, 5) that is the g-column of L^{-1}
+    # the cached operator is the first component of M_p(I-Q) applied to
+    # F = (0, g-values); with a trivial kernel (0, 2, 5) that is the
+    # (first, g) block of L^{-1}
     _, bm = _bm(b, c, N, "tanh(x)")
     G = bm.aux_operator
-    assert G.shape == (2 * N, N)
-    # built from the N g-unit inputs alone, it is the g-column slice of the
-    # full blocks (up to rounding of the differently sized FFT stack)
+    assert G.shape == (N, N)
+    # built from the N g-unit inputs alone, it is the (first, g) slice of
+    # the full blocks (up to rounding of the differently sized FFT stack)
     B = _mpiq_blocks(bm.ld)
-    np.testing.assert_allclose(G, B[:, :, :, 1].reshape(2 * N, N), rtol=0,
+    np.testing.assert_allclose(G, B[:, 0, :, 1], rtol=0,
                                atol=4 * np.finfo(float).eps * np.max(np.abs(B)))
     rng = np.random.default_rng(N)
     for _ in range(4):
         F = np.zeros((N, 2))
         F[:, 1] = rng.standard_normal(N)
         expected = mp_solve(bm.ld, F - proj_Q(bm.ld, F))
-        got = (G @ F[:, 1]).reshape(N, 2)
+        got = _with_w2(bm, G @ F[:, 1], F[:, 1])
         assert sup_norm(got - expected) <= 1e-12 * (1.0 + sup_norm(F))
         # L M_p (I - Q) = I - Q, which is L L^{-1} = I when Q = 0
         residual = apply_L(bm.ld, got) - (F - proj_Q(bm.ld, F))
         assert sup_norm(residual) <= 1e-10 * (1.0 + sup_norm(F))
-        # the norm bound dominates every image of the g-columns
+        # the norm bound dominates every image of a g-only input
         assert sup_norm(got) <= bm.norm_upper * np.max(np.abs(F[:, 1])) * (1 + 1e-9)
 
 
@@ -199,16 +217,16 @@ def test_inner_iterations_count_newton_on_its_last_step(monkeypatch):
         return _aux_jacobian(*args)
 
     monkeypatch.setattr(reduction, "_aux_jacobian", counting)
-    aux_solve(bm, [0.0])
+    _aux_solution(bm, [0.0])
     assert jacobians
     used = bm._inner_iters
     monkeypatch.setattr(reduction, "_AUX_NEWTON_STEPS", used)
     tight = BifurcationMap(p, bm.ld)
-    aux_solve(tight, [0.0])
+    _aux_solution(tight, [0.0])
     assert tight._inner_iters == used
     monkeypatch.setattr(reduction, "_AUX_NEWTON_STEPS", used - 1)
     with pytest.raises(ConvergenceError):
-        aux_solve(BifurcationMap(p, bm.ld), [0.0])
+        _aux_solution(BifurcationMap(p, bm.ld), [0.0])
 
 
 @pytest.mark.parametrize("field", ["inner_tol", "inner_max_iter", "_inner_iters", "_last_aux"])
@@ -235,7 +253,7 @@ def test_bifurcation_value_matches_explicit_rows():
     # constant kernel: the reduced equation is the plain sum of g values
     p, bm = _bm(-3, 2, 3, CANONICAL_G)
     alpha = 0.7
-    w = aux_solve(bm, [alpha])
+    w = _aux_solution(bm, [alpha])
     args = alpha + w[:, 0]
     direct = sum(expr.evaluate(p.g, t, args[t]) for t in range(3))
     assert bifurcation_value(bm, [alpha])[0] == pytest.approx(direct, abs=1e-12)
@@ -244,7 +262,7 @@ def test_bifurcation_value_matches_explicit_rows():
     p2, bm2 = _bm(1, 1, 3, CANONICAL_G)
     th = bm2.ld.resonance.theta
     alpha2 = np.array([0.4, -1.1])
-    w2 = aux_solve(bm2, alpha2)
+    w2 = _aux_solution(bm2, alpha2)
     lift = bm2.kernel_lift(alpha2)
     args = (lift + w2)[:, 0]
     gs = [expr.evaluate(p2.g, t, args[t]) for t in range(3)]
@@ -290,6 +308,29 @@ def test_bifurcation_jacobian_reuses_the_value_solve():
     assert bm._inner_iters == steps
     bifurcation_jacobian(bm, [0.9])
     assert bm._inner_iters > steps
+
+
+def test_bifurcation_value_evaluates_g_only_in_its_auxiliary_solve(monkeypatch):
+    # the value pairs the g-values of the converged auxiliary residual: a
+    # repeat at the same alpha evaluates g no more, and a fresh alpha
+    # evaluates it exactly as often as its auxiliary solve alone does
+    p, bm = _bm(1, 1, 9, "tanh(x)+0.1*cos(2*pi*t/9)")
+    calls = []
+    real_evaluate = expr.evaluate
+
+    def counting(*args):
+        calls.append(1)
+        return real_evaluate(*args)
+
+    monkeypatch.setattr(expr, "evaluate", counting)
+    alpha = np.array([0.4, -1.1])
+    bifurcation_value(bm, alpha)
+    value_calls = len(calls)
+    assert value_calls > 0
+    bifurcation_value(bm, alpha)
+    assert len(calls) == value_calls
+    reduction._aux_fixed_point(BifurcationMap(p, bm.ld), bm.kernel_lift(alpha))
+    assert len(calls) == 2 * value_calls
 
 
 def test_brent_meets_the_width_on_a_smooth_root():
