@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, expr, hypotheses, oracle, reduction
-from .linear import NotInImageError, Problem, build_linear_data
+from .linear import NotInImageError, Problem, build_linear_data, kernel_dims
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -255,26 +255,26 @@ def _cmd_scan(args) -> int:
     if args.c == 0.0 or not math.isfinite(args.c):
         raise _CliError("c must be finite and nonzero", EXIT_USAGE)
 
+    with np.errstate(over="ignore", invalid="ignore"):
+        bs = np.linspace(lo, hi, steps)
+    if not np.all(np.isfinite(bs)):
+        raise _CliError("--b-range values must be finite", EXIT_USAGE)
+    # one symbol evaluation per N column, by the same rule as classify
+    columns = [kernel_dims(bs, args.c, N) for N in n_list]
+    c_text = _fmt_float(args.c)
     lines = ["b,c,N,dim,theta,in_U,r_int,gcd"]
-    bs = np.linspace(lo, hi, steps) if steps else []
-    for b in bs:
+    for row, b in enumerate(bs):
         theta = math.acos(max(-1.0, min(1.0, -b / 2.0))) if abs(b) <= 2.0 else None
         in_u = None
         if abs(b) < 2.0:
             in_u, _ = hypotheses.membership_U(float(b))
-        for N in n_list:
-            rc = build_linear_data(Problem.from_text(b, args.c, N, "0")).resonance
-            gcd = (None if rc.r_int is None else math.gcd(rc.r_int, N))
-            lines.append(",".join([
-                _fmt_float(b),
-                _fmt_float(args.c),
-                str(N),
-                str(rc.dim),
-                "" if theta is None else _fmt_float(theta),
-                "" if in_u is None else ("true" if in_u else "false"),
-                "" if rc.r_int is None else str(rc.r_int),
-                "" if gcd is None else str(gcd),
-            ]))
+        b_text = _fmt_float(b)
+        theta_text = "" if theta is None else _fmt_float(theta)
+        in_u_text = "" if in_u is None else ("true" if in_u else "false")
+        for N, (dim, r_int) in zip(n_list, columns):
+            r = int(r_int[row])
+            rot = "," if r < 0 else f"{r},{math.gcd(r, N)}"
+            lines.append(f"{b_text},{c_text},{N},{dim[row]},{theta_text},{in_u_text},{rot}")
     csv_text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

@@ -83,6 +83,11 @@ class CheckReport:
 # -- shared sampling helpers -----------------------------------------------
 
 
+def _positive(v: float) -> bool:
+    # nan fails every comparison, so "v <= 0" would let it through
+    return math.isfinite(v) and v > 0
+
+
 def _g_on_grid(problem: Problem, xs: np.ndarray) -> np.ndarray:
     """g sampled at every t in one period over the x grid; shape (N, len(xs))."""
     return expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
@@ -135,8 +140,8 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201,
     """
     if problem.N % 2 == 0 or problem.N <= 1:
         raise ValueError("this check requires an odd period N > 1")
-    if r <= 0 or zhat <= 0:
-        raise ValueError("r and zhat must be positive")
+    if not (_positive(r) and _positive(zhat)):
+        raise ValueError("r and zhat must be finite and positive")
     if grid < 2:
         raise ValueError("grid must be >= 2")
 
@@ -247,15 +252,15 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
 
     Requires g to be independent of t (checked; ValueError otherwise).
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not _positive(R):
+        raise ValueError("R must be finite and positive")
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if r_schedule is None:
         r_schedule = [10.0**k for k in range(1, 7)]
     r_schedule = [float(r) for r in r_schedule]
-    if not r_schedule or any(r <= 0 for r in r_schedule):
-        raise ValueError("r_schedule must be positive")
+    if not r_schedule or not all(map(_positive, r_schedule)):
+        raise ValueError("r_schedule entries must be finite and positive")
     if not _t_independent(problem):
         raise ValueError("the corollary requires g independent of t")
 
@@ -315,8 +320,10 @@ def check_thm2(problem: Problem, zhat: float, grid: int = 201,
     """
     if problem.N % 2 == 0 or problem.N <= 1:
         raise ValueError("this check requires an odd period N > 1")
-    if zhat <= 0:
-        raise ValueError("zhat must be positive")
+    if not _positive(zhat):
+        raise ValueError("zhat must be finite and positive")
+    if xmax is not None and not _positive(xmax):
+        raise ValueError("xmax must be finite and positive")
     if grid < 2:
         raise ValueError("grid must be >= 2")
     ld = build_linear_data(problem)

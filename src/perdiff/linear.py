@@ -16,7 +16,8 @@ vanishes:
 
 * the resonance classification dim Ker(L) in {0, 1, 2}: the number of
   resonant modes, |lambda_k| <= RESONANT_RTOL * (1 + |b| + |c|), a cutoff
-  that does not depend on N;
+  that does not depend on N and lives in ``resonant_modes``, which
+  ``kernel_dims`` evaluates for a whole column of b values at once;
 * bases for Ker(L) and for the periodic solutions of the adjoint
   recurrence x(t+1) = A^{-T} x(t), whose shifted pairing annihilates
   exactly Im(L): a resonant mode mu = w^k gives mu^t (1, mu) and
@@ -29,7 +30,9 @@ vanishes:
   FFT, and the removal of the P component;
 * a sound upper bound and a Monte Carlo lower bound for the operator norm
   of M_p(I - Q) in the sup-of-Euclidean norm, which the existence-theorem
-  checkers consume.
+  checkers consume. At dim 0 the operator is the circulant L^{-1}, so the
+  bound is the sum of the 2x2 block norms of one column, O(N); at dim 1
+  and 2 it is read off the dense (N, 2, N, 2) block tensor.
 
 The operators apply_L, image_test, proj_P, proj_Q and mp_solve take one
 sequence (N, 2) or a stack (..., N, 2) of them and act on each member, so
@@ -51,6 +54,9 @@ from .mat2 import svals2
 # Three N-th roots of unity cannot all pass this for a monic quadratic
 # unless N is in the tens of thousands, so dim <= 2 below that.
 RESONANT_RTOL = 1e-9
+
+# symbol entries per chunk of b values in kernel_dims
+_CHUNK_ENTRIES = 1 << 16
 
 
 class NotInImageError(ValueError):
@@ -140,11 +146,42 @@ def companion_matrix(b: float, c: float) -> np.ndarray:
     return np.array([[0.0, 1.0], [-float(c), -float(b)]])
 
 
-def build_linear_data(problem: Problem) -> LinearData:
-    b, c, N = problem.b, problem.c, problem.N
+def resonant_modes(b, c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The symbol lambda_k on the real-FFT modes k = 0..N//2, and its resonant mask.
+
+    b is a scalar, or an array (..., 1) of them; both results then have
+    shape (..., N//2 + 1).
+    """
     w = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
     symbol = w * w + b * w + c
-    resonant = np.abs(symbol) <= RESONANT_RTOL * (1.0 + abs(b) + abs(c))
+    return symbol, np.abs(symbol) <= RESONANT_RTOL * (1.0 + np.abs(b) + abs(c))
+
+
+def kernel_dims(bs, c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """dim and r_int of (b, c, N) for each b in bs, as ``classify`` gives them.
+
+    dim counts the resonant modes, a conjugate pair (2k % N != 0) twice;
+    r_int is the largest resonant pair k, or -1 where there is none. The b
+    values are taken in chunks of about _CHUNK_ENTRIES symbol entries.
+    """
+    bs = np.asarray(bs, dtype=float)
+    k = np.arange(N // 2 + 1)
+    pair = 2 * k % N != 0
+    dim = np.empty(bs.size, dtype=int)
+    r_int = np.empty(bs.size, dtype=int)
+    rows = max(1, _CHUNK_ENTRIES // k.size)
+    for s in range(0, bs.size, rows):
+        _, resonant = resonant_modes(bs[s:s + rows, None], c, N)
+        rotation = resonant & pair
+        dim[s:s + rows] = np.sum(resonant, axis=1) + np.sum(rotation, axis=1)
+        r_int[s:s + rows] = np.where(np.any(rotation, axis=1),
+                                     k[-1] - np.argmax(rotation[:, ::-1], axis=1), -1)
+    return dim, r_int
+
+
+def build_linear_data(problem: Problem) -> LinearData:
+    b, c, N = problem.b, problem.c, problem.N
+    symbol, resonant = resonant_modes(b, c, N)
     symbol_inv = np.zeros_like(symbol)
     symbol_inv[~resonant] = 1.0 / symbol[~resonant]
 
@@ -286,12 +323,23 @@ def norm_bound_mp_iq(ld: LinearData, mc_samples: int, seed: int = 0) -> tuple[fl
     The upper bound sums, per output index, the largest singular values of
     the 2x2 blocks of the operator; it dominates the norm induced by the
     sup-of-Euclidean sequence norm, so hypothesis checks built on it are
-    conservative. The lower bound maximizes over mc_samples random inputs
-    of unit sup-norm (deterministic for a fixed seed).
+    conservative. At dim 0 the operator is L^{-1}, a circulant: block
+    (t, i) is D[(t - i) mod N], with D the response to the two unit inputs
+    at t = 0, so every output index gives the same sum, the sum of the
+    block norms of that one column, built in O(N). The lower bound
+    maximizes over mc_samples random inputs of unit sup-norm
+    (deterministic for a fixed seed).
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    upper = _upper_from_blocks(_mpiq_blocks(ld))
+    if ld.resonance.dim:
+        upper = _upper_from_blocks(_mpiq_blocks(ld))
+    else:
+        E = np.zeros((2, ld.problem.N, 2))
+        E[0, 0, 0] = E[1, 0, 1] = 1.0
+        # D[s] = mp_solve(E)[:, s, :].T, the 2x2 block (output, input)
+        smax, _ = svals2(mp_solve(ld, E).transpose(1, 2, 0))
+        upper = float(np.sum(smax))
     rng = np.random.default_rng(seed)
     lower = 0.0
     remaining = int(mc_samples)

@@ -1,11 +1,13 @@
 import json
+import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from perdiff import NotInImageError, cli, hypotheses, reduction
+from perdiff import NotInImageError, Problem, classify, cli, hypotheses, linear, reduction
 
 from conftest import subprocess_env
 
@@ -222,6 +224,66 @@ def test_scan_csv(tmp_path):
     assert out == "b,c,N,dim,theta,in_U,r_int,gcd\n"
 
 
+def _reference_scan(lo, hi, steps, c, n_list):
+    # the scan as one classify call per row
+    lines = ["b,c,N,dim,theta,in_U,r_int,gcd"]
+    for b in np.linspace(lo, hi, steps):
+        theta = math.acos(max(-1.0, min(1.0, -b / 2.0))) if abs(b) <= 2.0 else None
+        in_u = hypotheses.membership_U(float(b))[0] if abs(b) < 2.0 else None
+        for N in n_list:
+            rc = classify(Problem.from_text(b, c, N, "0"))
+            lines.append(",".join([
+                cli._fmt_float(b), cli._fmt_float(c), str(N), str(rc.dim),
+                "" if theta is None else cli._fmt_float(theta),
+                "" if in_u is None else ("true" if in_u else "false"),
+                "" if rc.r_int is None else str(rc.r_int),
+                "" if rc.r_int is None else str(math.gcd(rc.r_int, N)),
+            ]))
+    return "\n".join(lines) + "\n"
+
+
+def _rotation_b(k, N):
+    return -2.0 * math.cos(2.0 * math.pi * k / N)
+
+
+_SCAN_GRIDS = [
+    # dims 0, 1 and 2; the Jordan row (-2, 1) and (2, 1) at even N
+    (-2.0, 2.0, 41, 1.0, list(range(2, 65)) + [243, 1000, 1024, 1025]),
+    (-3.0, 3.0, 61, 2.0, [3, 4, 9, 1025]),        # 1 + b + c = 0 at b = -3
+    (-1.0, 1.0, 21, -1.0, [2, 3, 4, 64, 65]),     # the real pair (0, -1) at even N
+    (0.0, 0.0, 1, -1.0, [2, 3, 1024, 1025]),
+    (-2.5, 2.5, 11, 0.5, [2, 5, 1025]),
+] + [
+    # b = -2cos(2*pi*k/N) exactly and 1e-10 to either side of it
+    (b + d, b + d, 1, 1.0, [2, N, 2 * N, 1025])
+    for k, N in [(1, 3), (1, 5), (2, 5), (1, 4), (5, 12), (1, 1024), (7, 1025), (512, 1025)]
+    for b in [_rotation_b(k, N)]
+    for d in (-1e-10, 0.0, 1e-10)
+]
+
+
+@pytest.mark.parametrize("lo, hi, steps, c, n_list", _SCAN_GRIDS)
+def test_scan_matches_a_classify_per_row(lo, hi, steps, c, n_list, capsys):
+    argv = ["scan", f"--b-range={lo!r}:{hi!r}:{steps}", "--c", repr(c),
+            "--N-list", ",".join(map(str, n_list))]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == _reference_scan(lo, hi, steps, c, n_list)
+
+
+def test_scan_memory_does_not_grow_with_the_b_column(capsys):
+    # at N = 65536 a (steps, N/2 + 1) complex symbol would take 210 MB;
+    # chunking holds a few complex arrays of _CHUNK_ENTRIES entries
+    tracemalloc.start()
+    try:
+        code = cli.main(["scan", "--b-range=-2:2:401", "--c", "1", "--N-list", "65536"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 402
+    assert peak < 8 * 16 * linear._CHUNK_ENTRIES
+
+
 def test_parse_error_exits(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -241,6 +303,7 @@ def test_usage_error_exits():
     ["--b-range=-1:1:3", "--c", "1", "--N-list", "1,3"],
     ["--b-range=-1:1:3", "--c", "nan", "--N-list", "3"],
     ["--b-range=-inf:1:3", "--c", "1", "--N-list", "3"],
+    ["--b-range=-1e308:1e308:3", "--c", "1", "--N-list", "3"],  # linspace overflows
 ])
 def test_scan_rejects_invalid_values(argv, capsys):
     assert cli.main(["scan", *argv]) == cli.EXIT_USAGE

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,27 @@ def test_checks_reject_a_grid_below_two(grid):
         check_corollary(make_problem(-3, 2, 3, "tanh(x)"), R=1.0, grid=grid)
     with pytest.raises(ValueError, match="grid"):
         check_thm2(make_problem(1, 1, 3, "tanh(x)"), zhat=1.0, grid=grid)
+
+
+_CHECK_CALLS = {
+    "thm1 r": lambda v: check_thm1(make_problem(-3, 2, 3, "tanh(x)"), r=v, zhat=1.0),
+    "thm1 zhat": lambda v: check_thm1(make_problem(-3, 2, 3, "tanh(x)"), r=10.0, zhat=v),
+    "thm2 zhat": lambda v: check_thm2(make_problem(1, 1, 3, "tanh(x)"), zhat=v),
+    "thm2 xmax": lambda v: check_thm2(make_problem(1, 1, 3, "tanh(x)"), zhat=1.0, xmax=v),
+    "cor R": lambda v: check_corollary(make_problem(1.2, 1, 3, "tanh(x)"), R=v),
+    "cor r_schedule": lambda v: check_corollary(make_problem(1.2, 1, 3, "tanh(x)"), R=1.0,
+                                                r_schedule=[10.0, v, 1000.0]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("arg", sorted(_CHECK_CALLS))
+def test_checks_reject_a_non_finite_argument(arg, value):
+    # nan passes a "<= 0" guard; it must be refused before g is sampled
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            _CHECK_CALLS[arg](value)
 
 
 def test_corollary_rejects_time_dependent_g():

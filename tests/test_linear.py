@@ -17,6 +17,7 @@ from perdiff import (
     proj_Q,
     sup_norm,
 )
+from perdiff import linear
 from perdiff.linear import _mpiq_blocks, _upper_from_blocks
 
 from conftest import instance_grid, make_problem
@@ -138,6 +139,18 @@ def test_classify_agrees_with_independent_rank():
                 if ld.resonance.dim != 2 - rank:
                     mismatches += 1
     assert mismatches == 0
+
+
+@pytest.mark.parametrize("c, N", [(1.0, 2), (1.0, 3), (1.0, 12), (2.0, 9), (-1.0, 4),
+                                  (-1.0, 5), (0.5, 1025), (1.0, 40000)])
+def test_kernel_dims_match_classify_row_by_row(c, N):
+    # at N = 40000 a chunk holds 3 rows, so the column spans several chunks
+    rot = [-2.0 * math.cos(2.0 * math.pi * k / N) for k in (1, N // 3)]
+    bs = np.concatenate([np.linspace(-3.0, 3.0, 13), rot, np.add(rot, 1e-10)])
+    dim, r_int = linear.kernel_dims(bs, c, N)
+    for b, d, r in zip(bs, dim, r_int):
+        rc = classify(make_problem(b, c, N, "0"))
+        assert (d, r) == (rc.dim, -1 if rc.r_int is None else rc.r_int)
 
 
 def test_kernel_basis_is_in_kernel():
@@ -374,6 +387,16 @@ def test_norm_bound_batch_matches_single():
                 e[i, k] = 1.0
                 single = mp_solve(ld, e - proj_Q(ld, e))
                 np.testing.assert_allclose(B[:, :, i, k], single, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("N", [3, 27, 243, 1025])
+@pytest.mark.parametrize("b, c", [(0.0, 2.0), (0.5, -3.0), (-3.000001, 2.0)])
+def test_norm_bound_dim0_column_matches_dense_blocks(b, c, N):
+    # at dim 0 the bound comes from one column of the circulant L^{-1}
+    ld = _ld(b, c, N)
+    assert ld.resonance.dim == 0
+    dense = _upper_from_blocks(_mpiq_blocks(ld))
+    assert norm_bound_mp_iq(ld, 1)[1] == pytest.approx(dense, rel=1e-12)
 
 
 def test_norm_bound_lower_never_exceeds_upper_across_grid():
