@@ -23,6 +23,7 @@ from .hypotheses import (
 )
 from .linear import (
     LinearData,
+    ModeLimitError,
     NotInImageError,
     Problem,
     ResonanceClass,
@@ -60,7 +61,7 @@ from .reduction import (
 __all__ = [
     "__version__",
     "BifurcationMap", "BoundaryZeroError", "CheckReport", "ConvergenceError",
-    "DomainError", "ExprError", "LinearData", "NoSignChangeError",
+    "DomainError", "ExprError", "LinearData", "ModeLimitError", "NoSignChangeError",
     "NotInImageError", "Problem", "ResonanceClass", "SolveReport",
     "SolverError", "apply_F", "apply_L", "bifurcation_jacobian",
     "bifurcation_value",

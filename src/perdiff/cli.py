@@ -12,8 +12,8 @@ an optional seed):
 All structured output is JSON with a fixed key layout, the tool version and
 a full echo of the inputs; floats are printed with 17 significant digits so
 identical runs produce byte-identical bytes. Exit codes: 0 success/pass,
-1 usage, 2 file or expression parse error, 3 solver failure, 4 hypothesis
-check failed.
+1 usage, 2 file or expression parse error, 3 solver failure (or more than
+two resonant modes, in one line on stderr), 4 hypothesis check failed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__, expr, hypotheses, oracle, reduction
-from .linear import NotInImageError, Problem, build_linear_data, kernel_dims
+from .linear import ModeLimitError, NotInImageError, Problem, build_linear_data, kernel_dims
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -343,6 +343,9 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
+    except ModeLimitError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -144,6 +144,7 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201,
         raise ValueError("r and zhat must be finite and positive")
     if grid < 2:
         raise ValueError("grid must be >= 2")
+    ld = build_linear_data(problem)
 
     periodic_ok = _t_periodic(problem)
     xs = np.linspace(-2.0 * r, 2.0 * r, grid)
@@ -161,7 +162,6 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201,
         "sampled, not proven",
     )
 
-    ld = build_linear_data(problem)
     lower, upper = norm_bound_mp_iq(ld, mc_samples, seed=seed)
     lhs = zhat + upper * delta
     c3 = Condition(

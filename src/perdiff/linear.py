@@ -28,15 +28,14 @@ vanishes:
   restricted to Ker(P)): one real FFT of the scalar right-hand side, a
   multiply by the inverse symbol (0 on the resonant modes), one inverse
   FFT, and the removal of the P component;
-* a sound upper bound and a Monte Carlo lower bound for the operator norm
-  of M_p(I - Q) in the sup-of-Euclidean norm, which the existence-theorem
-  checkers consume. At dim 0 the operator is the circulant L^{-1}, so the
-  bound is the sum of the 2x2 block norms of one column, O(N); at dim 1
-  and 2 it is read off the dense (N, 2, N, 2) block tensor.
+* M_p(I - Q) as one (N, 2, 2) column, a block circulant minus the rank-dim
+  read-off P, with two readers: the (N, N) block G1 of the auxiliary
+  equation, and a sound upper bound for its norm in O(N) memory, which the
+  existence-theorem checkers pair with a Monte Carlo lower bound.
 
 The operators apply_L, image_test, proj_P, proj_Q and mp_solve take one
 sequence (N, 2) or a stack (..., N, 2) of them and act on each member, so
-every application of M_p, including the operator-norm blocks and the Monte
+every application of M_p, including the operator's column and the Monte
 Carlo samples, runs through ``mp_solve``.
 """
 
@@ -51,12 +50,16 @@ from . import expr
 from .mat2 import svals2
 
 # A mode k is resonant iff |lambda_k| <= RESONANT_RTOL * (1 + |b| + |c|).
-# Three N-th roots of unity cannot all pass this for a monic quadratic
-# unless N is in the tens of thousands, so dim <= 2 below that.
+# Three N-th roots of unity pass this only from N in the tens of thousands
+# on (99400 for b = -2, c = 1); build_linear_data refuses them.
 RESONANT_RTOL = 1e-9
 
-# symbol entries per chunk of b values in kernel_dims
+# symbol entries per chunk in kernel_dims, 2x2 blocks per chunk in _mpiq_upper
 _CHUNK_ENTRIES = 1 << 16
+
+
+class ModeLimitError(RuntimeError):
+    """More than two modes pass the resonance cutoff: dim Ker(L) > 2."""
 
 
 class NotInImageError(ValueError):
@@ -180,26 +183,27 @@ def kernel_dims(bs, c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_linear_data(problem: Problem) -> LinearData:
+    """The linear data; ModeLimitError, before any basis, when dim Ker(L) > 2."""
     b, c, N = problem.b, problem.c, problem.N
     symbol, resonant = resonant_modes(b, c, N)
+    modes = np.flatnonzero(resonant)
+    pair = 2 * modes % N != 0  # a conjugate pair k, N - k: a rotation by 2*pi*k/N
+    dim = modes.size + np.count_nonzero(pair)
+    if dim > 2:
+        cutoff = RESONANT_RTOL * (1.0 + abs(b) + abs(c))
+        raise ModeLimitError(f"{dim} resonant modes (|lambda_k| <= {cutoff:.3g}) at N = {N}; "
+                             "at most 2 are supported")
     symbol_inv = np.zeros_like(symbol)
     symbol_inv[~resonant] = 1.0 / symbol[~resonant]
 
-    kernel, adjoint, r_int = [], [], None
-    for k in np.flatnonzero(resonant):
-        mu_t = np.exp(2j * np.pi * k * np.arange(-1, N + 1) / N)  # mu^t, t = -1..N
-        ker = np.stack([mu_t[1:-1], mu_t[2:]], axis=1)
-        adj = np.stack([-c * mu_t[1:-1], mu_t[:-2]], axis=1)
-        kernel.append(ker.real)
-        adjoint.append(adj.real)
-        if 2 * k % N:
-            # a conjugate pair k, N - k: a rotation by 2*pi*k/N
-            kernel.append(ker.imag)
-            adjoint.append(adj.imag)
-            r_int = int(k)
-    dim = len(kernel)
-    kernel_basis = np.reshape(kernel, (dim, N, 2))
-    adjoint_basis = np.reshape(adjoint, (dim, N, 2))
+    # mu^t (1, mu) and mu^t (-c, 1/mu) per mode mu = w^k, t = -1..N; for a
+    # pair, real then imaginary parts, which with dim <= 2 keeps mode order
+    mu_t = np.exp(2j * np.pi * modes[:, None] * np.arange(-1, N + 1) / N)
+    ker = np.stack([mu_t[:, 1:-1], mu_t[:, 2:]], axis=2)
+    adj = np.stack([-c * mu_t[:, 1:-1], mu_t[:, :-2]], axis=2)
+    kernel_basis = np.concatenate([ker.real, ker.imag[pair]])
+    adjoint_basis = np.concatenate([adj.real, adj.imag[pair]])
+    r_int = int(modes[pair][-1]) if pair.any() else None
 
     theta = None
     if r_int is not None or (abs(b) < 2.0 and abs(c - 1.0) <= 1e-12):
@@ -291,55 +295,53 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
     return x
 
 
-# -- operator norm of M_p (I - Q) ----------------------------------------
+# -- the operator M_p (I - Q) ----------------------------------------------
 
 
-def _mpiq_blocks(ld: LinearData, inputs=(0, 1)) -> np.ndarray:
-    """(N, 2, N, len(inputs)) block representation of h -> M_p (I - Q) h.
-
-    Entry [t, :, i, j] is the value at t of M_p (I - Q) applied to the unit
-    sequence at (i, inputs[j]); these unit sequences are solved as one
-    stack, so ``inputs=(1,)`` solves only the N acting on the g component.
-    """
-    N = ld.problem.N
-    m = len(inputs)
-    E = np.zeros((N * m, N, 2))
-    for j, k in enumerate(inputs):
-        np.fill_diagonal(E[j::m, :, k], 1.0)
-    E -= proj_Q(ld, E)
-    return mp_solve(ld, E).reshape(N, m, N, 2).transpose(2, 3, 0, 1)
+def _mpiq_column(ld: LinearData) -> tuple[np.ndarray, np.ndarray]:
+    """(D, K): block (t, i) of M_p (I - Q) is D[(t - i) % N] - K[t] @ D[(-i) % N],
+    as L and Q commute with the shift; D[s] is block (s, 0), (P x)(t) = K[t] x(0)."""
+    E = np.zeros((2, ld.problem.N, 2))
+    E[0, 0, 0] = E[1, 0, 1] = 1.0
+    return (mp_solve(ld, E - proj_Q(ld, E)).transpose(1, 2, 0),
+            proj_P(ld, E).transpose(1, 2, 0))
 
 
-def _upper_from_blocks(B: np.ndarray) -> float:
-    # per output index t, the sum over i of the largest singular values of
-    # the 2x2 blocks B[t, :, i, :]
-    smax, _ = svals2(B.transpose(0, 2, 1, 3))
-    return float(np.max(np.sum(smax, axis=1), initial=0.0))
+def _mpiq_upper(ld: LinearData) -> float:
+    """max over t of the sum over i of the largest singular value of block (t, i).
+
+    Row t, over the inputs (-i) % N, is D[(t + i) % N] - K[t] @ D[i], built
+    in chunks of rows; at dim 0, K = 0 and row 0 stands for all."""
+    D, K = _mpiq_column(ld)
+    N = len(D)
+    window = np.lib.stride_tricks.sliding_window_view(np.concatenate([D, D]), N, axis=0)
+    K = K[:N if ld.resonance.dim else 1]
+    upper, step = 0.0, max(1, _CHUNK_ENTRIES // N)
+    for s in range(0, len(K), step):
+        rows = np.tensordot(K[s:s + step], D, axes=(2, 1))  # [t, out, i, in]
+        np.subtract(window[s:s + len(rows)].transpose(0, 1, 3, 2), rows, out=rows)
+        upper = max(upper, float(np.max(np.sum(svals2(rows.transpose(0, 2, 1, 3))[0], axis=1))))
+    return upper
+
+
+def _mpiq_g1(ld: LinearData) -> np.ndarray:
+    """The (N, N) block G1 of M_p (I - Q): first output component, g input."""
+    D, K = _mpiq_column(ld)
+    i = np.arange(len(D))
+    return D[(i[:, None] - i) % len(D), 0, 1] - K[:, 0] @ D[-i % len(D), :, 1].T
 
 
 def norm_bound_mp_iq(ld: LinearData, mc_samples: int, seed: int = 0) -> tuple[float, float]:
     """(lower, upper) bracketing the operator norm of M_p (I - Q).
 
-    The upper bound sums, per output index, the largest singular values of
-    the 2x2 blocks of the operator; it dominates the norm induced by the
+    The upper bound, ``_mpiq_upper``, dominates the norm induced by the
     sup-of-Euclidean sequence norm, so hypothesis checks built on it are
-    conservative. At dim 0 the operator is L^{-1}, a circulant: block
-    (t, i) is D[(t - i) mod N], with D the response to the two unit inputs
-    at t = 0, so every output index gives the same sum, the sum of the
-    block norms of that one column, built in O(N). The lower bound
-    maximizes over mc_samples random inputs of unit sup-norm
-    (deterministic for a fixed seed).
+    conservative. The lower bound maximizes over mc_samples random inputs
+    of unit sup-norm (deterministic for a fixed seed).
     """
     if mc_samples < 1:
         raise ValueError("mc_samples must be >= 1")
-    if ld.resonance.dim:
-        upper = _upper_from_blocks(_mpiq_blocks(ld))
-    else:
-        E = np.zeros((2, ld.problem.N, 2))
-        E[0, 0, 0] = E[1, 0, 1] = 1.0
-        # D[s] = mp_solve(E)[:, s, :].T, the 2x2 block (output, input)
-        smax, _ = svals2(mp_solve(ld, E).transpose(1, 2, 0))
-        upper = float(np.sum(smax))
+    upper = _mpiq_upper(ld)
     rng = np.random.default_rng(seed)
     lower = 0.0
     remaining = int(mc_samples)

@@ -10,16 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_mat2(a) -> np.ndarray:
-    """a as a finite float 2x2 matrix, or a stack (..., 2, 2) of them."""
-    A = np.asarray(a, dtype=float)
-    if A.shape[-2:] != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    return A
-
-
 def svals2(A) -> tuple[float, float]:
     """Both singular values of a 2x2 matrix, largest first.
 
@@ -28,7 +18,11 @@ def svals2(A) -> tuple[float, float]:
     the squared singular values are (s1 +- s2) / 2. For a stack
     (..., 2, 2) both are arrays of shape (...).
     """
-    A = as_mat2(A)
+    A = np.asarray(A, dtype=float)
+    if A.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
     a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
     s1 = a * a + b * b + c * c + d * d
     s2 = np.hypot(a * a + b * b - c * c - d * d, 2.0 * (a * c + b * d))

@@ -9,7 +9,7 @@ solves the original problem exactly when both hold.
 
 As F(x) = (0, g(t, x1)) and the solvers read only x1 = y, the auxiliary
 equation is solved for w1 alone: only the (N, N) first-component block of
-M_p (I - Q) on the g component is assembled, once per bifurcation map, so
+M_p (I - Q) on the g component is gathered, once per bifurcation map, so
 each residual is one matrix-vector product, and the Newton Jacobian is
 built from pointwise differences of g. The bifurcation value reuses the
 g-values of the converged residual, and the same Jacobian gives its
@@ -53,8 +53,8 @@ from .linear import (
     proj_P,
     proj_Q,
     sup_norm,
-    _mpiq_blocks,
-    _upper_from_blocks,
+    _mpiq_g1,
+    _mpiq_upper,
 )
 
 # tolerance and Newton step budget of one auxiliary solve
@@ -116,14 +116,12 @@ def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
 class BifurcationMap:
     """Reduced problem in kernel coordinates.
 
-    The auxiliary equation is solved for w1 alone, with the (N, N)
-    first-component block of M_p (I - Q) on the g component, assembled
-    once per map as ``aux_operator``. The norm bound ``norm_upper`` needs
-    the full (N, 2, N, 2) blocks; it is built on first read only.
-    ``_inner_iters`` counts the auxiliary Newton steps taken on this map.
-    The last auxiliary solution and its g-values are kept, keyed by the
-    kernel lift, so a value, a Jacobian or a solution read at the point of
-    the last one costs no second solve and no g evaluation.
+    ``aux_operator`` (G1) and ``norm_upper`` are read from the column of
+    M_p (I - Q) that ``linear`` keeps, each on first use. ``_inner_iters``
+    counts the auxiliary Newton steps taken on this map. The last auxiliary
+    solution and its g-values are kept, keyed by the kernel lift, so a
+    value, a Jacobian or a solution read at the point of the last one costs
+    no second solve and no g evaluation.
 
     A trivial kernel (dim 0) is the degenerate case P = Q = 0: the kernel
     lift is zero and M_p (I - Q) is L^{-1}.
@@ -138,9 +136,9 @@ class BifurcationMap:
     def dim(self) -> int:
         return self.ld.resonance.dim
 
-    def _blocks(self, inputs=(0, 1)) -> np.ndarray:
+    def _mpiq(self, reader):
         try:
-            return _mpiq_blocks(self.ld, inputs)
+            return reader(self.ld)
         except NotInImageError as e:
             # the projected unit inputs failed the image test: the linear
             # data is too inaccurate to build M_p (I - Q)
@@ -150,7 +148,7 @@ class BifurcationMap:
     @cached_property
     def norm_upper(self) -> float:
         """Cached sound upper bound for the norm of M_p (I - Q)."""
-        return _upper_from_blocks(self._blocks())
+        return self._mpiq(_mpiq_upper)
 
     @cached_property
     def aux_operator(self) -> np.ndarray:
@@ -158,7 +156,7 @@ class BifurcationMap:
 
         (M_p (I - Q) F(x))[:, 0] = G1 @ g(t, x1(t)).
         """
-        return np.ascontiguousarray(self._blocks(inputs=(1,))[:, 0, :, 0])
+        return self._mpiq(_mpiq_g1)
 
     def kernel_lift(self, alpha) -> np.ndarray:
         """Kernel element with coordinates alpha in the classified basis."""
@@ -683,7 +681,8 @@ def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
     """Dispatch to the regime solver matching the kernel dimension.
 
     The reduction alone produces y, and the oracle's residual judges it
-    against tol: finite and positive, reachable down to a few 1e-12."""
+    against tol: finite and positive, reachable down to a few 1e-12.
+    A problem with more than two resonant modes raises ModeLimitError."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
     bm = BifurcationMap(problem, build_linear_data(problem))

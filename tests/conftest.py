@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from perdiff import Problem
+from perdiff import Problem, mp_solve, proj_P, proj_Q
 
 CANONICAL_G = "tanh(x)+0.1*cos(2*pi*t/3)"
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,3 +62,32 @@ def instance_grid():
 
 def random_sequences(N, count, rng):
     return rng.standard_normal((count, N, 2))
+
+
+def dense_mpiq(ld):
+    """(N, 2, N, 2) blocks of M_p(I-Q), one mp_solve per projected unit sequence.
+
+    Entry [t, :, i, k] is the value at t of M_p (I - Q) applied to the unit
+    sequence at (i, k): a reference built without the circulant structure.
+    """
+    N = ld.problem.N
+    B = np.empty((N, 2, N, 2))
+    for i in range(N):
+        for k in range(2):
+            e = np.zeros((N, 2))
+            e[i, k] = 1.0
+            B[:, :, i, k] = mp_solve(ld, e - proj_Q(ld, e))
+    return B
+
+
+def g1_atol(ld, B):
+    """Agreement to expect between G1 and the g-slice of ``dense_mpiq``.
+
+    Both round the P read-off K[t] x(0), whose size is max|K| times that
+    of the blocks; with a high-precision reference, neither is within
+    4 eps max|B| on the rotation rows.
+    """
+    E = np.zeros((2, ld.problem.N, 2))
+    E[0, 0, 0] = E[1, 0, 1] = 1.0
+    K = proj_P(ld, E)  # K[:, t, :] = the map x(0) -> (P x)(t), transposed
+    return 8.0 * np.finfo(float).eps * np.max(np.abs(B)) * max(1.0, float(np.max(np.abs(K))))

@@ -102,7 +102,7 @@ def test_solve_operator_build_failure_is_a_solver_error(tmp_path, monkeypatch, c
     # the error, not a traceback
     path = write_problem(tmp_path / "n25.json", -1.5, 0.5, 25,
                          "tanh(x)+0.1*cos(2*pi*t/25)")
-    monkeypatch.setattr(reduction, "_mpiq_blocks", _not_in_image)
+    monkeypatch.setattr(reduction, "_mpiq_g1", _not_in_image)
     code = cli.main(["solve", path])
     out, err = capsys.readouterr()
     assert code == 3, err
@@ -190,6 +190,23 @@ def test_check_image_failure_is_a_solver_error(tmp_path, monkeypatch, capsys):
     assert "not in image" in data["error"]
     assert data["diagnostics"]["N"] == 81
     assert data["diagnostics"]["defect"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["solve"], ["check", "--theorem", "thm1"]])
+def test_more_than_two_resonant_modes_exit_3(argv, tmp_path, capsys):
+    # one line on stderr and the solver-failure code, no traceback
+    path = write_problem(tmp_path / "n.json", -2, 1, 100_001, "tanh(x)")
+    code = cli.main([argv[0], path, *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_SOLVER
+    assert out == ""
+    assert err.count("\n") == 1 and "3 resonant modes" in err
+
+
+def test_scan_prints_more_than_two_resonant_modes(capsys):
+    # scan builds no kernel and keeps reporting the mode count
+    assert cli.main(["scan", "--b-range=-2:-2:1", "--c", "1", "--N-list", "100001"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "3"
 
 
 @pytest.mark.parametrize("N", [4, 6, 8])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from perdiff import (
+    ModeLimitError,
     NotInImageError,
     Problem,
     apply_L,
@@ -18,9 +20,10 @@ from perdiff import (
     sup_norm,
 )
 from perdiff import linear
-from perdiff.linear import _mpiq_blocks, _upper_from_blocks
+from perdiff.linear import _mpiq_g1, _mpiq_upper
+from perdiff.mat2 import svals2
 
-from conftest import instance_grid, make_problem
+from conftest import dense_mpiq, g1_atol, instance_grid, make_problem
 
 
 def _ld(b, c, N, g="0"):
@@ -151,6 +154,16 @@ def test_kernel_dims_match_classify_row_by_row(c, N):
     for b, d, r in zip(bs, dim, r_int):
         rc = classify(make_problem(b, c, N, "0"))
         assert (d, r) == (rc.dim, -1 if rc.r_int is None else rc.r_int)
+
+
+@pytest.mark.parametrize("N", [100_000, 100_001])
+def test_more_than_two_resonant_modes_are_refused(N):
+    # the double multiplier 1 of (-2, 1): from N = 99400 on, the modes
+    # k = +-1 pass the cutoff next to k = 0; the O(N) symbol names the count
+    # before any basis is built
+    assert linear.kernel_dims([-2.0], 1.0, N)[0][0] == 3
+    with pytest.raises(ModeLimitError, match=r"^3 resonant modes .*4e-09.* N = "):
+        build_linear_data(make_problem(-2.0, 1.0, N, "0"))
 
 
 def test_kernel_basis_is_in_kernel():
@@ -370,33 +383,63 @@ def test_norm_bound_soundness_and_pinned_value():
         norm_bound_mp_iq(ld, 0)
 
 
-def test_norm_bound_zero_blocks_degenerate_case():
-    assert _upper_from_blocks(np.zeros((3, 2, 3, 2))) == 0.0
+def _dense_upper(B):
+    # per output index t, the sum over i of the largest singular values of
+    # the 2x2 blocks B[t, :, i, :]
+    smax, _ = svals2(B.transpose(0, 2, 1, 3))
+    return float(np.max(np.sum(smax, axis=1)))
+
+
+def _rotation(N):
+    return (-2.0 * math.cos(2.0 * math.pi / N), 1.0, N)
 
 
 def test_norm_bound_batch_matches_single():
-    # the blocks come from one stacked solve; each column is the single
-    # solve on the projected unit sequence
-    for b, c, N in [(-3, 2, 3), (0, 2, 4), (1, 1, 3), (3, 2, 4)]:
-        ld = _ld(b, c, N)
-        B = _mpiq_blocks(ld)
-        assert B.shape == (N, 2, N, 2)
-        for i in range(N):
-            for k in range(2):
-                e = np.zeros((N, 2))
-                e[i, k] = 1.0
-                single = mp_solve(ld, e - proj_Q(ld, e))
-                np.testing.assert_allclose(B[:, :, i, k], single, rtol=0, atol=1e-12)
+    # the bound and G1, gathered from the one column of M_p(I-Q), against
+    # the dense blocks of 2N single solves on projected unit sequences:
+    # dims 0, 1 and 2, the Jordan row (-2, 1), the real pair (0, -1) at
+    # even N, rotations, and a row next to a double multiplier
+    for N in (3, 4, 13, 33, 243):
+        rows = [(0.0, 2.0), (0.5, -3.0), (-3.0, 2.0), (-1.5, 0.5), (-2.0, 1.0),
+                (3.0, 2.0), (-3.000001, 2.0), _rotation(N)[:2]]
+        if N % 2 == 0:
+            rows.append((0.0, -1.0))
+        for b, c in rows:
+            ld = _ld(b, c, N)
+            B = dense_mpiq(ld)
+            assert _mpiq_upper(ld) == pytest.approx(_dense_upper(B), rel=1e-12), (b, c, N)
+            np.testing.assert_allclose(_mpiq_g1(ld), B[:, 0, :, 1], rtol=0,
+                                       atol=g1_atol(ld, B), err_msg=f"{(b, c, N)}")
 
 
 @pytest.mark.parametrize("N", [3, 27, 243, 1025])
 @pytest.mark.parametrize("b, c", [(0.0, 2.0), (0.5, -3.0), (-3.000001, 2.0)])
 def test_norm_bound_dim0_column_matches_dense_blocks(b, c, N):
-    # at dim 0 the bound comes from one column of the circulant L^{-1}
+    # at dim 0 the bound reads one row of blocks, the column of L^{-1}
     ld = _ld(b, c, N)
     assert ld.resonance.dim == 0
-    dense = _upper_from_blocks(_mpiq_blocks(ld))
+    dense = _dense_upper(dense_mpiq(ld))
     assert norm_bound_mp_iq(ld, 1)[1] == pytest.approx(dense, rel=1e-12)
+
+
+@pytest.mark.parametrize("b, c, pinned", [
+    (-1.5, 0.5, 1616.0369388093052),
+    (*_rotation(1025)[:2], 106456.17423182148),
+])
+def test_norm_bound_memory_is_linear_in_N(b, c, pinned):
+    # at N = 1025 the dense (N, 2, N, 2) blocks alone are 34 MB; the bound
+    # is read from one column in chunks of rows, at the value the dense
+    # blocks gave
+    ld = _ld(b, c, 1025)
+    assert ld.resonance.dim in (1, 2)
+    tracemalloc.start()
+    try:
+        _, upper = norm_bound_mp_iq(ld, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert upper == pytest.approx(pinned, rel=1e-12)
 
 
 def test_norm_bound_lower_never_exceeds_upper_across_grid():

@@ -7,6 +7,7 @@ from perdiff import (
     BifurcationMap,
     ConvergenceError,
     BoundaryZeroError,
+    ModeLimitError,
     NotInImageError,
     NoSignChangeError,
     apply_F,
@@ -31,10 +32,9 @@ from perdiff import (
 
 import perdiff.expr as expr
 from perdiff import oracle, reduction
-from perdiff.linear import _mpiq_blocks
 from perdiff.reduction import _aux_jacobian, _brent
 
-from conftest import CANONICAL_G, make_problem
+from conftest import CANONICAL_G, dense_mpiq, g1_atol, make_problem
 
 
 def _bm(b, c, N, g):
@@ -112,11 +112,10 @@ def test_aux_operator_matches_mp_solve(b, c, N):
     _, bm = _bm(b, c, N, "tanh(x)")
     G = bm.aux_operator
     assert G.shape == (N, N)
-    # built from the N g-unit inputs alone, it is the (first, g) slice of
-    # the full blocks (up to rounding of the differently sized FFT stack)
-    B = _mpiq_blocks(bm.ld)
-    np.testing.assert_allclose(G, B[:, 0, :, 1], rtol=0,
-                               atol=4 * np.finfo(float).eps * np.max(np.abs(B)))
+    # gathered from one column, it is the (first, g) slice of the dense
+    # blocks of single solves (up to the rounding of either)
+    B = dense_mpiq(bm.ld)
+    np.testing.assert_allclose(G, B[:, 0, :, 1], rtol=0, atol=g1_atol(bm.ld, B))
     rng = np.random.default_rng(N)
     for _ in range(4):
         F = np.zeros((N, 2))
@@ -133,11 +132,11 @@ def test_aux_operator_matches_mp_solve(b, c, N):
 
 def test_norm_bound_is_computed_only_where_read(monkeypatch):
     # dim-0 and dim-1 solves, and a planar solve with a given radius, never
-    # build the full blocks for the bound; the default radius reads it
-    def no_bound(B):
+    # compute the bound; the default radius reads it
+    def no_bound(ld):
         raise AssertionError("norm bound computed")
 
-    monkeypatch.setattr(reduction, "_upper_from_blocks", no_bound)
+    monkeypatch.setattr(reduction, "_mpiq_upper", no_bound)
     assert solve(make_problem(0, 2, 5, CANONICAL_G)).oracle_verified
     assert solve(make_problem(-3, 2, 3, CANONICAL_G)).oracle_verified
     assert solve(make_problem(1, 1, 3, CANONICAL_G), radius=50.0).oracle_verified
@@ -148,13 +147,15 @@ def test_norm_bound_is_computed_only_where_read(monkeypatch):
 def test_norm_bound_image_failure_is_a_solver_error(monkeypatch):
     _, bm = _bm(1, 1, 3, CANONICAL_G)
 
-    def not_in_image(ld, inputs=(0, 1)):
+    def not_in_image(ld):
         raise NotInImageError(3.3e-9)
 
-    monkeypatch.setattr(reduction, "_mpiq_blocks", not_in_image)
-    with pytest.raises(SolverError, match="not in image") as info:
-        bm.norm_upper
-    assert info.value.diagnostics == {"defect": 3.3e-9, "N": 3}
+    monkeypatch.setattr(reduction, "_mpiq_upper", not_in_image)
+    monkeypatch.setattr(reduction, "_mpiq_g1", not_in_image)
+    for name in ("norm_upper", "aux_operator"):
+        with pytest.raises(SolverError, match="not in image") as info:
+            getattr(bm, name)
+        assert info.value.diagnostics == {"defect": 3.3e-9, "N": 3}
 
 
 @pytest.mark.parametrize("b,c,N", _REGIME_ROWS)
@@ -171,6 +172,11 @@ def test_solve_leaves_the_oracle_to_judge(b, c, N, monkeypatch):
         assert rep.regime == build_linear_data(p).resonance.dim
         assert rep.oracle_verified
         assert rep.residual_sup <= tol
+
+
+def test_solve_refuses_more_than_two_resonant_modes():
+    with pytest.raises(ModeLimitError, match="3 resonant modes"):
+        solve(make_problem(-2.0, 1.0, 100_000, "tanh(x)"))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
