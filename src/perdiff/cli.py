@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Five subcommands over problem files (JSON objects with keys b, c, N, g and
-an optional seed):
+Five subcommands over problem files (JSON objects with keys b, c, N and g;
+other keys are ignored):
 
 * ``classify``  -- kernel dimension, rotation data, resonant-angle membership;
 * ``solve``     -- dispatch to the regime solver, print the solve report;
@@ -99,8 +99,8 @@ def _fmt_float(v: float) -> str:
 # -- problem files -----------------------------------------------------------
 
 
-def load_problem(path: str) -> tuple[Problem, int]:
-    """Read a problem file; returns the problem and its seed (default 0)."""
+def load_problem(path: str) -> Problem:
+    """Read a problem file; keys other than b, c, N and g are ignored."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -114,33 +114,29 @@ def load_problem(path: str) -> tuple[Problem, int]:
     if missing:
         raise _CliError(f"{path}: missing key(s) {sorted(missing)}", EXIT_PARSE)
     try:
-        problem = Problem.from_text(data["b"], data["c"], data["N"], data["g"])
+        return Problem.from_text(data["b"], data["c"], data["N"], data["g"])
     except (expr.ExprError, ValueError, TypeError) as e:
         raise _CliError(f"{path}: {e}", EXIT_PARSE) from None
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise _CliError(f"{path}: seed must be an integer", EXIT_PARSE)
-    return problem, seed
 
 
-def _report_shell(command: str, problem: Problem, seed: int, **flags) -> dict:
+def _report_shell(command: str, problem: Problem, **flags) -> dict:
     return {"tool": "perdiff", "version": __version__, "command": command,
             "input": {"b": problem.b, "c": problem.c, "N": problem.N,
-                      "g": problem.g_text, "seed": seed, **flags}}
+                      "g": problem.g_text, **flags}}
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_classify(args) -> int:
-    problem, seed = load_problem(args.problem)
+    problem = load_problem(args.problem)
     rc = build_linear_data(problem).resonance
     in_u = None
     witness = None
     if abs(problem.b) < 2.0:
         in_u, w = hypotheses.membership_U(problem.b)
         witness = None if w is None else list(w)
-    out = _report_shell("classify", problem, seed)
+    out = _report_shell("classify", problem)
     out.update({
         "dim": rc.dim,
         "theta": rc.theta,
@@ -167,10 +163,8 @@ def _cmd_solve(args) -> int:
         raise _CliError("--radius must be finite", EXIT_USAGE)
     if args.grid < 1:
         raise _CliError("--grid must be >= 1", EXIT_USAGE)
-    problem, seed = load_problem(args.problem)
-    if args.seed is not None:
-        seed = args.seed
-    shell = _report_shell("solve", problem, seed, tol=args.tol, r=args.r,
+    problem = load_problem(args.problem)
+    shell = _report_shell("solve", problem, tol=args.tol, r=args.r,
                           radius=args.radius, grid=args.grid)
     try:
         report = reduction.solve(problem, tol=args.tol, r=args.r,
@@ -183,7 +177,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    problem, seed = load_problem(args.problem)
+    problem = load_problem(args.problem)
     try:
         with open(args.solution, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -195,14 +189,22 @@ def _cmd_verify(args) -> int:
     if len(y) != problem.N:
         raise _CliError(
             f"solution has {len(y)} values but N={problem.N}", EXIT_PARSE)
-    y = np.asarray([float(v) for v in y])
+    values = []
+    for i, v in enumerate(y):
+        try:
+            if isinstance(v, (bool, str)):  # float() would take true or "1.5"
+                raise TypeError
+            values.append(float(v))
+        except (TypeError, OverflowError):
+            raise _CliError(f"solution entry y[{i}] is not a number: {json.dumps(v)}",
+                            EXIT_PARSE) from None
+    y = np.asarray(values)
     try:
         res = float(np.max(np.abs(oracle.residual(problem, y))))
     except expr.DomainError as e:
         raise _CliError(f"cannot evaluate residual: {e}", EXIT_PARSE) from None
     passed = res <= args.tol
-    out = _report_shell("verify", problem, seed, tol=args.tol,
-                        solution=[float(v) for v in y])
+    out = _report_shell("verify", problem, tol=args.tol, solution=values)
     out.update({"residual_sup": res, "passed": passed})
     print(to_json(out))
     return EXIT_OK if passed else EXIT_SOLVER
@@ -211,15 +213,12 @@ def _cmd_verify(args) -> int:
 def _cmd_check(args) -> int:
     if args.grid < 2:
         raise _CliError("--grid must be >= 2", EXIT_USAGE)
-    problem, seed = load_problem(args.problem)
-    if args.seed is not None:
-        seed = args.seed
-    shell = _report_shell("check", problem, seed, theorem=args.theorem,
+    problem = load_problem(args.problem)
+    shell = _report_shell("check", problem, theorem=args.theorem,
                           r=args.r, zhat=args.zhat, R=args.R, grid=args.grid)
     try:
         if args.theorem == "thm1":
-            report = hypotheses.check_thm1(problem, r=args.r, zhat=args.zhat,
-                                           grid=args.grid, seed=seed)
+            report = hypotheses.check_thm1(problem, r=args.r, zhat=args.zhat, grid=args.grid)
         elif args.theorem == "cor":
             report = hypotheses.check_corollary(problem, R=args.R, grid=args.grid)
         else:
@@ -306,7 +305,6 @@ def _build_parser() -> _Parser:
                    help="search radius for the two-dimensional kernel (0 = auto)")
     p.add_argument("--grid", type=int, default=9,
                    help="seed grid size for the two-dimensional kernel")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("verify", help="residual-check a solution file")
@@ -322,7 +320,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--zhat", type=_positive_float, default=1.0)
     p.add_argument("--R", type=_positive_float, default=1.0)
     p.add_argument("--grid", type=int, default=201)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("scan", help="classification sweep over b, CSV output")

@@ -11,8 +11,8 @@ Suprema and infima of g are sampled on grids, never proven: sampled
 verdicts are flagged as such in the report, and the 5% inflation of
 suprema / deflation of infima only ever pushes a verdict toward "fail",
 so a reported pass under-claims relative to the true bounds. Reports are
-pure functions of their inputs (the Monte Carlo part of the norm bound
-uses an explicit seed), hence bit-for-bit reproducible.
+pure functions of their inputs, with no random sampling, hence bit-for-bit
+reproducible.
 """
 
 from __future__ import annotations
@@ -127,14 +127,14 @@ def _sign_condition(problem: Problem, lo: float, hi: float, grid: int) -> tuple[
 # -- theorem for kernel dimension < 2 ----------------------------------------
 
 
-def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201,
-               mc_samples: int = 200, seed: int = 0) -> CheckReport:
+def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201) -> CheckReport:
     """Bounded-window existence hypotheses for kernel dimension 0 or 1.
 
     C1: |g| <= delta on [-2r, 2r] for all t (delta sampled, inflated 5%,
         plus the required N-periodicity of g in t);
     C2: x*g(t,x) > 0 sampled on zhat < |x| <= 4r;
-    C3: zhat + ||M_p(I-Q)|| * delta < r with the sound norm upper bound;
+    C3: zhat + ||M_p(I-Q)|| * delta < r with the sound norm upper bound
+        (the lower bound, realised by an explicit unit input, is reported alongside);
     C4: a two-dimensional kernel is excluded (if N*arccos(-b/2) is a
         multiple of 2*pi then c != 1 or |b| >= 2).
     """
@@ -162,11 +162,11 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201,
         "sampled, not proven",
     )
 
-    lower, upper = norm_bound_mp_iq(ld, mc_samples, seed=seed)
+    lower, upper = norm_bound_mp_iq(ld)
     lhs = zhat + upper * delta
     c3 = Condition(
         "C3", bool(lhs < r), False,
-        {"norm_upper": upper, "norm_lower_mc": lower, "lhs": lhs, "r": r},
+        {"norm_upper": upper, "norm_lower": lower, "lhs": lhs, "r": r},
         "uses the sound operator-norm upper bound",
     )
 
@@ -179,8 +179,7 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201,
 
     return CheckReport(
         "thm1", (c1, c2, c3, c4),
-        {"r": r, "zhat": zhat, "grid": grid, "mc_samples": mc_samples,
-         "seed": seed, "dim": ld.resonance.dim},
+        {"r": r, "zhat": zhat, "grid": grid, "dim": ld.resonance.dim},
     )
 
 

@@ -30,13 +30,14 @@ vanishes:
   FFT, and the removal of the P component;
 * M_p(I - Q) as one (N, 2, 2) column, a block circulant minus the rank-dim
   read-off P, with two readers: the (N, N) block G1 of the auxiliary
-  equation, and a sound upper bound for its norm in O(N) memory, which the
-  existence-theorem checkers pair with a Monte Carlo lower bound.
+  equation, and a bracket (lower, upper) for its norm in O(N) memory, read
+  off its rows of 2x2 blocks: a sound upper bound, and a lower bound that
+  an explicit unit input realises.
 
 The operators apply_L, image_test, proj_P, proj_Q and mp_solve take one
 sequence (N, 2) or a stack (..., N, 2) of them and act on each member, so
-every application of M_p, including the operator's column and the Monte
-Carlo samples, runs through ``mp_solve``.
+every application of M_p, including the operator's column, runs through
+``mp_solve``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,9 @@ from .mat2 import svals2
 # on (99400 for b = -2, c = 1); build_linear_data refuses them.
 RESONANT_RTOL = 1e-9
 
-# symbol entries per chunk in kernel_dims, 2x2 blocks per chunk in _mpiq_upper
+# symbol entries per chunk in kernel_dims, 2x2 blocks per chunk in _mpiq_bounds
 _CHUNK_ENTRIES = 1 << 16
+_HALF_SQRT2 = math.sqrt(0.5)
 
 
 class ModeLimitError(RuntimeError):
@@ -93,6 +95,9 @@ class Problem:
 
     @classmethod
     def from_text(cls, b: float, c: float, N: int, g_text: str) -> "Problem":
+        # int() would truncate a period such as 3.5
+        if not float(N).is_integer():
+            raise ValueError("N must be an integer >= 2")
         return cls(float(b), float(c), int(N), expr.parse(g_text), g_text)
 
 
@@ -307,21 +312,31 @@ def _mpiq_column(ld: LinearData) -> tuple[np.ndarray, np.ndarray]:
             proj_P(ld, E).transpose(1, 2, 0))
 
 
-def _mpiq_upper(ld: LinearData) -> float:
-    """max over t of the sum over i of the largest singular value of block (t, i).
+def _mpiq_bounds(ld: LinearData) -> tuple[float, float]:
+    """(lower, upper) for the norm of M_p (I - Q), read off its rows of 2x2 blocks.
 
     Row t, over the inputs (-i) % N, is D[(t + i) % N] - K[t] @ D[i], built
-    in chunks of rows; at dim 0, K = 0 and row 0 stands for all."""
+    in chunks of rows; at dim 0, K = 0 and row 0 stands for all. upper is the
+    max over t of the sum over i of the largest singular value of block
+    B = (t, i). lower is the max over t and u of the sum over i of |B^T u|,
+    for u in e1, e2 and (e1 +- e2)/sqrt2: the input x(i) = B^T u / |B^T u|
+    has sup-norm 1 and u . (M x)(t) equals that sum, so the norm is at least it.
+    """
     D, K = _mpiq_column(ld)
     N = len(D)
     window = np.lib.stride_tricks.sliding_window_view(np.concatenate([D, D]), N, axis=0)
     K = K[:N if ld.resonance.dim else 1]
-    upper, step = 0.0, max(1, _CHUNK_ENTRIES // N)
+    lower = upper = 0.0
+    step = max(1, _CHUNK_ENTRIES // N)
     for s in range(0, len(K), step):
         rows = np.tensordot(K[s:s + step], D, axes=(2, 1))  # [t, out, i, in]
         np.subtract(window[s:s + len(rows)].transpose(0, 1, 3, 2), rows, out=rows)
         upper = max(upper, float(np.max(np.sum(svals2(rows.transpose(0, 2, 1, 3))[0], axis=1))))
-    return upper
+        (a, b), (c, d) = rows.transpose(1, 3, 0, 2)  # B = [[a, b], [c, d]], each [t, i]
+        for x, y, scale in ((a, b, 1.0), (c, d, 1.0), (a + c, b + d, _HALF_SQRT2),
+                            (a - c, b - d, _HALF_SQRT2)):
+            lower = max(lower, scale * float(np.max(np.sum(np.sqrt(x * x + y * y), axis=1))))
+    return lower, upper
 
 
 def _mpiq_g1(ld: LinearData) -> np.ndarray:
@@ -331,26 +346,12 @@ def _mpiq_g1(ld: LinearData) -> np.ndarray:
     return D[(i[:, None] - i) % len(D), 0, 1] - K[:, 0] @ D[-i % len(D), :, 1].T
 
 
-def norm_bound_mp_iq(ld: LinearData, mc_samples: int, seed: int = 0) -> tuple[float, float]:
+def norm_bound_mp_iq(ld: LinearData) -> tuple[float, float]:
     """(lower, upper) bracketing the operator norm of M_p (I - Q).
 
-    The upper bound, ``_mpiq_upper``, dominates the norm induced by the
-    sup-of-Euclidean sequence norm, so hypothesis checks built on it are
-    conservative. The lower bound maximizes over mc_samples random inputs
-    of unit sup-norm (deterministic for a fixed seed).
+    Both come from ``_mpiq_bounds`` and hold for the norm induced by the
+    sup-of-Euclidean sequence norm. The upper bound dominates it, so
+    hypothesis checks built on it are conservative; the image of an
+    explicit unit input reaches the lower bound.
     """
-    if mc_samples < 1:
-        raise ValueError("mc_samples must be >= 1")
-    upper = _mpiq_upper(ld)
-    rng = np.random.default_rng(seed)
-    lower = 0.0
-    remaining = int(mc_samples)
-    while remaining > 0:
-        batch = min(remaining, 4096)
-        H = rng.standard_normal((batch, ld.problem.N, 2))
-        scale = np.max(np.linalg.norm(H, axis=2), axis=1)
-        H /= scale[:, None, None]
-        out = mp_solve(ld, H - proj_Q(ld, H))
-        lower = max(lower, float(np.max(np.linalg.norm(out, axis=2))))
-        remaining -= batch
-    return lower, upper
+    return _mpiq_bounds(ld)

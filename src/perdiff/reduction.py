@@ -53,8 +53,8 @@ from .linear import (
     proj_P,
     proj_Q,
     sup_norm,
+    _mpiq_bounds,
     _mpiq_g1,
-    _mpiq_upper,
 )
 
 # tolerance and Newton step budget of one auxiliary solve
@@ -148,7 +148,7 @@ class BifurcationMap:
     @cached_property
     def norm_upper(self) -> float:
         """Cached sound upper bound for the norm of M_p (I - Q)."""
-        return self._mpiq(_mpiq_upper)
+        return self._mpiq(_mpiq_bounds)[1]
 
     @cached_property
     def aux_operator(self) -> np.ndarray:

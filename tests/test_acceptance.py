@@ -248,17 +248,13 @@ def test_criterion_07_resonant_angle_membership():
 
 def test_criterion_08_norm_bound_soundness():
     with criterion(8, "norm bound soundness"):
-        for b, c, N in instance_grid():
-            ld = build_linear_data(make_problem(b, c, N, "0"))
-            lower, upper = norm_bound_mp_iq(ld, 200, seed=8)
-            assert lower <= upper * (1.0 + 1e-12)
-        for b, c in [(0, 2), (-3, 2), (1, 1)]:
-            ld = build_linear_data(make_problem(b, c, 3, "0"))
-            lower, upper = norm_bound_mp_iq(ld, 20000, seed=8)
-            assert lower <= upper * (1.0 + 1e-12)
-            ratio = upper / lower
-            if ratio > 4.0:
-                print(f"  flag: norm-bound ratio {ratio:.2f} > 4 at (b={b}, c={c}, N=3)")
+        # |B^T u| >= smax(B) |u . v| with v the top left singular vector, and
+        # |u . v| averages at least 0.60 over the four directions u, so the
+        # attained lower bound is within a factor 1/0.60 < 2 of the upper
+        for b, c, N in instance_grid() + [(0, 2, 3), (-3, 2, 3), (1, 1, 3)]:
+            lower, upper = norm_bound_mp_iq(build_linear_data(make_problem(b, c, N, "0")))
+            assert lower <= upper * (1.0 + 1e-12), (b, c, N)
+            assert upper <= 2.0 * lower, (b, c, N)
 
 
 def test_criterion_09_slow_growth_reproduction():

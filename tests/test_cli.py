@@ -152,6 +152,19 @@ def test_verify_rejects_invalid_tol(tol, tmp_path, capsys):
     assert "--tol" in captured.err
 
 
+@pytest.mark.parametrize("entry", ['"a"', '"0"', "null", "true", "[1]", "{}", "1" + "0" * 400],
+                         ids=["text", "numeric-text", "null", "bool", "list", "object", "huge-int"])
+def test_verify_rejects_non_numeric_entry(entry, tmp_path, capsys):
+    # one message naming the bad index, with the parse-error code
+    path = write_problem(tmp_path / "p.json", 0, 2, 3, "0")
+    sol = tmp_path / "bad.json"
+    sol.write_text('{"y": [0, %s, 0]}' % entry)
+    assert cli.main(["verify", path, str(sol)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "y[1]" in captured.err
+
+
 def test_verify_length_mismatch(tmp_path, dim1_file):
     sol = tmp_path / "short.json"
     sol.write_text(json.dumps({"y": [0.0, 0.0]}))
@@ -310,6 +323,21 @@ def test_parse_error_exits(tmp_path):
     assert run_cli("classify", str(bad))[0] == 2
     bad.write_text(json.dumps({"b": 1, "c": 0, "N": 3, "g": "x"}))
     assert run_cli("classify", str(bad))[0] == 2
+    # a non-integral period is refused, not truncated to 3
+    bad.write_text(json.dumps({"b": 1, "c": 1, "N": 3.5, "g": "x"}))
+    code, _, err = run_cli("classify", str(bad))
+    assert code == 2 and "integer" in err
+
+
+def test_problem_file_seed_is_ignored(tmp_path, capsys):
+    # an old problem file with a seed loads; reports echo no seed, and the
+    # subcommands take no --seed
+    path = write_problem(tmp_path / "p.json", 0, 2, 3, CANONICAL_G, seed=42)
+    assert cli.main(["classify", path]) == cli.EXIT_OK
+    assert "seed" not in json.loads(capsys.readouterr().out)["input"]
+    for argv in (["solve", path], ["check", path, "--theorem", "thm1"]):
+        assert cli.main([*argv, "--seed", "1"]) == cli.EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
 
 
 def test_usage_error_exits():

@@ -20,7 +20,7 @@ from perdiff import (
     sup_norm,
 )
 from perdiff import linear
-from perdiff.linear import _mpiq_g1, _mpiq_upper
+from perdiff.linear import _mpiq_bounds, _mpiq_g1
 from perdiff.mat2 import svals2
 
 from conftest import dense_mpiq, g1_atol, instance_grid, make_problem
@@ -52,6 +52,11 @@ def test_problem_validation():
         Problem.from_text(1, 0, 3, "x")
     with pytest.raises(ValueError):
         Problem.from_text(1, 1, 1, "x")
+    # a non-integral period is refused, not truncated; integral values load
+    for N in (3.5, 2.000001, math.inf, math.nan):
+        with pytest.raises(ValueError, match="integer"):
+            Problem.from_text(1, 1, N, "x")
+    assert Problem.from_text(1, 1, 3.0, "x").N == Problem.from_text(1, 1, 3, "x").N == 3
 
 
 def test_monodromy_values():
@@ -373,14 +378,12 @@ def test_V_is_orthogonal_projector():
 
 def test_norm_bound_soundness_and_pinned_value():
     ld = _ld(0, 2, 3)
-    lower, upper = norm_bound_mp_iq(ld, 100_000, seed=0)
+    lower, upper = norm_bound_mp_iq(ld)
     assert lower <= upper
-    # pinned on first run of the block construction; the Monte Carlo lower
-    # bound must come within a factor 2 of it
+    # pinned on first run of the block construction; the four-direction
+    # lower bound must come within a factor 1.2 of it
     assert upper == pytest.approx(1.9176483170182115, rel=1e-12)
-    assert upper <= 2.0 * lower
-    with pytest.raises(ValueError):
-        norm_bound_mp_iq(ld, 0)
+    assert upper <= 1.2 * lower
 
 
 def _dense_upper(B):
@@ -390,15 +393,29 @@ def _dense_upper(B):
     return float(np.max(np.sum(smax, axis=1)))
 
 
+def _dense_lower(B):
+    # (value, t, u) maximizing the sum over i of |B[t, :, i, :]^T u| over t
+    # and u in e1, e2, (e1 +- e2)/sqrt2
+    s = math.sqrt(0.5)
+    best = (-1.0, None, None)
+    for u in np.array([[1.0, 0.0], [0.0, 1.0], [s, s], [s, -s]]):
+        sums = np.sum(np.linalg.norm(np.einsum("o,toik->tik", u, B), axis=2), axis=1)
+        t = int(np.argmax(sums))
+        best = max(best, (float(sums[t]), t, u), key=lambda v: v[0])
+    return best
+
+
 def _rotation(N):
     return (-2.0 * math.cos(2.0 * math.pi / N), 1.0, N)
 
 
 def test_norm_bound_batch_matches_single():
-    # the bound and G1, gathered from the one column of M_p(I-Q), against
+    # the bounds and G1, gathered from the one column of M_p(I-Q), against
     # the dense blocks of 2N single solves on projected unit sequences:
     # dims 0, 1 and 2, the Jordan row (-2, 1), the real pair (0, -1) at
-    # even N, rotations, and a row next to a double multiplier
+    # even N, rotations, and a row next to a double multiplier. The lower
+    # bound is realised: the unit input x(i) = B[t, :, i, :]^T u / |...|
+    # of the maximizing (t, u) has an image at least that long at t.
     for N in (3, 4, 13, 33, 243):
         rows = [(0.0, 2.0), (0.5, -3.0), (-3.0, 2.0), (-1.5, 0.5), (-2.0, 1.0),
                 (3.0, 2.0), (-3.000001, 2.0), _rotation(N)[:2]]
@@ -407,7 +424,14 @@ def test_norm_bound_batch_matches_single():
         for b, c in rows:
             ld = _ld(b, c, N)
             B = dense_mpiq(ld)
-            assert _mpiq_upper(ld) == pytest.approx(_dense_upper(B), rel=1e-12), (b, c, N)
+            lower, upper = _mpiq_bounds(ld)
+            assert upper == pytest.approx(_dense_upper(B), rel=1e-12), (b, c, N)
+            dense_lower, t, u = _dense_lower(B)
+            assert lower == pytest.approx(dense_lower, rel=1e-12), (b, c, N)
+            x = np.einsum("o,oik->ik", u, B[t])
+            x /= np.maximum(np.linalg.norm(x, axis=1), 1e-300)[:, None]
+            image = mp_solve(ld, x - proj_Q(ld, x))
+            assert np.linalg.norm(image[t]) >= lower * (1.0 - 1e-12), (b, c, N)
             np.testing.assert_allclose(_mpiq_g1(ld), B[:, 0, :, 1], rtol=0,
                                        atol=g1_atol(ld, B), err_msg=f"{(b, c, N)}")
 
@@ -419,7 +443,7 @@ def test_norm_bound_dim0_column_matches_dense_blocks(b, c, N):
     ld = _ld(b, c, N)
     assert ld.resonance.dim == 0
     dense = _dense_upper(dense_mpiq(ld))
-    assert norm_bound_mp_iq(ld, 1)[1] == pytest.approx(dense, rel=1e-12)
+    assert norm_bound_mp_iq(ld)[1] == pytest.approx(dense, rel=1e-12)
 
 
 @pytest.mark.parametrize("b, c, pinned", [
@@ -434,7 +458,7 @@ def test_norm_bound_memory_is_linear_in_N(b, c, pinned):
     assert ld.resonance.dim in (1, 2)
     tracemalloc.start()
     try:
-        _, upper = norm_bound_mp_iq(ld, 1)
+        _, upper = norm_bound_mp_iq(ld)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -446,5 +470,5 @@ def test_norm_bound_lower_never_exceeds_upper_across_grid():
     # N = 243: multipliers of modulus sqrt(2), and 1.5 and -2
     for b, c, N in instance_grid()[::7] + [(0.0, 2.0, 243), (0.5, -3.0, 243)]:
         ld = _ld(b, c, N)
-        lower, upper = norm_bound_mp_iq(ld, 50, seed=1)
+        lower, upper = norm_bound_mp_iq(ld)
         assert lower <= upper * (1.0 + 1e-12)

@@ -136,7 +136,7 @@ def test_norm_bound_is_computed_only_where_read(monkeypatch):
     def no_bound(ld):
         raise AssertionError("norm bound computed")
 
-    monkeypatch.setattr(reduction, "_mpiq_upper", no_bound)
+    monkeypatch.setattr(reduction, "_mpiq_bounds", no_bound)
     assert solve(make_problem(0, 2, 5, CANONICAL_G)).oracle_verified
     assert solve(make_problem(-3, 2, 3, CANONICAL_G)).oracle_verified
     assert solve(make_problem(1, 1, 3, CANONICAL_G), radius=50.0).oracle_verified
@@ -150,7 +150,7 @@ def test_norm_bound_image_failure_is_a_solver_error(monkeypatch):
     def not_in_image(ld):
         raise NotInImageError(3.3e-9)
 
-    monkeypatch.setattr(reduction, "_mpiq_upper", not_in_image)
+    monkeypatch.setattr(reduction, "_mpiq_bounds", not_in_image)
     monkeypatch.setattr(reduction, "_mpiq_g1", not_in_image)
     for name in ("norm_upper", "aux_operator"):
         with pytest.raises(SolverError, match="not in image") as info:
