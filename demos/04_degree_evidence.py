@@ -13,7 +13,7 @@ from perdiff import (
     bifurcation_value,
     build_linear_data,
     solve,
-    winding_number,
+    winding_of_map,
 )
 
 G = "tanh(x)+0.1*cos(2*pi*t/3)"
@@ -32,7 +32,7 @@ print("two-dimensional kernel (b, c) = (1, 1): winding of the planar map")
 p2 = Problem.from_text(1, 1, 3, G)
 bm2 = BifurcationMap(p2, build_linear_data(p2))
 for radius in (5.0, 20.0, 50.0, 200.0):
-    w = winding_number(bm2, radius)
+    w = winding_of_map(lambda a: bifurcation_value(bm2, a), radius)
     print(f"  radius {radius:6.1f}: winding = {w}")
 
 print()

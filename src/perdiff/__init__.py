@@ -51,10 +51,6 @@ from .reduction import (
     bifurcation_jacobian,
     bifurcation_value,
     solve,
-    solve_1d,
-    solve_2d,
-    solve_nonresonant,
-    winding_number,
     winding_of_map,
 )
 
@@ -69,6 +65,5 @@ __all__ = [
     "check_thm2", "classify", "companion_matrix", "evaluate", "image_test",
     "membership_U", "mp_solve", "multistart_search",
     "newton_solve", "norm_bound_mp_iq", "parse", "proj_P", "proj_Q",
-    "residual", "solve", "solve_1d", "solve_2d", "solve_nonresonant",
-    "sup_norm", "svals2", "winding_number", "winding_of_map",
+    "residual", "solve", "sup_norm", "svals2", "winding_of_map",
 ]

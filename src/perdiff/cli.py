@@ -113,6 +113,13 @@ def load_problem(path: str) -> Problem:
     missing = {"b", "c", "N", "g"} - set(data)
     if missing:
         raise _CliError(f"{path}: missing key(s) {sorted(missing)}", EXIT_PARSE)
+    # float() and int() would take "3" and true; a JSON bool is an int to Python
+    for key in ("b", "c", "N"):
+        if isinstance(data[key], bool) or not isinstance(data[key], (int, float)):
+            raise _CliError(f"{path}: {key} must be a number, not {json.dumps(data[key])}",
+                            EXIT_PARSE)
+    if not isinstance(data["g"], str):
+        raise _CliError(f"{path}: g must be a string, not {json.dumps(data['g'])}", EXIT_PARSE)
     try:
         return Problem.from_text(data["b"], data["c"], data["N"], data["g"])
     except (expr.ExprError, ValueError, TypeError) as e:

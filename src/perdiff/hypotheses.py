@@ -135,8 +135,9 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201) -> Chec
     C2: x*g(t,x) > 0 sampled on zhat < |x| <= 4r;
     C3: zhat + ||M_p(I-Q)|| * delta < r with the sound norm upper bound
         (the lower bound, realised by an explicit unit input, is reported alongside);
-    C4: a two-dimensional kernel is excluded (if N*arccos(-b/2) is a
-        multiple of 2*pi then c != 1 or |b| >= 2).
+    C4: the kernel is at most one-dimensional, as ``build_linear_data``
+        classifies it (at odd N the only two-dimensional kernel is the
+        rotation one: c = 1, |b| < 2 and N*arccos(-b/2) a multiple of 2*pi).
     """
     if problem.N % 2 == 0 or problem.N <= 1:
         raise ValueError("this check requires an odd period N > 1")
@@ -170,28 +171,14 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201) -> Chec
         "uses the sound operator-norm upper bound",
     )
 
-    c4_pass, theta, multiple = _c4_verdict(problem)
-    c4 = Condition(
-        "C4", c4_pass, False,
-        {"theta": theta, "N_theta_multiple_of_2pi": multiple,
-         "c": problem.c, "abs_b": abs(problem.b)},
-    )
+    rc = ld.resonance
+    c4 = Condition("C4", bool(rc.dim < 2), False,
+                   {"dim": int(rc.dim), "theta": rc.theta, "r_int": rc.r_int})
 
     return CheckReport(
         "thm1", (c1, c2, c3, c4),
-        {"r": r, "zhat": zhat, "grid": grid, "dim": ld.resonance.dim},
+        {"r": r, "zhat": zhat, "grid": grid, "dim": rc.dim},
     )
-
-
-def _c4_verdict(problem: Problem) -> tuple[bool, float | None, bool]:
-    if abs(problem.b) >= 2.0:
-        return True, None, False
-    theta = math.acos(-problem.b / 2.0)
-    rot = problem.N * theta / (2.0 * math.pi)
-    multiple = abs(rot - round(rot)) <= 1e-9 and round(rot) != 0
-    if not multiple:
-        return True, theta, False
-    return abs(problem.c - 1.0) > 1e-12, theta, True
 
 
 # -- resonance set membership ------------------------------------------------

@@ -55,7 +55,7 @@ from .mat2 import svals2
 # on (99400 for b = -2, c = 1); build_linear_data refuses them.
 RESONANT_RTOL = 1e-9
 
-# symbol entries per chunk in kernel_dims, 2x2 blocks per chunk in _mpiq_bounds
+# symbol entries per chunk in kernel_dims, 2x2 blocks per chunk in norm_bound_mp_iq
 _CHUNK_ENTRIES = 1 << 16
 _HALF_SQRT2 = math.sqrt(0.5)
 
@@ -312,15 +312,18 @@ def _mpiq_column(ld: LinearData) -> tuple[np.ndarray, np.ndarray]:
             proj_P(ld, E).transpose(1, 2, 0))
 
 
-def _mpiq_bounds(ld: LinearData) -> tuple[float, float]:
-    """(lower, upper) for the norm of M_p (I - Q), read off its rows of 2x2 blocks.
+def norm_bound_mp_iq(ld: LinearData) -> tuple[float, float]:
+    """(lower, upper) bracketing the operator norm of M_p (I - Q).
 
-    Row t, over the inputs (-i) % N, is D[(t + i) % N] - K[t] @ D[i], built
-    in chunks of rows; at dim 0, K = 0 and row 0 stands for all. upper is the
-    max over t of the sum over i of the largest singular value of block
-    B = (t, i). lower is the max over t and u of the sum over i of |B^T u|,
-    for u in e1, e2 and (e1 +- e2)/sqrt2: the input x(i) = B^T u / |B^T u|
-    has sup-norm 1 and u . (M x)(t) equals that sum, so the norm is at least it.
+    Both hold for the norm induced by the sup-of-Euclidean sequence norm and
+    are read off the operator's rows of 2x2 blocks: row t, over the inputs
+    (-i) % N, is D[(t + i) % N] - K[t] @ D[i], built in chunks of rows; at
+    dim 0, K = 0 and row 0 stands for all. upper, the max over t of the sum
+    over i of the largest singular value of block B = (t, i), dominates the
+    norm, so hypothesis checks built on it are conservative. lower is the max
+    over t and u of the sum over i of |B^T u|, for u in e1, e2 and
+    (e1 +- e2)/sqrt2: the input x(i) = B^T u / |B^T u| has sup-norm 1 and
+    u . (M x)(t) equals that sum, so the norm is at least it.
     """
     D, K = _mpiq_column(ld)
     N = len(D)
@@ -344,14 +347,3 @@ def _mpiq_g1(ld: LinearData) -> np.ndarray:
     D, K = _mpiq_column(ld)
     i = np.arange(len(D))
     return D[(i[:, None] - i) % len(D), 0, 1] - K[:, 0] @ D[-i % len(D), :, 1].T
-
-
-def norm_bound_mp_iq(ld: LinearData) -> tuple[float, float]:
-    """(lower, upper) bracketing the operator norm of M_p (I - Q).
-
-    Both come from ``_mpiq_bounds`` and hold for the norm induced by the
-    sup-of-Euclidean sequence norm. The upper bound dominates it, so
-    hypothesis checks built on it are conservative; the image of an
-    explicit unit input reaches the lower bound.
-    """
-    return _mpiq_bounds(ld)

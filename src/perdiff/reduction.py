@@ -16,23 +16,12 @@ g-values of the converged residual, and the same Jacobian gives its
 derivative by the implicit-function theorem, so the planar Newton step
 needs no further auxiliary solve.
 
-Depending on the kernel dimension of the linear part this gives three
-solvers:
-
-* ``solve_nonresonant`` -- invertible linear part; the auxiliary equation
-  with P = Q = 0, i.e. the fixed point of L^{-1} F, and no bifurcation
-  equation;
-* ``solve_1d`` -- one kernel direction; Brent's method on the scalar
-  bifurcation function over [-r, r] after checking it changes sign; it
-  keeps a sign-change bracket throughout, mirroring the sign argument that
-  proves existence;
-* ``solve_2d`` -- two kernel directions; the winding number of the planar
-  bifurcation map around a circle provides degree evidence, then Newton from
-  a deterministic grid of seeds locates a zero.
-
-One damped Newton loop and one bracketing root finder serve all three. All
-produced solutions are re-validated: the two reduced equations, the scalar
-recurrence residual, and the independent oracle check.
+``solve`` is the one entry point. It checks its arguments, builds the
+linear data once and runs the regime solver of the kernel dimension (0, 1
+or 2), as its docstring describes. One damped Newton loop and one
+bracketing root finder serve all three. Every solution is re-validated: the
+two reduced equations hold, and the recurrence residual, computed by the
+independent oracle module, is within tol.
 """
 
 from __future__ import annotations
@@ -50,10 +39,10 @@ from .linear import (
     Problem,
     build_linear_data,
     mp_solve,
+    norm_bound_mp_iq,
     proj_P,
     proj_Q,
     sup_norm,
-    _mpiq_bounds,
     _mpiq_g1,
 )
 
@@ -148,7 +137,7 @@ class BifurcationMap:
     @cached_property
     def norm_upper(self) -> float:
         """Cached sound upper bound for the norm of M_p (I - Q)."""
-        return self._mpiq(_mpiq_bounds)[1]
+        return self._mpiq(norm_bound_mp_iq)[1]
 
     @cached_property
     def aux_operator(self) -> np.ndarray:
@@ -345,13 +334,6 @@ def winding_of_map(fn, radius: float, samples: int = 8) -> int:
     raise ConvergenceError("winding sweep did not stabilize")
 
 
-def winding_number(bm: BifurcationMap, radius: float, samples: int = 8) -> int:
-    """Winding number of the planar bifurcation map on |alpha| = radius."""
-    if bm.dim != 2:
-        raise ValueError("winding numbers need a two-dimensional kernel")
-    return winding_of_map(lambda a: bifurcation_value(bm, a), radius, samples)
-
-
 # -- solve reports ---------------------------------------------------------
 
 
@@ -388,13 +370,13 @@ def _check_reduced_equations(problem: Problem, ld: LinearData, x: np.ndarray,
                              tol: float) -> None:
     # both halves of the reduction must hold on any accepted solution
     Fx = apply_F(problem, x)
-    aux = x - proj_P(ld, x) - mp_solve(ld, Fx - proj_Q(ld, Fx))
-    if sup_norm(aux) > 10.0 * tol:
-        raise SolverError(f"auxiliary equation violated ({sup_norm(aux):.3e})")
-    if sup_norm(proj_Q(ld, Fx)) > 10.0 * tol:
-        raise SolverError(
-            f"bifurcation equation violated ({sup_norm(proj_Q(ld, Fx)):.3e})"
-        )
+    QFx = proj_Q(ld, Fx)
+    aux = sup_norm(x - proj_P(ld, x) - mp_solve(ld, Fx - QFx))
+    if aux > 10.0 * tol:
+        raise SolverError(f"auxiliary equation violated ({aux:.3e})")
+    bif = sup_norm(QFx)
+    if bif > 10.0 * tol:
+        raise SolverError(f"bifurcation equation violated ({bif:.3e})")
 
 
 _REGIME_NAMES = {0: "nonresonant", 1: "resonant 1d", 2: "resonant 2d"}
@@ -416,7 +398,7 @@ def _finalize(bm: BifurcationMap, y: np.ndarray, alpha, tol: float, iterations: 
         alpha=None if alpha is None else np.atleast_1d(np.asarray(alpha, dtype=float)),
         winding=winding,
         degree_evidence=degree_evidence,
-        oracle_verified=oracle.check_solution(problem, y, tol=1e-9),
+        oracle_verified=residual_sup <= 1e-9,
         iterations=iterations,
         nontrivial_root_found=nontrivial,
     )
@@ -432,14 +414,6 @@ def _forcing_free(problem: Problem) -> bool:
     # does the zero sequence solve the problem (g(t, 0) = 0 for every t)?
     vals = expr.evaluate(problem.g, np.arange(problem.N), np.zeros(problem.N))
     return float(np.max(np.abs(np.asarray(vals)))) <= 1e-13
-
-
-def _regime_map(problem: Problem, dim: int) -> BifurcationMap:
-    # the map a public regime solver works on; it must match the kernel dim
-    ld = build_linear_data(problem)
-    if ld.resonance.dim != dim:
-        raise ValueError(f"kernel dimension is {ld.resonance.dim}, not {dim}")
-    return BifurcationMap(problem, ld)
 
 
 def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -496,12 +470,7 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
 # -- regime 0: invertible linear part ---------------------------------------
 
 
-def solve_nonresonant(problem: Problem, tol: float = 1e-9) -> SolveReport:
-    """Fixed point of L^{-1} F: the auxiliary equation with P = Q = 0."""
-    return _solve_nonresonant(_regime_map(problem, 0), tol)
-
-
-def _solve_nonresonant(bm: BifurcationMap, tol: float) -> SolveReport:
+def _solve_dim0(bm: BifurcationMap, tol: float) -> SolveReport:
     y, _ = _aux_fixed_point(bm, bm.kernel_lift([]))
     return _finalize(bm, y, None, tol, {"inner_fixed_point": bm._inner_iters})
 
@@ -509,21 +478,7 @@ def _solve_nonresonant(bm: BifurcationMap, tol: float) -> SolveReport:
 # -- regime 1: one-dimensional kernel ---------------------------------------
 
 
-def solve_1d(problem: Problem, r: float = 10.0, tol: float = 1e-9) -> SolveReport:
-    """Brent's method on the scalar bifurcation function over [-r, r].
-
-    Requires the function to take opposite signs at the two ends (this is
-    what the existence argument guarantees under its hypotheses); raises
-    NoSignChangeError otherwise. The sign-change bracket is kept down to
-    width 1e-12 * r; ``iterations["bisection"]`` counts the evaluations of
-    the bifurcation function inside it.
-    """
-    return _solve_1d(_regime_map(problem, 1), r, tol)
-
-
-def _solve_1d(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
-    if r <= 0:
-        raise ValueError("r must be positive")
+def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
     problem = bm.problem
 
     def beta(a: float) -> float:
@@ -594,23 +549,7 @@ def _estimate_bounds(problem: Problem) -> tuple[float, float]:
     return zhat_est, K_est
 
 
-def solve_2d(problem: Problem, radius: float = 0.0, grid: int = 9,
-             tol: float = 1e-9) -> SolveReport:
-    """Winding-number evidence plus Newton on the planar bifurcation map.
-
-    With radius <= 0 a heuristic default 10 * (zhat_est + ||M_p(I-Q)|| *
-    K_est) is used, both estimates sampled from g. Seeds are the grid x grid
-    points of the square inscribed in the search disk, tried closest to the
-    origin first; the first root that reproduces the recurrence to tol wins.
-    The Newton Jacobian is ``bifurcation_jacobian``, which reuses the
-    auxiliary solution of the value at the same point.
-    """
-    return _solve_2d(_regime_map(problem, 2), radius, grid, tol)
-
-
-def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float) -> SolveReport:
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> SolveReport:
     problem = bm.problem
 
     if radius <= 0.0:
@@ -678,16 +617,42 @@ def _solve_2d(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Solve
 
 def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
           radius: float = 0.0, grid: int = 9) -> SolveReport:
-    """Dispatch to the regime solver matching the kernel dimension.
+    """Solve the problem by the regime solver matching its kernel dimension.
 
-    The reduction alone produces y, and the oracle's residual judges it
-    against tol: finite and positive, reachable down to a few 1e-12.
-    A problem with more than two resonant modes raises ModeLimitError."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
+    * dim 0: the fixed point of L^{-1} F, the auxiliary equation with
+      P = Q = 0; there is no bifurcation equation.
+    * dim 1: Brent's method on the scalar bifurcation function over
+      [-r, r]. It needs opposite signs at the two ends (what the existence
+      argument guarantees under its hypotheses) and raises
+      NoSignChangeError otherwise; keeping the bracket mirrors the sign
+      argument that proves existence. The sign-change bracket is kept down to
+      width 1e-12 * r; ``iterations["bisection"]`` counts the evaluations
+      of the bifurcation function inside it.
+    * dim 2: winding-number evidence plus Newton on the planar bifurcation
+      map. With radius <= 0 a heuristic default 10 * (zhat_est +
+      ||M_p(I-Q)|| * K_est) is used, both estimates sampled from g. Seeds
+      are the grid x grid points of the square inscribed in the search
+      disk, tried closest to the origin first; the first root that
+      reproduces the recurrence to tol wins. The Newton Jacobian is
+      ``bifurcation_jacobian``, which reuses the auxiliary solution of the
+      value at the same point.
+
+    Every argument is checked, whatever the regime, before the linear data
+    is built: tol and r finite and positive, radius finite, grid >= 1. The
+    reduction alone produces y, and the oracle's residual judges it against
+    tol, reachable down to a few 1e-12. A problem with more than two
+    resonant modes raises ModeLimitError.
+    """
+    for name, value in (("tol", tol), ("r", r)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive")
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
+    if grid < 1:
+        raise ValueError("grid must be >= 1")
     bm = BifurcationMap(problem, build_linear_data(problem))
     if bm.dim == 0:
-        return _solve_nonresonant(bm, tol)
+        return _solve_dim0(bm, tol)
     if bm.dim == 1:
-        return _solve_1d(bm, r, tol)
-    return _solve_2d(bm, radius, grid, tol)
+        return _solve_dim1(bm, r, tol)
+    return _solve_dim2(bm, radius, grid, tol)

@@ -31,11 +31,9 @@ from perdiff import (
     norm_bound_mp_iq,
     proj_P,
     proj_Q,
-    solve_1d,
-    solve_2d,
-    solve_nonresonant,
+    solve,
     sup_norm,
-    winding_number,
+    winding_of_map,
 )
 from perdiff.hypotheses import RATIONAL_ANGLE_TOL
 
@@ -148,15 +146,6 @@ _NONLINEAR_INSTANCES = [
 ]
 
 
-def _solve_any(p):
-    dim = build_linear_data(p).resonance.dim
-    if dim == 0:
-        return solve_nonresonant(p, tol=1e-9)
-    if dim == 1:
-        return solve_1d(p, r=10.0, tol=1e-9)
-    return solve_2d(p, radius=50.0, grid=9, tol=1e-9)
-
-
 def test_criterion_04_reduction_equivalence():
     with criterion(4, "reduction equivalence"):
         assert len(_NONLINEAR_INSTANCES) >= 10
@@ -164,7 +153,8 @@ def test_criterion_04_reduction_equivalence():
         for b, c, N, g in _NONLINEAR_INSTANCES:
             p = make_problem(b, c, N, g)
             ld = build_linear_data(p)
-            rep = _solve_any(p)
+            rep = solve(p, tol=tol, r=10.0, radius=50.0, grid=9)
+            assert rep.regime == ld.resonance.dim
             x = rep.solution
             Fx = apply_F(p, x)
             # solver output satisfies both reduced equations ...
@@ -184,13 +174,14 @@ def test_criterion_05_oracle_equivalence_and_checkers():
     start = time.monotonic()
     with criterion(5, "oracle equivalence on canonical instances"):
         cases = [
-            (0, 2, 3, solve_nonresonant, {}),
-            (-3, 2, 3, solve_1d, {"r": 10.0}),
-            (1, 1, 3, solve_2d, {"radius": 50.0}),
+            (0, 2, 3, {}),
+            (-3, 2, 3, {"r": 10.0}),
+            (1, 1, 3, {"radius": 50.0}),
         ]
-        for b, c, N, solver, kwargs in cases:
+        for regime, (b, c, N, kwargs) in enumerate(cases):
             p = make_problem(b, c, N, CANONICAL_G)
-            rep = solver(p, **kwargs)
+            rep = solve(p, **kwargs)
+            assert rep.regime == regime
             sols = multistart_search(p, 16, 5.0, seed=0)
             assert sols, "oracle found no solution"
             assert min(np.max(np.abs(rep.y - s)) for s in sols) <= 1e-8
@@ -207,9 +198,10 @@ def test_criterion_06_degree_evidence():
     with criterion(6, "degree evidence"):
         p2 = make_problem(1, 1, 3, CANONICAL_G)
         bm2 = BifurcationMap(p2, build_linear_data(p2))
-        assert winding_number(bm2, 50.0, samples=8) == 1
-        assert winding_number(bm2, 50.0, samples=16) == 1
-        assert winding_number(bm2, 50.0, samples=32) == 1
+        beta2 = lambda a: bifurcation_value(bm2, a)
+        assert winding_of_map(beta2, 50.0, 8) == 1
+        assert winding_of_map(beta2, 50.0, 16) == 1
+        assert winding_of_map(beta2, 50.0, 32) == 1
 
         p1 = make_problem(-3, 2, 3, CANONICAL_G)
         bm1 = BifurcationMap(p1, build_linear_data(p1))

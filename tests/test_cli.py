@@ -314,7 +314,7 @@ def test_scan_memory_does_not_grow_with_the_b_column(capsys):
     assert peak < 8 * 16 * linear._CHUNK_ENTRIES
 
 
-def test_parse_error_exits(tmp_path):
+def test_parse_error_exits(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli("classify", str(bad))[0] == 2
@@ -327,6 +327,13 @@ def test_parse_error_exits(tmp_path):
     bad.write_text(json.dumps({"b": 1, "c": 1, "N": 3.5, "g": "x"}))
     code, _, err = run_cli("classify", str(bad))
     assert code == 2 and "integer" in err
+    # a bool, a string or any other non-number is refused, not converted
+    for key, value in [("b", True), ("b", "1"), ("c", "2"), ("c", None), ("N", "3"),
+                       ("N", False), ("N", [3]), ("g", 0), ("g", None)]:
+        bad.write_text(json.dumps({"b": 1, "c": 2, "N": 3, "g": "0", key: value}))
+        assert cli.main(["classify", str(bad)]) == cli.EXIT_PARSE, (key, value)
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and f"{key} must be" in err, (key, value)
 
 
 def test_problem_file_seed_is_ignored(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from perdiff import check_corollary, check_thm1, check_thm2, membership_U
+from perdiff import check_corollary, check_thm1, check_thm2, classify, membership_U
 from perdiff.hypotheses import RATIONAL_ANGLE_TOL
 
 from conftest import CANONICAL_G, make_problem
@@ -77,12 +77,21 @@ def test_thm1_c2_fails_without_sign_condition():
 
 
 def test_thm1_c4_fails_exactly_in_the_rotation_case():
-    rep = check_thm1(make_problem(1, 1, 3, "tanh(x)"), r=10.0, zhat=1.0)
-    assert not rep.condition("C4").passed
-    rep = check_thm1(make_problem(1, 1.5, 3, "tanh(x)"), r=10.0, zhat=1.0)
-    assert rep.condition("C4").passed
-    rep = check_thm1(make_problem(2.5, 1, 3, "tanh(x)"), r=10.0, zhat=1.0)
-    assert rep.condition("C4").passed
+    # C4 reads the classification, so next to the rotation case it follows
+    # the symbol cutoff: 1e-10 off it is still dim 2, 3.3e-9 off it is not
+    rows = [
+        (1, 1, 3, False), (1, 1.5, 3, True), (2.5, 1, 3, True),
+        (-2 * math.cos(2 * math.pi / 243) + 1e-10, 1, 243, False),
+        (-2 * math.cos(2 * math.pi / 81) + 1e-10, 1, 81, False),
+        (-2 * math.cos(2 * math.pi / 3) + 3.3e-9, 1, 3, True),
+    ]
+    for b, c, N, passed in rows:
+        p = make_problem(b, c, N, "tanh(x)")
+        rc = classify(p)
+        c4 = check_thm1(p, r=10.0, zhat=1.0).condition("C4")
+        assert c4.passed == (rc.dim < 2) == passed, (b, c, N)
+        assert c4.quantities == {"dim": rc.dim, "theta": rc.theta, "r_int": rc.r_int}
+        assert type(c4.passed) is bool and type(c4.quantities["dim"]) is int
 
 
 def test_thm1_growth_window_family():

@@ -20,7 +20,7 @@ from perdiff import (
     sup_norm,
 )
 from perdiff import linear
-from perdiff.linear import _mpiq_bounds, _mpiq_g1
+from perdiff.linear import _mpiq_g1
 from perdiff.mat2 import svals2
 
 from conftest import dense_mpiq, g1_atol, instance_grid, make_problem
@@ -424,7 +424,7 @@ def test_norm_bound_batch_matches_single():
         for b, c in rows:
             ld = _ld(b, c, N)
             B = dense_mpiq(ld)
-            lower, upper = _mpiq_bounds(ld)
+            lower, upper = norm_bound_mp_iq(ld)
             assert upper == pytest.approx(_dense_upper(B), rel=1e-12), (b, c, N)
             dense_lower, t, u = _dense_lower(B)
             assert lower == pytest.approx(dense_lower, rel=1e-12), (b, c, N)

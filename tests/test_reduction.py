@@ -21,12 +21,8 @@ from perdiff import (
     proj_P,
     proj_Q,
     solve,
-    solve_1d,
-    solve_2d,
-    solve_nonresonant,
     SolverError,
     sup_norm,
-    winding_number,
     winding_of_map,
 )
 
@@ -136,7 +132,7 @@ def test_norm_bound_is_computed_only_where_read(monkeypatch):
     def no_bound(ld):
         raise AssertionError("norm bound computed")
 
-    monkeypatch.setattr(reduction, "_mpiq_bounds", no_bound)
+    monkeypatch.setattr(reduction, "norm_bound_mp_iq", no_bound)
     assert solve(make_problem(0, 2, 5, CANONICAL_G)).oracle_verified
     assert solve(make_problem(-3, 2, 3, CANONICAL_G)).oracle_verified
     assert solve(make_problem(1, 1, 3, CANONICAL_G), radius=50.0).oracle_verified
@@ -150,7 +146,7 @@ def test_norm_bound_image_failure_is_a_solver_error(monkeypatch):
     def not_in_image(ld):
         raise NotInImageError(3.3e-9)
 
-    monkeypatch.setattr(reduction, "_mpiq_bounds", not_in_image)
+    monkeypatch.setattr(reduction, "norm_bound_mp_iq", not_in_image)
     monkeypatch.setattr(reduction, "_mpiq_g1", not_in_image)
     for name in ("norm_upper", "aux_operator"):
         with pytest.raises(SolverError, match="not in image") as info:
@@ -179,10 +175,34 @@ def test_solve_refuses_more_than_two_resonant_modes():
         solve(make_problem(-2.0, 1.0, 100_000, "tanh(x)"))
 
 
+# one row per kernel dimension 0, 1, 2
+_DIM_ROWS = [(0, 2, 3), (-3, 2, 3), (1, 1, 3)]
+
+
+def _no_linear_data(problem):
+    raise AssertionError("linear data built before the arguments were checked")
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_solve_rejects_a_bad_tolerance(tol):
-    with pytest.raises(ValueError):
-        solve(make_problem(-3, 2, 3, CANONICAL_G), tol=tol)
+def test_solve_rejects_a_bad_tolerance(tol, monkeypatch):
+    monkeypatch.setattr(reduction, "build_linear_data", _no_linear_data)
+    for row in _DIM_ROWS:
+        with pytest.raises(ValueError, match="tol"):
+            solve(make_problem(*row, CANONICAL_G), tol=tol)
+
+
+@pytest.mark.parametrize("row", _DIM_ROWS, ids=["dim0", "dim1", "dim2"])
+@pytest.mark.parametrize("name,value", [
+    ("r", 0.0), ("r", -1.0), ("r", math.nan), ("r", math.inf),
+    ("radius", math.nan), ("radius", math.inf),
+    ("grid", 0), ("grid", -5),
+])
+def test_solve_rejects_a_bad_argument(name, value, row, monkeypatch):
+    # every argument is checked on every regime, whichever solver reads it,
+    # before the linear data is built
+    monkeypatch.setattr(reduction, "build_linear_data", _no_linear_data)
+    with pytest.raises(ValueError, match=name):
+        solve(make_problem(*row, CANONICAL_G), **{name: value})
 
 
 def test_aux_jacobian_matches_full_difference_jacobian():
@@ -395,7 +415,8 @@ def test_nontrivial_scan_skips_a_bracket_whose_refinement_fails(monkeypatch, err
 
     monkeypatch.setattr(reduction, "_forcing_free", forcing_free)
     monkeypatch.setattr(reduction, "_aux_fixed_point", aux)
-    rep = solve_1d(p)
+    rep = solve(p)
+    assert rep.regime == 1
     assert rep.oracle_verified
     assert rep.nontrivial_root_found is False
 
@@ -433,45 +454,36 @@ def test_winding_samples_counts_the_sweep():
 
 def test_winding_canonical_dim2():
     _, bm = _bm(1, 1, 3, CANONICAL_G)
-    w = winding_number(bm, 50.0)
-    assert w == 1
+    beta = lambda a: bifurcation_value(bm, a)
+    assert winding_of_map(beta, 50.0, 8) == 1
     # stable under doubling of the initial sample count
-    assert winding_number(bm, 50.0, samples=32) == 1
-    assert winding_number(bm, 50.0, samples=64) == 1
-
-
-def test_winding_requires_dim2():
-    _, bm = _bm(-3, 2, 3, CANONICAL_G)
-    with pytest.raises(ValueError):
-        winding_number(bm, 10.0)
+    assert winding_of_map(beta, 50.0, 32) == 1
+    assert winding_of_map(beta, 50.0, 64) == 1
 
 
 def test_solve_nonresonant_zero_and_constant():
-    rep = solve_nonresonant(make_problem(0, 2, 3, "0"))
+    rep = solve(make_problem(0, 2, 3, "0"))
     np.testing.assert_array_equal(rep.y, np.zeros(3))
     assert rep.residual_sup == 0.0
     assert rep.regime == 0
 
-    rep = solve_nonresonant(make_problem(0, 2, 3, "1"))
+    rep = solve(make_problem(0, 2, 3, "1"))
+    assert rep.regime == 0
     np.testing.assert_allclose(rep.y, np.full(3, 1.0 / 3.0), atol=1e-12)
 
 
 def test_solve_nonresonant_canonical(dim0_problem):
-    rep = solve_nonresonant(make_problem(0, 2, 3, "0.5*tanh(x)+0.2*cos(2*pi*t/3)"))
+    rep = solve(make_problem(0, 2, 3, "0.5*tanh(x)+0.2*cos(2*pi*t/3)"))
+    assert rep.regime == 0
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
-    rep2 = solve_nonresonant(dim0_problem)
+    rep2 = solve(dim0_problem)
     assert rep2.oracle_verified
     assert rep2.regime == 0
 
 
-def test_solve_nonresonant_rejects_resonant():
-    with pytest.raises(ValueError):
-        solve_nonresonant(make_problem(-3, 2, 3, "0"))
-
-
 def test_solve_1d_trivial_root():
-    rep = solve_1d(make_problem(-3, 2, 3, "tanh(x)"))
+    rep = solve(make_problem(-3, 2, 3, "tanh(x)"))
     assert sup_norm(rep.y) <= 1e-10
     assert abs(rep.alpha[0]) <= 1e-10
     assert rep.regime == 1
@@ -480,7 +492,8 @@ def test_solve_1d_trivial_root():
 
 
 def test_solve_1d_canonical(dim1_problem):
-    rep = solve_1d(dim1_problem, r=10.0)
+    rep = solve(dim1_problem, r=10.0)
+    assert rep.regime == 1
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
     assert sup_norm(rep.y) > 1e-3
@@ -492,23 +505,20 @@ def test_solve_1d_canonical(dim1_problem):
 
 def test_solve_1d_no_sign_change():
     with pytest.raises(NoSignChangeError):
-        solve_1d(make_problem(-3, 2, 3, "2+tanh(x)"), r=10.0)
-
-
-def test_solve_1d_rejects_wrong_dim():
-    with pytest.raises(ValueError):
-        solve_1d(make_problem(0, 2, 3, "tanh(x)"))
+        solve(make_problem(-3, 2, 3, "2+tanh(x)"), r=10.0)
 
 
 def test_solve_2d_trivial_root():
-    rep = solve_2d(make_problem(1, 1, 3, "0"), radius=5.0)
+    rep = solve(make_problem(1, 1, 3, "0"), radius=5.0)
+    assert rep.regime == 2
     np.testing.assert_allclose(rep.y, np.zeros(3), atol=1e-12)
     np.testing.assert_allclose(rep.alpha, np.zeros(2), atol=1e-12)
     assert rep.winding is None  # boundary sweep vanishes identically
 
 
 def test_solve_2d_canonical(dim2_problem):
-    rep = solve_2d(dim2_problem, radius=50.0, grid=9)
+    rep = solve(dim2_problem, radius=50.0, grid=9)
+    assert rep.regime == 2
     assert rep.residual_sup <= 1e-9
     assert rep.winding == 1
     assert rep.degree_evidence
@@ -518,7 +528,8 @@ def test_solve_2d_canonical(dim2_problem):
 
 
 def test_solve_2d_default_radius(dim2_problem):
-    rep = solve_2d(dim2_problem, radius=0.0, grid=5)
+    rep = solve(dim2_problem, radius=0.0, grid=5)
+    assert rep.regime == 2
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
 
@@ -531,11 +542,12 @@ def test_solve_dispatch(dim0_problem, dim1_problem, dim2_problem):
 
 def test_reduced_equations_hold_on_solutions(dim0_problem, dim1_problem, dim2_problem):
     # both halves of the reduction, and the recurrence itself, hold on output
-    for rep, p in [
-        (solve_nonresonant(dim0_problem), dim0_problem),
-        (solve_1d(dim1_problem), dim1_problem),
-        (solve_2d(dim2_problem, radius=50.0), dim2_problem),
-    ]:
+    for k, (rep, p) in enumerate([
+        (solve(dim0_problem), dim0_problem),
+        (solve(dim1_problem), dim1_problem),
+        (solve(dim2_problem, radius=50.0), dim2_problem),
+    ]):
+        assert rep.regime == k
         ld = build_linear_data(p)
         x = rep.solution
         Fx = apply_F(p, x)
@@ -546,7 +558,8 @@ def test_reduced_equations_hold_on_solutions(dim0_problem, dim1_problem, dim2_pr
 
 
 def test_solver_reports_are_deterministic(dim1_problem):
-    a = solve_1d(dim1_problem)
-    b = solve_1d(dim1_problem)
+    a = solve(dim1_problem)
+    b = solve(dim1_problem)
+    assert a.regime == 1
     np.testing.assert_array_equal(a.y, b.y)
     assert a.as_dict() == b.as_dict()

@@ -9,9 +9,6 @@ from perdiff import (
     classify,
     multistart_search,
     solve,
-    solve_1d,
-    solve_2d,
-    solve_nonresonant,
     sup_norm,
 )
 
@@ -22,7 +19,8 @@ def test_solve_1d_with_strong_nonlinearity():
     # Lipschitz constant ~2 against an operator norm ~2: the plain fixed
     # point diverges, so damping plus the Newton fallback must carry it
     p = make_problem(-3, 2, 3, "2*tanh(x)+0.1*cos(2*pi*t/3)")
-    rep = solve_1d(p, r=10.0)
+    rep = solve(p, r=10.0)
+    assert rep.regime == 1
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
 
@@ -61,7 +59,8 @@ def test_solve_nonresonant_at_large_period(b, c, N):
 
 def test_solve_nonresonant_with_strong_nonlinearity():
     p = make_problem(0, 2, 3, "1.5*sin(x)+0.3*cos(2*pi*t/3)")
-    rep = solve_nonresonant(p)
+    rep = solve(p)
+    assert rep.regime == 0
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
 
@@ -78,7 +77,8 @@ def test_solve_nonresonant_backs_off_at_the_domain_edge(b, c, N, g):
     # must count such a trial as an infinite residual and halve the step
     # instead of giving up with a DomainError
     p = make_problem(b, c, N, g)
-    rep = solve_nonresonant(p)
+    rep = solve(p)
+    assert rep.regime == 0
     assert rep.oracle_verified
     assert rep.residual_sup <= 1e-9
 
@@ -90,7 +90,8 @@ def test_solve_nonresonant_from_a_stationary_start(g):
     # stationary point of |residual|^2, so the search must fall back to the
     # Picard direction
     p = make_problem(0, 2, 4, g)
-    rep = solve_nonresonant(p)
+    rep = solve(p)
+    assert rep.regime == 0
     assert rep.oracle_verified
     assert rep.residual_sup <= 1e-9
 
@@ -103,14 +104,16 @@ def test_even_period_resonance_classifies_and_solves():
     assert rc.dim == 1
     z = rc.kernel_basis[0]
     np.testing.assert_allclose(z[0], -z[1], atol=1e-9)
-    rep = solve_1d(p, r=10.0)
+    rep = solve(p, r=10.0)
+    assert rep.regime == 1
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
 
 
 def test_solve_2d_forcing_free_reports_nontrivial_flag():
     p = make_problem(1, 1, 3, "tanh(x)")
-    rep = solve_2d(p, radius=10.0, grid=5)
+    rep = solve(p, radius=10.0, grid=5)
+    assert rep.regime == 2
     assert sup_norm(rep.y) <= 1e-9  # trivial root reported first
     assert rep.nontrivial_root_found in (True, False)
 
@@ -119,7 +122,8 @@ def test_oracle_matches_nonresonant_solver_for_small_lipschitz():
     # contraction regime: the periodic solution is unique, so the two
     # independent paths must land on the same sequence
     p = make_problem(0, 2, 5, "0.1*tanh(x)+0.2*cos(2*pi*t/5)")
-    rep = solve_nonresonant(p)
+    rep = solve(p)
+    assert rep.regime == 0
     sols = multistart_search(p, 8, 3.0, seed=2)
     assert len(sols) == 1
     assert np.max(np.abs(rep.y - sols[0])) <= 1e-8
@@ -131,7 +135,8 @@ def test_large_period_rotation_case():
     b = -2.0 * math.cos(2.0 * math.pi / 25.0)
     p = make_problem(b, 1, 25, "tanh(x)+0.1*cos(2*pi*t/25)")
     assert classify(p).dim == 2
-    rep = solve_2d(p, radius=50.0, grid=5)
+    rep = solve(p, radius=50.0, grid=5)
+    assert rep.regime == 2
     assert rep.residual_sup <= 1e-9
     assert rep.oracle_verified
     assert check_solution(p, rep.y, tol=1e-9)
@@ -141,6 +146,7 @@ def test_solve_2d_with_a_radius_samples_g_only_on_the_disk():
     # ln(x+50) is undefined below x = -50: the default-radius estimate
     # samples g on [-100, 100], which a caller-given radius must skip
     p = make_problem(0, 1, 4, "atan(x)+0.1*cos(pi*t/2)+0.001*ln(x+50)")
-    rep = solve_2d(p, radius=5)
+    rep = solve(p, radius=5)
+    assert rep.regime == 2
     assert rep.oracle_verified
     assert rep.winding == 1
