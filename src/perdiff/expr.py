@@ -14,6 +14,9 @@ variables ``t`` and ``x``:
 ASTs are immutable after parsing and evaluation is pure, so parsed
 expressions can be shared freely between threads.
 
+``bind_t(g, t)`` evaluates g's largest x-free subtrees (its forcing) once at
+t; the bound tree gives the same bits at that t and walks only the x part.
+
 ``logfade(x)`` is a ready-made slowly-fading nonlinearity: k(x)*x +
 0.1*|x|^0.5 + 0.1 where k is -1/ln(-x) for x <= -e, x/e in between, and
 1/ln(x) for x >= e. The factor k tends to zero at +-infinity, which makes
@@ -67,7 +70,7 @@ class DomainError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Num:
-    value: float
+    value: float | np.ndarray  # an array once bound to t (``bind_t``)
 
 
 @dataclass(frozen=True)
@@ -313,22 +316,51 @@ def _ev(node: Node, t, x):
     return getattr(np, fn)(a)
 
 
+def _reads_x(node: Node) -> bool:
+    if isinstance(node, (Num, Var)):
+        return node == Var("x")
+    kids = (node.arg,) if isinstance(node, Neg) else (
+        (node.left, node.right) if isinstance(node, Bin) else node.args)
+    return any(_reads_x(k) for k in kids)
+
+
+def bind_t(node: Node, t) -> Node:
+    """node with each largest subtree that does not read x replaced by a Num
+    of its read-only value at t, so it evaluates at t like node, walking only
+    the part that reads x. A subtree that raises DomainError stays as it is.
+    """
+    if not (isinstance(node, Num) or _reads_x(node)):
+        try:
+            with np.errstate(all="ignore"):
+                value = np.array(_ev(node, np.asarray(t, dtype=float), 0.0))
+        except DomainError:
+            return node
+        value.flags.writeable = False
+        return Num(value)
+    if isinstance(node, Neg):
+        return Neg(bind_t(node.arg, t))
+    if isinstance(node, Bin):
+        return Bin(node.op, bind_t(node.left, t), bind_t(node.right, t))
+    return Call(node.fn, tuple(bind_t(a, t) for a in node.args)) if isinstance(node, Call) else node
+
+
 def evaluate(node: Node, t, x) -> float | np.ndarray:
     """Evaluate an AST at time index t and state x.
 
     Both arguments may be scalars or broadcastable numpy arrays; the result
     matches the broadcast shape (a plain float for scalar inputs). Domain
     violations and non-finite results raise DomainError rather than leaking
-    NaN/inf into callers.
+    NaN/inf into callers. An array result is fresh or read-only.
     """
+    tv, xv = (np.asarray(v, dtype=float) if np.ndim(v) else float(v) for v in (t, x))
     with np.errstate(all="ignore"):
-        out = _ev(node, np.asarray(t, dtype=float) if np.ndim(t) else float(t),
-                  np.asarray(x, dtype=float) if np.ndim(x) else float(x))
-    arr = np.asarray(out, dtype=float)
+        arr = np.asarray(_ev(node, tv, xv), dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("evaluation produced a non-finite value")
-    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
-    if shape == ():
-        return float(arr)
-    # constant subtrees evaluate to scalars; hand callers the full grid shape
-    return np.ascontiguousarray(np.broadcast_to(arr, shape), dtype=float)
+    if arr.shape != np.shape(x) or np.shape(t) != arr.shape[arr.ndim - np.ndim(t):]:
+        # constant subtrees evaluate to scalars; hand callers the full grid shape
+        shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+        arr = np.ascontiguousarray(np.broadcast_to(arr, shape))
+    elif arr is xv or arr is tv or not arr.flags.writeable:
+        arr = np.broadcast_to(arr, arr.shape)  # a read-only view of x, t or a bound value
+    return float(arr) if arr.ndim == 0 else arr

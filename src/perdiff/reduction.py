@@ -9,12 +9,13 @@ solves the original problem exactly when both hold.
 
 As F(x) = (0, g(t, x1)) and the solvers read only x1 = y, the auxiliary
 equation is solved for w1 alone: only the (N, N) first-component block of
-M_p (I - Q) on the g component is gathered, once per bifurcation map, so
-each residual is one matrix-vector product, and the Newton Jacobian is
-built from pointwise differences of g. The bifurcation value reuses the
-g-values of the converged residual, and the same Jacobian gives its
-derivative by the implicit-function theorem, so the planar Newton step
-needs no further auxiliary solve.
+M_p (I - Q) on the g component is gathered, and g's x-free part (its
+forcing) evaluated, once per bifurcation map, so each residual is one
+evaluation of the x-dependent part of g plus one matrix-vector product, and
+the Newton Jacobian is built from pointwise differences of g. The
+bifurcation value reuses the g-values of the converged residual, and the
+same Jacobian gives its derivative by the implicit-function theorem, so the
+planar Newton step needs no further auxiliary solve.
 
 ``solve`` is the one entry point. It checks its arguments, builds the
 linear data once and runs the regime solver of the kernel dimension (0, 1
@@ -77,10 +78,10 @@ class BoundaryZeroError(RuntimeError):
 # -- substitution operator ------------------------------------------------
 
 
-def _g_values(problem: Problem, x1: np.ndarray) -> np.ndarray:
-    """g(t, x1(t)) for t = 0..N-1; a DomainError names the first failing t."""
+def _g_values(problem: Problem, x1: np.ndarray, g: expr.Node) -> np.ndarray:
+    """g(t, x1(t)) for t = 0..N-1 by the tree g; a DomainError names the first failing t."""
     try:
-        return expr.evaluate(problem.g, np.arange(problem.N), x1)
+        return expr.evaluate(g, np.arange(problem.N), x1)
     except expr.DomainError:
         for t in range(problem.N):
             try:
@@ -94,7 +95,7 @@ def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
     """(F x)(t) = (0, g(t, x1(t))); the nonlinearity lifted to sequences."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    out[:, 1] = _g_values(problem, x[:, 0])
+    out[:, 1] = _g_values(problem, x[:, 0], problem.g)
     return out
 
 
@@ -146,6 +147,11 @@ class BifurcationMap:
         (M_p (I - Q) F(x))[:, 0] = G1 @ g(t, x1(t)).
         """
         return self._mpiq(_mpiq_g1)
+
+    @cached_property
+    def g_bound(self) -> expr.Node:
+        """Cached ``expr.bind_t(problem.g, t)`` at t = 0..N-1: the forcing, once."""
+        return expr.bind_t(self.problem.g, np.arange(self.problem.N))
 
     def kernel_lift(self, alpha) -> np.ndarray:
         """Kernel element with coordinates alpha in the classified basis."""
@@ -209,13 +215,17 @@ def _armijo(resid, x: np.ndarray, r: np.ndarray, directions):
     return None
 
 
-def _g_slopes(problem: Problem, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
+def _g_slopes(bm: BifurcationMap, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
     # central difference quotients of g at x1 = lift1 + w1, step
     # h = 1e-6 * (1 + |w1|): the ones a column-by-column difference of the
     # whole auxiliary residual takes, without the rounding noise of the operator
     h = 1e-6 * (1.0 + np.abs(w1))
     x1 = lift[:, 0] + w1
-    return (_g_values(problem, x1 + h) - _g_values(problem, x1 - h)) / (2.0 * h)
+    try:
+        up, down = expr.evaluate(bm.g_bound, np.arange(bm.problem.N), np.stack([x1 + h, x1 - h]))
+    except expr.DomainError:  # one side at a time names the failing t and x
+        up, down = (_g_values(bm.problem, v, bm.g_bound) for v in (x1 + h, x1 - h))
+    return (up - down) / (2.0 * h)
 
 
 def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
@@ -223,7 +233,7 @@ def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, w1: np.ndarray) -> np.nd
 
     g acts pointwise, so it is I - G1 diag(dg), dg from ``_g_slopes``.
     """
-    return np.eye(bm.problem.N) - bm.aux_operator * _g_slopes(bm.problem, lift, w1)
+    return np.eye(bm.problem.N) - bm.aux_operator * _g_slopes(bm, lift, w1)
 
 
 _AUX_FAILURE = {
@@ -248,7 +258,7 @@ def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> tuple[np.ndarray, 
 
         def resid(w1):
             nonlocal gv
-            gv = _g_values(bm.problem, lift[:, 0] + w1)
+            gv = _g_values(bm.problem, lift[:, 0] + w1, bm.g_bound)
             return w1 - G1 @ gv
 
         w1, rn, steps, stop = _damped_newton(
@@ -287,7 +297,7 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
     """
     lift = bm.kernel_lift(alpha)
     w1, _ = _aux_fixed_point(bm, lift)
-    dg = _g_slopes(bm.problem, lift, w1)
+    dg = _g_slopes(bm, lift, w1)
     dx1 = np.linalg.solve(np.eye(bm.problem.N) - bm.aux_operator * dg,
                           bm.ld.resonance.kernel_basis[:, :, 0].T)
     return bm.ld.adj_shift[:, :, 1] @ (dg[:, None] * dx1)
@@ -410,9 +420,9 @@ def _finalize(bm: BifurcationMap, y: np.ndarray, alpha, tol: float, iterations: 
     return report
 
 
-def _forcing_free(problem: Problem) -> bool:
+def _forcing_free(bm: BifurcationMap) -> bool:
     # does the zero sequence solve the problem (g(t, 0) = 0 for every t)?
-    vals = expr.evaluate(problem.g, np.arange(problem.N), np.zeros(problem.N))
+    vals = expr.evaluate(bm.g_bound, np.arange(bm.problem.N), np.zeros(bm.problem.N))
     return float(np.max(np.abs(np.asarray(vals)))) <= 1e-13
 
 
@@ -479,8 +489,6 @@ def _solve_dim0(bm: BifurcationMap, tol: float) -> SolveReport:
 
 
 def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
-    problem = bm.problem
-
     def beta(a: float) -> float:
         return float(bifurcation_value(bm, [a])[0])
 
@@ -503,7 +511,7 @@ def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
     y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
 
     nontrivial = None
-    if _forcing_free(problem):
+    if _forcing_free(bm):
         nontrivial = _scan_1d_nontrivial(bm, beta, r)
 
     iterations = {"bisection": bisection, "inner_fixed_point": bm._inner_iters}
@@ -574,7 +582,7 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
              if math.hypot(a0, a1) <= radius * (1.0 + 1e-12)]
     seeds.sort(key=lambda a: (float(np.hypot(a[0], a[1])), float(a[0]), float(a[1])))
 
-    forcing_free = _forcing_free(problem)
+    forcing_free = _forcing_free(bm)
     accepted = None
     newton_iters = 0
     nontrivial = False
@@ -638,21 +646,21 @@ def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
       value at the same point.
 
     Every argument is checked, whatever the regime, before the linear data
-    is built: tol and r finite and positive, radius finite, grid >= 1. The
-    reduction alone produces y, and the oracle's residual judges it against
-    tol, reachable down to a few 1e-12. A problem with more than two
-    resonant modes raises ModeLimitError.
+    is built: tol and r finite and positive, radius finite, grid an integer
+    >= 1. The reduction alone produces y, and the oracle's residual judges
+    it against tol, reachable down to a few 1e-12. A problem with more than
+    two resonant modes raises ModeLimitError.
     """
     for name, value in (("tol", tol), ("r", r)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive")
     if not math.isfinite(radius):
         raise ValueError("radius must be finite")
-    if grid < 1:
-        raise ValueError("grid must be >= 1")
+    if not (float(grid).is_integer() and grid >= 1):
+        raise ValueError("grid must be an integer >= 1")
     bm = BifurcationMap(problem, build_linear_data(problem))
     if bm.dim == 0:
         return _solve_dim0(bm, tol)
     if bm.dim == 1:
         return _solve_dim1(bm, r, tol)
-    return _solve_dim2(bm, radius, grid, tol)
+    return _solve_dim2(bm, radius, int(grid), tol)

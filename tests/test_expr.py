@@ -96,3 +96,60 @@ def test_logfade_values():
     assert evaluate(ast, 0, 1e6) == pytest.approx(1e6 / math.log(1e6) + 0.1 * 1e3 + 0.1, rel=1e-12)
     val = evaluate(ast, 0, 5.0)
     assert val == pytest.approx(5.0 / math.log(5.0) + 0.1 * math.sqrt(5.0) + 0.1)
+
+
+_BIND_CASES = [
+    "tanh(x)+0.15*cos(2*pi*t/7+0.3)",
+    "atan(x)+0.05*cos(2*pi*t/7+5.9)",
+    "x/(1+abs(x))+0.2*cos(2*pi*t/7+2.0)",
+    "logfade(x)", "0.05", "cos(t)",
+    "x/(t-1)", "ln(t)+x", "t^-1*x", "(t-2)^0.5+x",
+]
+
+
+def _outcome(node, t, x):
+    try:
+        return evaluate(node, t, x)
+    except DomainError as e:
+        return e
+
+
+@pytest.mark.parametrize("text", _BIND_CASES)
+def test_bind_t_evaluates_like_the_whole_tree(text):
+    # the bound tree gives the same bits, or the same DomainError message,
+    # on the x shapes the reduction evaluates: one sequence and a stacked pair
+    g = parse(text)
+    t = np.arange(7)
+    bound = expr.bind_t(g, t)
+    x = np.linspace(-3.0, 3.0, 7)
+    for xs in (x, 1.0 + x, np.stack([x + 1e-6, x - 1e-6])):
+        want, got = _outcome(g, t, xs), _outcome(bound, t, xs)
+        if isinstance(want, DomainError):
+            assert isinstance(got, DomainError) and str(got) == str(want)
+        else:
+            assert np.array_equal(got, want) and got.shape == want.shape
+
+
+def test_bind_t_replaces_only_x_free_subtrees():
+    bound = expr.bind_t(parse("tanh(x)+0.1*cos(2*pi*t/3)"), np.arange(3))
+    assert bound.left == Call("tanh", (Var("x"),))
+    assert isinstance(bound.right, Num) and not bound.right.value.flags.writeable
+    np.testing.assert_array_equal(bound.right.value, 0.1 * np.cos(2 * np.pi * np.arange(3) / 3))
+    # a subtree that leaves the domain stays, to raise per call
+    assert expr.bind_t(parse("ln(t)+x"), np.arange(3)) == parse("ln(t)+x")
+
+
+@pytest.mark.parametrize("text", ["x", "cos(t)", "tanh(x)+0.1*cos(2*pi*t/3)", "0.05"])
+def test_evaluate_hands_out_no_writable_alias(text):
+    # writing to a result either raises or leaves the next evaluation, the
+    # bound values and the input x as they were
+    g = expr.bind_t(parse(text), np.arange(3))
+    x = np.array([0.5, -1.0, 2.0])
+    first = evaluate(g, np.arange(3), x)
+    want = first.copy()
+    try:
+        first[:] = 99.0
+    except ValueError:
+        pass
+    np.testing.assert_array_equal(x, [0.5, -1.0, 2.0])
+    np.testing.assert_array_equal(evaluate(g, np.arange(3), x), want)

@@ -195,7 +195,7 @@ def test_solve_rejects_a_bad_tolerance(tol, monkeypatch):
 @pytest.mark.parametrize("name,value", [
     ("r", 0.0), ("r", -1.0), ("r", math.nan), ("r", math.inf),
     ("radius", math.nan), ("radius", math.inf),
-    ("grid", 0), ("grid", -5),
+    ("grid", 0), ("grid", -5), ("grid", 2.5),
 ])
 def test_solve_rejects_a_bad_argument(name, value, row, monkeypatch):
     # every argument is checked on every regime, whichever solver reads it,
@@ -357,6 +357,26 @@ def test_bifurcation_value_evaluates_g_only_in_its_auxiliary_solve(monkeypatch):
     assert len(calls) == value_calls
     reduction._aux_fixed_point(BifurcationMap(p, bm.ld), bm.kernel_lift(alpha))
     assert len(calls) == 2 * value_calls
+
+
+@pytest.mark.parametrize("b,c,N,g", [
+    (-1.5, 0.5, 13, "atan(x)+0.12*cos(2*pi*t/13+4.1)"),
+    (-2.0 * math.cos(2.0 * math.pi / 5), 1.0, 5, "x/(1+abs(x))+0.17*cos(2*pi*t/5+0.8)"),
+], ids=["dim1", "dim2"])
+def test_solve_with_the_bound_forcing_matches_the_whole_tree(b, c, N, g, monkeypatch):
+    # evaluating g's forcing once per solve changes no bit of the report
+    p = make_problem(b, c, N, g)
+    bound = solve(p).as_dict()
+    monkeypatch.setattr(BifurcationMap, "g_bound", property(lambda bm: bm.problem.g))
+    assert solve(p).as_dict() == bound
+
+
+def test_g_values_on_the_bound_tree_name_the_failing_t():
+    p, bm = _bm(-3, 2, 5, "ln(t)+x")
+    with pytest.raises(expr.DomainError, match=r"ln of a non-positive value \(at t=0, x="):
+        reduction._g_values(p, np.ones(5), bm.g_bound)
+    with pytest.raises(expr.DomainError, match=r"\(at t=0, x="):
+        reduction._g_slopes(bm, bm.kernel_lift([0.5]), np.zeros(5))
 
 
 def test_brent_meets_the_width_on_a_smooth_root():
