@@ -166,10 +166,6 @@ def _print_failure(shell: dict, message: str, diagnostics: dict | None) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if not math.isfinite(args.radius):
-        raise _CliError("--radius must be finite", EXIT_USAGE)
-    if args.grid < 1:
-        raise _CliError("--grid must be >= 1", EXIT_USAGE)
     problem = load_problem(args.problem)
     shell = _report_shell("solve", problem, tol=args.tol, r=args.r,
                           radius=args.radius, grid=args.grid)
@@ -178,6 +174,11 @@ def _cmd_solve(args) -> int:
                                  radius=args.radius, grid=args.grid)
     except (reduction.SolverError, expr.DomainError) as e:
         return _print_failure(shell, str(e), getattr(e, "diagnostics", None))
+    except ValueError as e:
+        # solve checks every argument first; its message starts with the parameter's name
+        if str(e).split(" ", 1)[0] not in ("tol", "r", "radius", "grid"):
+            raise
+        raise _CliError(f"--{e}", EXIT_USAGE) from None
     shell.update(report.as_dict())
     print(to_json(shell))
     return EXIT_OK

@@ -17,6 +17,13 @@ bifurcation value reuses the g-values of the converged residual, and the
 same Jacobian gives its derivative by the implicit-function theorem, so the
 planar Newton step needs no further auxiliary solve.
 
+The auxiliary Newton acts on a stack of kernel lifts: each row keeps its
+own iteration, line search and failure, while every step evaluates g once
+for the whole stack (at the points and at both sides of their slope
+differences) and solves the rows' Newton systems in one batched solve, a
+chunk of rows at a time. A single lift is the stack of one; the winding
+sweep and the regime-1 scan for nontrivial roots pass whole stacks.
+
 ``solve`` is the one entry point. It checks its arguments, builds the
 linear data once and runs the regime solver of the kernel dimension (0, 1
 or 2), as its docstring describes. One damped Newton loop and one
@@ -45,6 +52,7 @@ from .linear import (
     proj_Q,
     sup_norm,
     _mpiq_g1,
+    _CHUNK_ENTRIES,
 )
 
 # tolerance and Newton step budget of one auxiliary solve
@@ -79,15 +87,19 @@ class BoundaryZeroError(RuntimeError):
 
 
 def _g_values(problem: Problem, x1: np.ndarray, g: expr.Node) -> np.ndarray:
-    """g(t, x1(t)) for t = 0..N-1 by the tree g; a DomainError names the first failing t."""
+    """g(t, x1(t)) for t = 0..N-1 by the tree g, x1 one sequence (N,) or a stack (..., N).
+
+    A DomainError names the first failing member's first failing t and x.
+    """
     try:
         return expr.evaluate(g, np.arange(problem.N), x1)
     except expr.DomainError:
-        for t in range(problem.N):
-            try:
-                expr.evaluate(problem.g, t, x1[t])
-            except expr.DomainError as e:
-                raise expr.DomainError(f"{e} (at t={t}, x={x1[t]!r})") from None
+        for row in np.reshape(x1, (-1, problem.N)):
+            for t in range(problem.N):
+                try:
+                    expr.evaluate(problem.g, t, row[t])
+                except expr.DomainError as e:
+                    raise expr.DomainError(f"{e} (at t={t}, x={row[t]!r})") from None
         raise
 
 
@@ -154,30 +166,25 @@ class BifurcationMap:
         return expr.bind_t(self.problem.g, np.arange(self.problem.N))
 
     def kernel_lift(self, alpha) -> np.ndarray:
-        """Kernel element with coordinates alpha in the classified basis."""
+        """Kernel element with coordinates alpha (dim,) in the classified basis,
+        or the stack (k, N, 2) of them for a stack alpha (k, dim)."""
         a = np.atleast_1d(np.asarray(alpha, dtype=float))
-        if a.shape != (self.dim,):
+        if a.ndim > 2 or a.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} kernel coordinate(s)")
-        lift = np.zeros((self.problem.N, 2))
-        for aj, zj in zip(a, self.ld.resonance.kernel_basis):
-            lift += aj * zj
+        lift = np.zeros(a.shape[:-1] + (self.problem.N, 2))
+        for j, zj in enumerate(self.ld.resonance.kernel_basis):
+            lift += a[..., j, None, None] * zj
         return lift
 
 
-def _damped_newton(resid, jac, x: np.ndarray, norm, tol: float, max_steps: int,
-                   picard: bool = False):
+def _damped_newton(resid, jac, x: np.ndarray, norm, tol: float, max_steps: int):
     """Damped Newton on resid(x) = 0 with an Armijo backtracking line search.
 
     A trial point that leaves g's domain counts as an infinite residual.
-    With picard set, resid is a fixed-point residual x - T(x), and a step
-    whose Newton search finds no decrease, or whose jac(x) is singular,
-    searches along -resid(x) instead: the damped Picard step.
-
     Returns (x, norm(resid(x)), steps, stop), where stop says why it ended:
-    "converged" (norm <= tol), "stalled" (no step length down to 1e-12
-    along any direction decreased |resid|^2, or jac(x) was singular and
-    picard unset) or "budget" (max_steps steps taken). On "converged" the
-    last resid call was at the returned x.
+    "converged" (norm <= tol), "stalled" (jac(x) was singular, or no step
+    length down to 1e-12 decreased |resid|^2) or "budget" (max_steps steps
+    taken). On "converged" the last resid call was at the returned x.
     """
     r = resid(x)
     for it in range(max_steps + 1):
@@ -187,53 +194,81 @@ def _damped_newton(resid, jac, x: np.ndarray, norm, tol: float, max_steps: int,
         if it == max_steps:
             return x, rn, it, "budget"
         try:
-            directions = [np.linalg.solve(jac(x), -r)]
+            d = np.linalg.solve(jac(x), -r)
         except np.linalg.LinAlgError:
-            directions = []
-        if picard:
-            directions.append(-r)
-        step = _armijo(resid, x, r, directions)
-        if step is None:
             return x, rn, it, "stalled"
-        x, r = step
-
-
-def _armijo(resid, x: np.ndarray, r: np.ndarray, directions):
-    # first (x + s d, resid(x + s d)) with sufficient decrease of |resid|^2,
-    # halving s from 1 down to 1e-12 along each direction in turn
-    f0 = float(r @ r)
-    for d in directions:
-        s = 1.0
-        while s >= 1e-12:
+        f0, s = float(r @ r), 1.0
+        while True:
+            if s < 1e-12:
+                return x, rn, it, "stalled"
             try:
                 r_new = resid(x + s * d)
             except expr.DomainError:
                 r_new = np.full_like(r, np.inf)
             if float(r_new @ r_new) <= (1.0 - 1e-4 * s) * f0:
-                return x + s * d, r_new
+                break
             s *= 0.5
-    return None
+        x, r = x + s * d, r_new
 
 
-def _g_slopes(bm: BifurcationMap, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    # central difference quotients of g at x1 = lift1 + w1, step
-    # h = 1e-6 * (1 + |w1|): the ones a column-by-column difference of the
-    # whole auxiliary residual takes, without the rounding noise of the operator
-    h = 1e-6 * (1.0 + np.abs(w1))
-    x1 = lift[:, 0] + w1
+def _by_row(fn, *stacks):
+    # fn on the (k, ...) stacks, or, where that raises DomainError, on each
+    # row alone: (values, {row: DomainError}), a failing row's values zero
     try:
-        up, down = expr.evaluate(bm.g_bound, np.arange(bm.problem.N), np.stack([x1 + h, x1 - h]))
-    except expr.DomainError:  # one side at a time names the failing t and x
-        up, down = (_g_values(bm.problem, v, bm.g_bound) for v in (x1 + h, x1 - h))
-    return (up - down) / (2.0 * h)
+        return fn(*stacks), {}
+    except expr.DomainError:
+        values, errors = np.zeros_like(stacks[0]), {}
+        for i in range(len(values)):
+            try:
+                values[i] = fn(*(s[i:i + 1] for s in stacks))[0]
+            except expr.DomainError as e:
+                errors[i] = e
+        return values, errors
 
 
-def _aux_jacobian(bm: BifurcationMap, lift: np.ndarray, w1: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of w1 -> w1 - G1 g(lift1 + w1).
+def _g_slopes(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray):
+    """(g(x1), dg) at x1 = x0 + w1 for each row of the (k, N) stacks x0 (lift
+    first components) and w1, from one evaluation of g at x1 and x1 +- h.
 
-    g acts pointwise, so it is I - G1 diag(dg), dg from ``_g_slopes``.
+    dg are the central difference quotients at step h = 1e-6 * (1 + |w1|):
+    the ones a column-by-column difference of the whole auxiliary residual
+    takes, without the rounding noise of the operator. A DomainError names
+    the first failing row's t and x, x1 before x1 + h before x1 - h.
     """
-    return np.eye(bm.problem.N) - bm.aux_operator * _g_slopes(bm, lift, w1)
+    h = 1e-6 * (1.0 + np.abs(w1))
+    x1 = x0 + w1
+    points = np.empty((len(x1), 3, x1.shape[-1]))
+    points[:, 0], points[:, 1], points[:, 2] = x1, x1 + h, x1 - h
+    values = _g_values(bm.problem, points, bm.g_bound)
+    return values[:, 0], (values[:, 1] - values[:, 2]) / (2.0 * h)
+
+
+def _aux_jacobian(bm: BifurcationMap, dg: np.ndarray) -> np.ndarray:
+    """Jacobians (k, N, N) of w1 -> w1 - G1 g(x0 + w1), one per row of the slopes dg.
+
+    g acts pointwise, so each is I - G1 diag(dg), dg from ``_g_slopes``.
+    """
+    return np.eye(bm.problem.N) - bm.aux_operator * dg[:, None, :]
+
+
+def _aux_residual(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray):
+    # (g, r = w1 - G1 g, dg, |r|^2, {row: DomainError}) at x0 + w1 for (k, N)
+    # stacks, from one evaluation of g; where that leaves g's domain, g row
+    # by row and no slopes, a failing row having zero g and infinite |r|^2
+    try:
+        gv, dg = _g_slopes(bm, x0, w1)
+        errors = {}
+    except expr.DomainError:
+        gv, errors = _by_row(lambda x1: _g_values(bm.problem, x1, bm.g_bound), x0 + w1)
+        dg = None
+    if not gv.flags.writeable:  # a read-only view of the points: the search writes rows into it
+        gv = gv.copy()
+    # matrix-vector and dot products row by row, the arithmetic of one row alone
+    r = w1 - np.matmul(bm.aux_operator, gv[:, :, None])[:, :, 0]
+    f = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+    if errors:
+        f[list(errors)] = np.inf
+    return gv, r, dg, f, errors
 
 
 _AUX_FAILURE = {
@@ -242,46 +277,148 @@ _AUX_FAILURE = {
 }
 
 
-def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the first component of w = M_p (I - Q) F(lift + w) to _AUX_TOL.
+def _aux_newton(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray, gv: np.ndarray):
+    """Damped Newton on w1 - G1 g(x0 + w1) = 0 from w1 = 0, for each row of x0 (m, N).
 
-    Damped Newton runs on w1 - G1 g(lift1 + w1) from w1 = 0 and raises
-    ConvergenceError when it stalls or spends its step budget. Returns
-    (w1, g(lift1 + w1)); the g-values are those of the last residual call,
-    which on convergence was at the returned w1. A repeat of the map's last
-    lift returns copies of them without solving again.
+    Every row takes its own Armijo search: along the Newton direction, then,
+    if that finds no decrease down to step 1e-12 or the row's Jacobian is
+    singular, along the Picard direction -r. A trial point that leaves g's
+    domain, or whose residual overflows, counts as an infinite residual.
+    Each evaluation of g at the points also takes the slopes there, so the
+    Jacobian at an accepted point needs no further evaluation. Each row's
+    last point goes to w1 and the g-values of its last residual (at w1 for
+    a converged row) to gv. Returns (steps, fails): each row's Newton
+    steps, and a dict from a row to what ended it: a DomainError at a point
+    it stood on, or a ConvergenceError when it stalled or spent
+    _AUX_NEWTON_STEPS. Rows after the first failing one stop where they are.
     """
-    key = lift.tobytes()
-    if bm._last_aux is None or bm._last_aux[0] != key:
-        G1 = bm.aux_operator
-        gv = None
+    m = len(x0)
+    steps = np.zeros(m, dtype=int)
+    g, r, dg, f, fails = _aux_residual(bm, x0, w1)
+    # the rows still iterating: their indices, x0, w1, g-values, residuals,
+    # |r|^2, steps and slopes; the rows that have not failed took it steps
+    ids, x, w, n = np.arange(m), x0, w1.copy(), steps.copy()
+    it = 0
+    while True:
+        rn = np.abs(r).max(axis=1)
+        keep = ~(rn <= _AUX_TOL)  # a NaN residual has not converged
+        if fails:
+            keep &= ids < min(fails)
+        if it == _AUX_NEWTON_STEPS:
+            for j in np.flatnonzero(keep):
+                fails[ids[j]] = ConvergenceError(_AUX_FAILURE["budget"].format(rn[j]))
+            keep[:] = False
+        if not keep.all():
+            if not keep.any():
+                w1[ids], gv[ids], steps[ids] = w, g, n
+                return steps, fails
+            out = ids[~keep]
+            w1[out], gv[out], steps[out] = w[~keep], g[~keep], n[~keep]
+            ids, x, w, g, r, f, n, rn = (v[keep] for v in (ids, x, w, g, r, f, n, rn))
+            dg = None if dg is None else dg[keep]
+        if dg is None:  # the last evaluation left g's domain somewhere: slopes row by row
+            dg, bad = _by_row(lambda a, b: _g_slopes(bm, a, b)[1], x, w)
+            if bad:  # no row steps: drop the failed ones and look again
+                fails.update((ids[j], e) for j, e in bad.items())
+                dg = None
+                continue
+        J = _aux_jacobian(bm, dg)
+        picard = set()  # rows searching along -r
+        try:
+            d = np.linalg.solve(J, -r[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # a singular row searches along -r only
+            d = -r
+            for j in range(len(ids)):
+                try:
+                    d[j] = np.linalg.solve(J[j], -r[j])
+                except np.linalg.LinAlgError:
+                    picard.add(j)
+        it += 1
+        trial = w + d
+        g_t, r_t, dg_t, f_t, _ = _aux_residual(bm, x, trial)
+        ok = f_t <= (1.0 - 1e-4) * f
+        if ok.all():  # every row takes the full step
+            w, g, r, f, dg = trial, g_t, r_t, f_t, dg_t
+            n += 1
+            continue
+        s, todo = np.ones(len(ids)), np.arange(len(ids))
+        while True:
+            took = todo[ok]
+            w[took], g[took], r[took], f[took] = trial[ok], g_t[ok], r_t[ok], f_t[ok]
+            n[took] += 1
+            if dg is not None and dg_t is not None:
+                dg[took] = dg_t[ok]
+            else:
+                dg = None
+            todo = todo[~ok]
+            s[todo] *= 0.5
+            for j in todo[s[todo] < 1e-12]:
+                if j not in picard:  # no decrease along Newton: the damped Picard step
+                    picard.add(j)
+                    s[j], d[j] = 1.0, -r[j]
+                else:
+                    fails[ids[j]] = ConvergenceError(_AUX_FAILURE["stalled"].format(rn[j]))
+            todo = todo[s[todo] >= 1e-12]
+            if not todo.size:
+                break
+            trial = w[todo] + s[todo, None] * d[todo]
+            g_t, r_t, dg_t, f_t, _ = _aux_residual(bm, x[todo], trial)
+            ok = f_t <= (1.0 - 1e-4 * s[todo]) * f[todo]
 
-        def resid(w1):
-            nonlocal gv
-            gv = _g_values(bm.problem, lift[:, 0] + w1, bm.g_bound)
-            return w1 - G1 @ gv
 
-        w1, rn, steps, stop = _damped_newton(
-            resid, lambda v: _aux_jacobian(bm, lift, v), np.zeros(bm.problem.N),
-            lambda r: float(np.max(np.abs(r))), _AUX_TOL, _AUX_NEWTON_STEPS, picard=True)
-        bm._inner_iters += steps
-        if stop != "converged":
-            raise ConvergenceError(_AUX_FAILURE[stop].format(rn))
-        bm._last_aux = (key, w1, gv)
-    return bm._last_aux[1].copy(), bm._last_aux[2].copy()
+def _aux_fixed_points(bm: BifurcationMap, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the first component of w = M_p (I - Q) F(lift + w) to _AUX_TOL for a stack of lifts.
+
+    x0 (m, N) holds the lifts' first components. ``_aux_newton`` solves the
+    stack in chunks of at most linear._CHUNK_ENTRIES Jacobian entries.
+    Returns (w1, g(x0 + w1)), both (m, N). When a row fails, its error is
+    raised once the rows before it are solved; the map counts their steps,
+    and the failing row's own when it stalled or ran out of steps, and
+    keeps the last solved row: what solving the rows one at a time, in
+    order, would leave. A stack of one at the map's last lift returns
+    copies of the kept solution without solving again.
+    """
+    m, N = x0.shape
+    last = bm._last_aux
+    if m == 1 and last is not None and last[0] == x0.tobytes():
+        return last[1][None].copy(), last[2][None].copy()
+    w1, gv = np.zeros((m, N)), np.empty((m, N))
+    rows = max(1, _CHUNK_ENTRIES // N**2)
+    for lo in range(0, m, rows):
+        # a residual that overflows is infinite, so its trial point is rejected
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps, fails = _aux_newton(bm, x0[lo:lo + rows], w1[lo:lo + rows], gv[lo:lo + rows])
+        solved = lo + min(fails, default=len(steps))
+        counted = solved - lo + isinstance(fails.get(solved - lo), ConvergenceError)
+        bm._inner_iters += int(steps[:counted].sum())
+        if solved:
+            bm._last_aux = (x0[solved - 1].tobytes(), w1[solved - 1].copy(), gv[solved - 1].copy())
+        if fails:
+            raise fails[solved - lo]
+    return w1, gv
+
+
+def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_aux_fixed_points`` for one lift (N, 2): (w1, g(lift1 + w1))."""
+    w1, gv = _aux_fixed_points(bm, lift[None, :, 0])
+    return w1[0], gv[0]
 
 
 def bifurcation_value(bm: BifurcationMap, alpha) -> np.ndarray:
-    """Reduced equation values at alpha (one entry per kernel dimension).
+    """Reduced equation values at alpha (dim,) (one entry per kernel dimension),
+    or at each row of a stack alpha (k, dim), as a (k, dim) stack.
 
     Pairs F(kernel_lift(alpha) + w(alpha)) = (0, g) against the shifted
-    adjoint basis, with the g-values of the auxiliary solve. With the
+    adjoint basis, with the g-values of the auxiliary solve; a stack's
+    auxiliary equations are solved together, by one stacked Newton. With the
     classified bases this is the plain sum of g-values in the
     one-dimensional constant-kernel case and the cos/sin-weighted sums in
     the two-dimensional rotation case.
     """
-    _, gv = _aux_fixed_point(bm, bm.kernel_lift(alpha))
-    return bm.ld.adj_shift[:, :, 1] @ gv
+    lifts = bm.kernel_lift(alpha)
+    _, gv = _aux_fixed_points(bm, lifts.reshape(-1, bm.problem.N, 2)[:, :, 0])
+    beta = np.matmul(bm.ld.adj_shift[:, :, 1], gv[:, :, None])[:, :, 0]
+    return beta.reshape(lifts.shape[:-2] + (bm.dim,))
 
 
 def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
@@ -297,10 +434,9 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
     """
     lift = bm.kernel_lift(alpha)
     w1, _ = _aux_fixed_point(bm, lift)
-    dg = _g_slopes(bm, lift, w1)
-    dx1 = np.linalg.solve(np.eye(bm.problem.N) - bm.aux_operator * dg,
-                          bm.ld.resonance.kernel_basis[:, :, 0].T)
-    return bm.ld.adj_shift[:, :, 1] @ (dg[:, None] * dx1)
+    _, dg = _g_slopes(bm, lift[None, :, 0], w1[None])
+    dx1 = np.linalg.solve(_aux_jacobian(bm, dg)[0], bm.ld.resonance.kernel_basis[:, :, 0].T)
+    return bm.ld.adj_shift[:, :, 1] @ (dg[0][:, None] * dx1)
 
 
 # -- winding numbers -------------------------------------------------------
@@ -311,9 +447,10 @@ def winding_of_map(fn, radius: float, samples: int = 8) -> int:
 
     Doubles the sample count, up to 2^14, until consecutive image points
     subtend less than pi/2 each, then rounds the accumulated angle to an
-    integer; fn is called once per point. Raises BoundaryZeroError if an
-    image point (relative to the largest) is numerically zero, and
-    ConvergenceError if refinement never settles.
+    integer. fn is called once per round, on the (k, 2) stack of the
+    round's new circle points, and returns their (k, 2) images. Raises
+    BoundaryZeroError if an image point (relative to the largest) is
+    numerically zero, and ConvergenceError if refinement never settles.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -323,8 +460,10 @@ def winding_of_map(fn, radius: float, samples: int = 8) -> int:
         # the last sweep's points are the even ones of this one, as
         # 2 pi (2k) / (2m) rounds exactly like 2 pi k / m: only odd k are new
         ks = np.arange(1, m, 2) if len(vals) else np.arange(m)
-        new = np.array([fn(radius * np.array([math.cos(p), math.sin(p)]))
-                        for p in 2.0 * math.pi * ks / m], dtype=float)
+        points = radius * np.array([[math.cos(p), math.sin(p)] for p in 2.0 * math.pi * ks / m])
+        new = np.asarray(fn(points), dtype=float)
+        if new.shape != points.shape:
+            raise ValueError(f"fn returned shape {new.shape} for {points.shape} points")
         vals = np.stack([vals, new], axis=1).reshape(m, 2) if len(vals) else new
         mags = np.linalg.norm(vals, axis=1)
         scale = float(np.max(mags))
@@ -492,8 +631,7 @@ def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
     def beta(a: float) -> float:
         return float(bifurcation_value(bm, [a])[0])
 
-    b_hi = beta(r)
-    b_lo = beta(-r)
+    b_hi, b_lo = bifurcation_value(bm, [[r], [-r]])[:, 0].tolist()
     bisection = 0
     if max(abs(b_hi), abs(b_lo)) <= 1e-14:
         alpha_star = 0.0
@@ -523,7 +661,7 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
     # away from 0 and check whether any yields a visibly nonzero solution
     grid = np.linspace(-r, r, 33)
     try:
-        vals = [beta(a) for a in grid]
+        vals = bifurcation_value(bm, grid[:, None])[:, 0].tolist()
     except (ConvergenceError, expr.DomainError):
         return False
     for k in range(len(grid) - 1):
@@ -564,11 +702,11 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
         zhat_est, K_est = _estimate_bounds(problem)
         radius = 10.0 * (zhat_est + bm.norm_upper * K_est)
 
-    sweep = 0  # bifurcation-map evaluations of the winding sweep
+    sweep = 0  # circle points the winding sweep evaluated the map at
 
     def swept_value(a):
         nonlocal sweep
-        sweep += 1
+        sweep += len(a)
         return bifurcation_value(bm, a)
 
     try:

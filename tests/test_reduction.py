@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from perdiff import (
 )
 
 import perdiff.expr as expr
-from perdiff import oracle, reduction
-from perdiff.reduction import _aux_jacobian, _brent
+from perdiff import linear, oracle, reduction
+from perdiff.reduction import _aux_jacobian, _brent, _g_slopes
 
 from conftest import CANONICAL_G, dense_mpiq, g1_atol, make_problem
 
@@ -226,7 +227,8 @@ def test_aux_jacobian_matches_full_difference_jacobian():
         expected[:, j] = (resid(wf + e) - resid(wf - e)) / (2.0 * e[j])
     # Newton runs on the w1 block; the w2 columns of the full Jacobian are I
     np.testing.assert_allclose(expected[:, 1::2], np.eye(2 * N)[:, 1::2], rtol=0, atol=1e-6)
-    np.testing.assert_allclose(_aux_jacobian(bm, lift, wf[0::2]), expected[0::2, 0::2],
+    _, dg = _g_slopes(bm, lift[None, :, 0], wf[None, 0::2])
+    np.testing.assert_allclose(_aux_jacobian(bm, dg)[0], expected[0::2, 0::2],
                                rtol=0, atol=1e-6)
 
 
@@ -359,6 +361,157 @@ def test_bifurcation_value_evaluates_g_only_in_its_auxiliary_solve(monkeypatch):
     assert len(calls) == 2 * value_calls
 
 
+def _stack_of(bm, k, scale):
+    # k kernel coordinates around the origin, spread over [-scale, scale]
+    # (dim 1) or over circles of radius up to scale (dim 2)
+    if bm.dim == 1:
+        return np.linspace(-scale, scale, k)[:, None]
+    phi = 2.0 * np.pi * np.arange(k) / k
+    rho = scale * (0.3 + 0.7 * np.arange(k) / k)
+    return np.stack([rho * np.cos(phi), rho * np.sin(phi)], axis=1)
+
+
+def _per_point(p, ld, alphas):
+    # values and auxiliary Newton steps of one call per point, on a fresh map
+    bm = BifurcationMap(p, ld)
+    return np.array([bifurcation_value(bm, a) for a in alphas]), bm._inner_iters
+
+
+@pytest.mark.parametrize("b,c,N,g", [
+    (-3, 2, 9, "tanh(x)+0.1*cos(2*pi*t/9+0.3)"),
+    (-1.5, 0.5, 21, "atan(x)+0.12*cos(2*pi*t/21+4.1)"),
+    _rotation_row(15) + ("x/(1+abs(x))+0.17*cos(2*pi*t/15+0.8)",),
+    _rotation_row(33) + ("tanh(x)+0.1*cos(2*pi*t/33)",),
+    (-1.5, 0.5, 13, "ln(x+5)+0.1*cos(2*pi*t/13)"),
+    _rotation_row(5) + ("ln(x+5)+0.1*cos(2*pi*t/5)",),
+], ids=["dim1-N9", "dim1-N21", "dim2-N15", "dim2-N33", "dim1-ln", "dim2-ln"])
+def test_bifurcation_value_of_a_stack_matches_the_points(b, c, N, g):
+    # one stacked auxiliary Newton gives each point's value and takes each
+    # point's steps; ln(x+5) puts some trial points outside g's domain
+    p, bm = _bm(b, c, N, g)
+    alphas = _stack_of(bm, 16, 2.0)
+    stacked = bifurcation_value(bm, alphas)
+    assert stacked.shape == (16, bm.dim)
+    expected, steps = _per_point(p, bm.ld, alphas)
+    np.testing.assert_allclose(stacked, expected, rtol=0, atol=1e-13)
+    assert bm._inner_iters == steps
+
+
+def test_bifurcation_value_of_a_stack_larger_than_a_chunk():
+    # at N = 65 a chunk holds 15 Jacobians, so 40 points take three chunks
+    p, bm = _bm(*_rotation_row(65), "tanh(x)+0.1*cos(2*pi*t/65)")
+    assert max(1, linear._CHUNK_ENTRIES // 65 ** 2) == 15
+    alphas = _stack_of(bm, 40, 3.0)
+    expected, steps = _per_point(p, bm.ld, alphas)
+    np.testing.assert_allclose(bifurcation_value(bm, alphas), expected, rtol=0, atol=1e-13)
+    assert bm._inner_iters == steps
+
+
+def test_a_stack_member_outside_the_domain_raises_what_its_point_raises():
+    # the first failing member's error, naming t and x, after the members
+    # before it: their steps are counted, as one call per point counts them
+    p, bm = _bm(-3, 2, 5, "ln(x+5)+0.1*cos(2*pi*t/5)")
+    alphas = np.array([[1.0], [2.0], [-9.0], [0.5]])
+    with pytest.raises(expr.DomainError, match=r"ln of a non-positive value \(at t=\d+, x=") as info:
+        bifurcation_value(bm, alphas)
+    point = BifurcationMap(p, bm.ld)
+    bifurcation_value(point, alphas[0])
+    bifurcation_value(point, alphas[1])
+    with pytest.raises(expr.DomainError) as at_point:
+        bifurcation_value(point, alphas[2])
+    assert str(info.value) == str(at_point.value)
+    assert bm._inner_iters == point._inner_iters > 0
+
+
+def test_a_stack_member_whose_slopes_leave_the_domain_raises_what_its_point_raises():
+    # the second lift sits 5e-7 above ln's pole at x = -5: its residual is
+    # defined, but its slope difference at h = 1e-6 is not, so the stack's
+    # one evaluation fails and the slopes are taken row by row
+    p, bm = _bm(-3, 2, 5, "ln(x+5)+0.1*cos(2*pi*t/5)")
+    edge = (-5.0 + 5e-7) / bm.ld.resonance.kernel_basis[0, 0, 0]
+    alphas = np.array([[1.0], [edge], [2.0]])
+    with pytest.raises(expr.DomainError, match=r"\(at t=0, x=") as info:
+        bifurcation_value(bm, alphas)
+    point = BifurcationMap(p, bm.ld)
+    bifurcation_value(point, alphas[0])
+    with pytest.raises(expr.DomainError) as at_point:
+        bifurcation_value(point, alphas[1])
+    assert str(info.value) == str(at_point.value)
+    assert bm._inner_iters == point._inner_iters > 0
+
+
+def test_a_stack_member_over_the_step_budget_raises_convergence_error(monkeypatch):
+    # the budget cut to one step below what the hardest member needs: that
+    # member alone runs out, and the stack raises its ConvergenceError
+    p, bm = _bm(-3, 2, 9, "tanh(x)+0.1*cos(2*pi*t/9)")
+    alphas = np.array([[-0.5], [1.0], [3.0]])
+    needs = []
+    for a in alphas:
+        point = BifurcationMap(p, bm.ld)
+        bifurcation_value(point, a)
+        needs.append(point._inner_iters)
+    assert needs[1] > max(needs[0], needs[2])
+    monkeypatch.setattr(reduction, "_AUX_NEWTON_STEPS", needs[1] - 1)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        bifurcation_value(bm, alphas)
+    # as one call per point: the first member's steps and the spent budget
+    assert bm._inner_iters == needs[0] + needs[1] - 1
+
+
+def test_a_stalling_stack_member_raises_what_its_point_raises():
+    # from w1 = 0 the auxiliary Newton stalls at the ninth of these points
+    # (and at two later ones)
+    p, bm = _bm(*_rotation_row(15), "x/(1+abs(x))+0.17*cos(2*pi*t/15+0.8)")
+    alphas = _stack_of(bm, 16, 4.0)
+    with pytest.raises(ConvergenceError, match="stalled") as info:
+        bifurcation_value(bm, alphas)
+    point = BifurcationMap(p, bm.ld)
+    for a in alphas[:8]:
+        bifurcation_value(point, a)
+    with pytest.raises(ConvergenceError) as at_point:
+        bifurcation_value(point, alphas[8])
+    assert str(info.value) == str(at_point.value)
+    assert bm._inner_iters == point._inner_iters
+
+
+def test_an_overflowing_trial_point_is_rejected_without_a_warning():
+    # with exp(x) at |alpha| = 20 the search meets trial points where G1 g
+    # overflows: such a residual is infinite, like one outside g's domain,
+    # and no RuntimeWarning (an error in this suite) escapes; every point
+    # stalls or runs out of steps, the stack with its first point's error
+    p, bm = _bm(*_rotation_row(5), "exp(x)-1+0.1*cos(2*pi*t/5)")
+    phi = 2.0 * np.pi * np.arange(16) / 16
+    circle = 20.0 * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    messages = []
+    for a in circle:
+        with pytest.raises(ConvergenceError) as at_point:
+            bifurcation_value(BifurcationMap(p, bm.ld), a)
+        messages.append(str(at_point.value))
+    with pytest.raises(ConvergenceError) as info:
+        bifurcation_value(bm, circle)
+    assert str(info.value) == messages[0]
+
+
+def test_the_winding_sweep_is_chunked_to_the_memory_of_one_point():
+    # at N = 257 one Jacobian is a whole chunk, so the 16 points of the
+    # first sweep round are solved one at a time and hold about the memory
+    # of a single point (all 16 Jacobians at once would be 8.4 MB)
+    p, bm = _bm(*_rotation_row(257), "tanh(x)+0.1*cos(2*pi*t/257)")
+    bm.aux_operator, bm.g_bound  # built once per map, outside the measurement
+    phi = 2.0 * np.pi * np.arange(16) / 16
+    circle = 5.0 * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    tracemalloc.start()
+    try:
+        bifurcation_value(bm, circle[3])
+        _, one = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        bifurcation_value(bm, circle)
+        _, sweep = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sweep <= 1.25 * one
+
+
 @pytest.mark.parametrize("b,c,N,g", [
     (-1.5, 0.5, 13, "atan(x)+0.12*cos(2*pi*t/13+4.1)"),
     (-2.0 * math.cos(2.0 * math.pi / 5), 1.0, 5, "x/(1+abs(x))+0.17*cos(2*pi*t/5+0.8)"),
@@ -376,7 +529,7 @@ def test_g_values_on_the_bound_tree_name_the_failing_t():
     with pytest.raises(expr.DomainError, match=r"ln of a non-positive value \(at t=0, x="):
         reduction._g_values(p, np.ones(5), bm.g_bound)
     with pytest.raises(expr.DomainError, match=r"\(at t=0, x="):
-        reduction._g_slopes(bm, bm.kernel_lift([0.5]), np.zeros(5))
+        _g_slopes(bm, bm.kernel_lift([[0.5]])[:, :, 0], np.zeros((1, 5)))
 
 
 def test_brent_meets_the_width_on_a_smooth_root():
@@ -421,48 +574,60 @@ def test_nontrivial_scan_skips_a_bracket_whose_refinement_fails(monkeypatch, err
     # drops that bracket instead of the whole solve
     p = make_problem(-3, 2, 3, "1.5*sin(x)")
     grid = np.linspace(-10.0, 10.0, 33)
-    scanning = []
-    real_forcing_free, real_aux = reduction._forcing_free, reduction._aux_fixed_point
+    scanning, failed = [], []
+    real_forcing_free, real_aux = reduction._forcing_free, reduction._aux_fixed_points
 
     def forcing_free(problem):
         scanning.append(True)
         return real_forcing_free(problem)
 
-    def aux(bm, lift):
-        if scanning and not any(np.array_equal(lift, bm.kernel_lift([a])) for a in grid):
+    def aux(bm, x0):
+        # the scan's grid is one stack; every other solve while scanning
+        # belongs to a bracket's refinement
+        on_grid = bm.kernel_lift(grid[:, None])[:, :, 0]
+        if scanning and not all((on_grid == row).all(axis=1).any() for row in x0):
+            failed.append(len(x0))
             raise error("refinement failed")
-        return real_aux(bm, lift)
+        return real_aux(bm, x0)
 
     monkeypatch.setattr(reduction, "_forcing_free", forcing_free)
-    monkeypatch.setattr(reduction, "_aux_fixed_point", aux)
+    monkeypatch.setattr(reduction, "_aux_fixed_points", aux)
     rep = solve(p)
     assert rep.regime == 1
     assert rep.oracle_verified
     assert rep.nontrivial_root_found is False
+    assert failed  # some bracket's refinement did fail
 
 
 def test_winding_synthetic_maps():
+    # the map takes the (k, 2) stack of a round's circle points
     assert winding_of_map(lambda a: a, 3.0) == 1
-    assert winding_of_map(lambda a: np.array([1.0, 0.5]), 3.0) == 0
-    assert winding_of_map(lambda a: np.array([a[0] ** 2 - a[1] ** 2, 2 * a[0] * a[1]]), 2.0) == 2
+    assert winding_of_map(lambda a: np.tile([1.0, 0.5], (len(a), 1)), 3.0) == 0
+    assert winding_of_map(lambda a: np.stack([a[:, 0] ** 2 - a[:, 1] ** 2, 2 * a[:, 0] * a[:, 1]],
+                                             axis=1), 2.0) == 2
     with pytest.raises(BoundaryZeroError):
-        winding_of_map(lambda a: np.zeros(2), 1.0)
+        winding_of_map(np.zeros_like, 1.0)
     with pytest.raises(ValueError):
         winding_of_map(lambda a: a, -1.0)
+    with pytest.raises(ValueError, match="shape"):
+        winding_of_map(lambda a: a[0], 1.0)
 
 
 def test_winding_evaluates_each_point_once():
     # z -> z^5 settles at 32 points; the sweeps of 8 and 16 points are the
-    # even points of the next one, so the map is called 32 times, not 56
-    points = []
+    # even points of the next one, so the map sees 32 points, not 56, in
+    # one call per round
+    points, rounds = [], []
 
     def z5(a):
-        points.append(tuple(a))
-        z = complex(a[0], a[1]) ** 5
-        return np.array([z.real, z.imag])
+        rounds.append(len(a))
+        points.extend(map(tuple, a))
+        z = (a[:, 0] + 1j * a[:, 1]) ** 5
+        return np.stack([z.real, z.imag], axis=1)
 
     assert winding_of_map(z5, 1.0) == 5
     assert len(points) == len(set(points)) == 32
+    assert rounds == [8, 8, 16]
 
 
 def test_winding_samples_counts_the_sweep():
