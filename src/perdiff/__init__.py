@@ -30,7 +30,6 @@ from .linear import (
     apply_L,
     build_linear_data,
     classify,
-    companion_matrix,
     image_test,
     mp_solve,
     norm_bound_mp_iq,
@@ -38,7 +37,6 @@ from .linear import (
     proj_Q,
     sup_norm,
 )
-from .mat2 import svals2
 from .oracle import check_solution, multistart_search, newton_solve, residual
 from .reduction import (
     BifurcationMap,
@@ -47,7 +45,6 @@ from .reduction import (
     NoSignChangeError,
     SolveReport,
     SolverError,
-    apply_F,
     bifurcation_jacobian,
     bifurcation_value,
     solve,
@@ -59,11 +56,11 @@ __all__ = [
     "BifurcationMap", "BoundaryZeroError", "CheckReport", "ConvergenceError",
     "DomainError", "ExprError", "LinearData", "ModeLimitError", "NoSignChangeError",
     "NotInImageError", "Problem", "ResonanceClass", "SolveReport",
-    "SolverError", "apply_F", "apply_L", "bifurcation_jacobian",
+    "SolverError", "apply_L", "bifurcation_jacobian",
     "bifurcation_value",
     "build_linear_data", "check_corollary", "check_solution", "check_thm1",
-    "check_thm2", "classify", "companion_matrix", "evaluate", "image_test",
+    "check_thm2", "classify", "evaluate", "image_test",
     "membership_U", "mp_solve", "multistart_search",
     "newton_solve", "norm_bound_mp_iq", "parse", "proj_P", "proj_Q",
-    "residual", "solve", "sup_norm", "svals2", "winding_of_map",
+    "residual", "solve", "sup_norm", "winding_of_map",
 ]

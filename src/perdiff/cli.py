@@ -19,6 +19,7 @@ two resonant modes, in one line on stderr), 4 hypothesis check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -47,12 +48,15 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(f"usage error: {message}", EXIT_USAGE)
 
 
-def _positive_float(text: str) -> float:
-    # option type of tolerances and widths: finite and > 0, else a usage error
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be finite and positive")
-    return value
+@contextlib.contextmanager
+def _options_checked(*options: str):
+    # the library checks its arguments: a ValueError naming one of options first is a usage error
+    try:
+        yield
+    except ValueError as e:
+        if str(e).split(" ", 1)[0] not in options:
+            raise
+        raise _CliError(f"--{e}", EXIT_USAGE) from None
 
 
 # -- deterministic JSON ------------------------------------------------------
@@ -170,21 +174,19 @@ def _cmd_solve(args) -> int:
     shell = _report_shell("solve", problem, tol=args.tol, r=args.r,
                           radius=args.radius, grid=args.grid)
     try:
-        report = reduction.solve(problem, tol=args.tol, r=args.r,
-                                 radius=args.radius, grid=args.grid)
+        with _options_checked("tol", "r", "radius", "grid"):
+            report = reduction.solve(problem, tol=args.tol, r=args.r,
+                                     radius=args.radius, grid=args.grid)
     except (reduction.SolverError, expr.DomainError) as e:
         return _print_failure(shell, str(e), getattr(e, "diagnostics", None))
-    except ValueError as e:
-        # solve checks every argument first; its message starts with the parameter's name
-        if str(e).split(" ", 1)[0] not in ("tol", "r", "radius", "grid"):
-            raise
-        raise _CliError(f"--{e}", EXIT_USAGE) from None
     shell.update(report.as_dict())
     print(to_json(shell))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _CliError("--tol must be finite and positive", EXIT_USAGE)
     problem = load_problem(args.problem)
     try:
         with open(args.solution, encoding="utf-8") as fh:
@@ -219,18 +221,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.grid < 2:
-        raise _CliError("--grid must be >= 2", EXIT_USAGE)
     problem = load_problem(args.problem)
     shell = _report_shell("check", problem, theorem=args.theorem,
                           r=args.r, zhat=args.zhat, R=args.R, grid=args.grid)
     try:
-        if args.theorem == "thm1":
-            report = hypotheses.check_thm1(problem, r=args.r, zhat=args.zhat, grid=args.grid)
-        elif args.theorem == "cor":
-            report = hypotheses.check_corollary(problem, R=args.R, grid=args.grid)
-        else:
-            report = hypotheses.check_thm2(problem, zhat=args.zhat, grid=args.grid)
+        with _options_checked("r", "zhat", "R", "grid"):
+            if args.theorem == "thm1":
+                report = hypotheses.check_thm1(problem, r=args.r, zhat=args.zhat, grid=args.grid)
+            elif args.theorem == "cor":
+                report = hypotheses.check_corollary(problem, R=args.R, grid=args.grid)
+            else:
+                report = hypotheses.check_thm2(problem, zhat=args.zhat, grid=args.grid)
     except NotInImageError as e:
         # a valid problem whose linear data is too inaccurate to apply
         # M_p(I-Q): a numerical failure, not a parse error
@@ -305,9 +306,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="compute an N-periodic solution")
     p.add_argument("problem")
-    p.add_argument("--tol", type=_positive_float, default=1e-9,
+    p.add_argument("--tol", type=float, default=1e-9,
                    help="sup-norm recurrence residual to reach (down to a few 1e-12)")
-    p.add_argument("--r", type=_positive_float, default=10.0,
+    p.add_argument("--r", type=float, default=10.0,
                    help="search half-width for the one-dimensional kernel")
     p.add_argument("--radius", type=float, default=0.0,
                    help="search radius for the two-dimensional kernel (0 = auto)")
@@ -318,15 +319,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="residual-check a solution file")
     p.add_argument("problem")
     p.add_argument("solution")
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("check", help="verify existence-theorem hypotheses")
     p.add_argument("problem")
     p.add_argument("--theorem", choices=["thm1", "cor", "thm2"], required=True)
-    p.add_argument("--r", type=_positive_float, default=10.0)
-    p.add_argument("--zhat", type=_positive_float, default=1.0)
-    p.add_argument("--R", type=_positive_float, default=1.0)
+    p.add_argument("--r", type=float, default=10.0)
+    p.add_argument("--zhat", type=float, default=1.0)
+    p.add_argument("--R", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=201)
     p.set_defaults(func=_cmd_check)
 

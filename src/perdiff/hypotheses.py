@@ -18,7 +18,7 @@ reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,13 +46,7 @@ class Condition:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "passed": self.passed,
-            "sampled": self.sampled,
-            "quantities": self.quantities,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -86,6 +80,17 @@ class CheckReport:
 def _positive(v: float) -> bool:
     # nan fails every comparison, so "v <= 0" would let it through
     return math.isfinite(v) and v > 0
+
+
+def _check_args(grid: int, N: int | None = None, **positive) -> None:
+    # the checkers' argument rules: each value given finite and positive, grid >= 2, N odd
+    for name, value in positive.items():
+        if value is not None and not _positive(value):
+            raise ValueError(f"{name} must be finite and positive")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    if N is not None and N % 2 == 0:
+        raise ValueError("this check requires an odd period N")
 
 
 def _g_on_grid(problem: Problem, xs: np.ndarray) -> np.ndarray:
@@ -139,12 +144,7 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201) -> Chec
         classifies it (at odd N the only two-dimensional kernel is the
         rotation one: c = 1, |b| < 2 and N*arccos(-b/2) a multiple of 2*pi).
     """
-    if problem.N % 2 == 0 or problem.N <= 1:
-        raise ValueError("this check requires an odd period N > 1")
-    if not (_positive(r) and _positive(zhat)):
-        raise ValueError("r and zhat must be finite and positive")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    _check_args(grid, problem.N, r=r, zhat=zhat)
     ld = build_linear_data(problem)
 
     periodic_ok = _t_periodic(problem)
@@ -238,10 +238,7 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
 
     Requires g to be independent of t (checked; ValueError otherwise).
     """
-    if not _positive(R):
-        raise ValueError("R must be finite and positive")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    _check_args(grid, R=R)
     if r_schedule is None:
         r_schedule = [10.0**k for k in range(1, 7)]
     r_schedule = [float(r) for r in r_schedule]
@@ -304,14 +301,7 @@ def check_thm2(problem: Problem, zhat: float, grid: int = 201,
     C3: the rotation count r of the kernel satisfies
         N / gcd(r, N) >= max(3, K/J + 1).
     """
-    if problem.N % 2 == 0 or problem.N <= 1:
-        raise ValueError("this check requires an odd period N > 1")
-    if not _positive(zhat):
-        raise ValueError("zhat must be finite and positive")
-    if xmax is not None and not _positive(xmax):
-        raise ValueError("xmax must be finite and positive")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    _check_args(grid, problem.N, zhat=zhat, xmax=xmax)
     ld = build_linear_data(problem)
     if ld.resonance.dim != 2:
         raise ValueError("kernel dimension is not 2; this theorem does not apply")

@@ -24,16 +24,21 @@ differences) and solves the rows' Newton systems in one batched solve, a
 chunk of rows at a time. A single lift is the stack of one; the winding
 sweep and the regime-1 scan for nontrivial roots pass whole stacks.
 
+Where g is undefined (ln, / and ^ are in its grammar), a trial point
+counts as an infinite residual. A row fails with a DomainError only when it
+stands outside g's domain or must step where its slopes are undefined; only
+then is g scanned one (t, x) at a time to name the failing t and x.
+
 ``solve`` is the one entry point. It checks its arguments, builds the
 linear data once and runs the regime solver of the kernel dimension (0, 1
-or 2), as its docstring describes. One damped Newton loop and one
-bracketing root finder serve all three. Every solution is re-validated: the
+or 2), as its docstring describes. Every solution is re-validated: the
 two reduced equations hold, and the recurrence residual, computed by the
 independent oracle module, is within tol.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -86,28 +91,26 @@ class BoundaryZeroError(RuntimeError):
 # -- substitution operator ------------------------------------------------
 
 
-def _g_values(problem: Problem, x1: np.ndarray, g: expr.Node) -> np.ndarray:
-    """g(t, x1(t)) for t = 0..N-1 by the tree g, x1 one sequence (N,) or a stack (..., N).
-
-    A DomainError names the first failing member's first failing t and x.
-    """
-    try:
-        return expr.evaluate(g, np.arange(problem.N), x1)
-    except expr.DomainError:
-        for row in np.reshape(x1, (-1, problem.N)):
-            for t in range(problem.N):
-                try:
-                    expr.evaluate(problem.g, t, row[t])
-                except expr.DomainError as e:
-                    raise expr.DomainError(f"{e} (at t={t}, x={row[t]!r})") from None
-        raise
+def _located(problem: Problem, x1: np.ndarray, e: expr.DomainError) -> expr.DomainError:
+    # the DomainError of g at the first member of x1 (..., N) where g fails,
+    # naming its first failing t and x, found one (t, x) at a time; else e
+    for row in np.reshape(x1, (-1, problem.N)):
+        for t in range(problem.N):
+            try:
+                expr.evaluate(problem.g, t, row[t])
+            except expr.DomainError as err:
+                return expr.DomainError(f"{err} (at t={t}, x={row[t]!r})")
+    return e
 
 
 def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """(F x)(t) = (0, g(t, x1(t))); the nonlinearity lifted to sequences."""
+    """(F x)(t) = (0, g(t, x1(t))), the nonlinearity on sequences; a DomainError names t and x."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
-    out[:, 1] = _g_values(problem, x[:, 0], problem.g)
+    try:
+        out[:, 1] = expr.evaluate(problem.g, np.arange(problem.N), x[:, 0])
+    except expr.DomainError as e:
+        raise _located(problem, x[:, 0], e) from None
     return out
 
 
@@ -177,98 +180,58 @@ class BifurcationMap:
         return lift
 
 
-def _damped_newton(resid, jac, x: np.ndarray, norm, tol: float, max_steps: int):
-    """Damped Newton on resid(x) = 0 with an Armijo backtracking line search.
-
-    A trial point that leaves g's domain counts as an infinite residual.
-    Returns (x, norm(resid(x)), steps, stop), where stop says why it ended:
-    "converged" (norm <= tol), "stalled" (jac(x) was singular, or no step
-    length down to 1e-12 decreased |resid|^2) or "budget" (max_steps steps
-    taken). On "converged" the last resid call was at the returned x.
-    """
-    r = resid(x)
-    for it in range(max_steps + 1):
-        rn = norm(r)
-        if rn <= tol:
-            return x, rn, it, "converged"
-        if it == max_steps:
-            return x, rn, it, "budget"
-        try:
-            d = np.linalg.solve(jac(x), -r)
-        except np.linalg.LinAlgError:
-            return x, rn, it, "stalled"
-        f0, s = float(r @ r), 1.0
-        while True:
-            if s < 1e-12:
-                return x, rn, it, "stalled"
-            try:
-                r_new = resid(x + s * d)
-            except expr.DomainError:
-                r_new = np.full_like(r, np.inf)
-            if float(r_new @ r_new) <= (1.0 - 1e-4 * s) * f0:
-                break
-            s *= 0.5
-        x, r = x + s * d, r_new
-
-
-def _by_row(fn, *stacks):
-    # fn on the (k, ...) stacks, or, where that raises DomainError, on each
-    # row alone: (values, {row: DomainError}), a failing row's values zero
-    try:
-        return fn(*stacks), {}
-    except expr.DomainError:
-        values, errors = np.zeros_like(stacks[0]), {}
-        for i in range(len(values)):
-            try:
-                values[i] = fn(*(s[i:i + 1] for s in stacks))[0]
-            except expr.DomainError as e:
-                errors[i] = e
-        return values, errors
-
-
-def _g_slopes(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray):
-    """(g(x1), dg) at x1 = x0 + w1 for each row of the (k, N) stacks x0 (lift
-    first components) and w1, from one evaluation of g at x1 and x1 +- h.
-
-    dg are the central difference quotients at step h = 1e-6 * (1 + |w1|):
-    the ones a column-by-column difference of the whole auxiliary residual
-    takes, without the rounding noise of the operator. A DomainError names
-    the first failing row's t and x, x1 before x1 + h before x1 - h.
-    """
+def _points(x0: np.ndarray, w1: np.ndarray):
+    # the (k, 3, N) points [x1, x1 + h, x1 - h], x1 = x0 + w1, and the steps h
     h = 1e-6 * (1.0 + np.abs(w1))
     x1 = x0 + w1
     points = np.empty((len(x1), 3, x1.shape[-1]))
     points[:, 0], points[:, 1], points[:, 2] = x1, x1 + h, x1 - h
-    values = _g_values(bm.problem, points, bm.g_bound)
-    return values[:, 0], (values[:, 1] - values[:, 2]) / (2.0 * h)
-
-
-def _aux_jacobian(bm: BifurcationMap, dg: np.ndarray) -> np.ndarray:
-    """Jacobians (k, N, N) of w1 -> w1 - G1 g(x0 + w1), one per row of the slopes dg.
-
-    g acts pointwise, so each is I - G1 diag(dg), dg from ``_g_slopes``.
-    """
-    return np.eye(bm.problem.N) - bm.aux_operator * dg[:, None, :]
+    return points, h
 
 
 def _aux_residual(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray):
-    # (g, r = w1 - G1 g, dg, |r|^2, {row: DomainError}) at x0 + w1 for (k, N)
-    # stacks, from one evaluation of g; where that leaves g's domain, g row
-    # by row and no slopes, a failing row having zero g and infinite |r|^2
+    """(g, r = w1 - G1 g, dg, |r|^2, fell) at x1 = x0 + w1 for each row of the
+    (k, N) stacks x0 (lift first components) and w1.
+
+    g is evaluated once, on the stack of ``_points``; dg are the central
+    difference quotients at step h, those of a column-by-column difference
+    of the whole residual without the operator's rounding noise. Where that
+    leaves g's domain (fell), g is evaluated row by row: a row whose x1 +- h
+    leave it gets NaN slopes, and one whose x1 does NaN g and r and an
+    infinite |r|^2. ``_row_error`` names such a row's failure.
+    """
+    points, h = _points(x0, w1)
+    ts = np.arange(bm.problem.N)
     try:
-        gv, dg = _g_slopes(bm, x0, w1)
-        errors = {}
+        values, fell = expr.evaluate(bm.g_bound, ts, points), False
     except expr.DomainError:
-        gv, errors = _by_row(lambda x1: _g_values(bm.problem, x1, bm.g_bound), x0 + w1)
-        dg = None
+        values, fell = np.full(points.shape, np.nan), True
+        for i, row in enumerate(points):
+            with contextlib.suppress(expr.DomainError):
+                values[i, 0] = expr.evaluate(bm.g_bound, ts, row[0])
+                values[i, 1:] = expr.evaluate(bm.g_bound, ts, row[1:])
+    gv, dg = values[:, 0], (values[:, 1] - values[:, 2]) / (2.0 * h)
     if not gv.flags.writeable:  # a read-only view of the points: the search writes rows into it
         gv = gv.copy()
     # matrix-vector and dot products row by row, the arithmetic of one row alone
     r = w1 - np.matmul(bm.aux_operator, gv[:, :, None])[:, :, 0]
     f = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
-    if errors:
-        f[list(errors)] = np.inf
-    return gv, r, dg, f, errors
+    if fell:
+        f[np.isnan(gv[:, 0])] = np.inf
+    return gv, r, dg, f, fell
+
+
+def _row_error(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray) -> expr.DomainError:
+    # the DomainError of a row (N,) found outside g's domain, naming t and x: x1, x1 + h, x1 - h
+    return _located(bm.problem, _points(x0[None], w1[None])[0], None)
+
+
+def _aux_jacobian(bm: BifurcationMap, dg: np.ndarray) -> np.ndarray:
+    """Jacobians (k, N, N) of w1 -> w1 - G1 g(x0 + w1), one per row of the slopes dg.
+
+    g acts pointwise, so each is I - G1 diag(dg), dg from ``_aux_residual``.
+    """
+    return np.eye(bm.problem.N) - bm.aux_operator * dg[:, None, :]
 
 
 _AUX_FAILURE = {
@@ -288,16 +251,18 @@ def _aux_newton(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray, gv: np.ndarr
     Jacobian at an accepted point needs no further evaluation. Each row's
     last point goes to w1 and the g-values of its last residual (at w1 for
     a converged row) to gv. Returns (steps, fails): each row's Newton
-    steps, and a dict from a row to what ended it: a DomainError at a point
-    it stood on, or a ConvergenceError when it stalled or spent
-    _AUX_NEWTON_STEPS. Rows after the first failing one stop where they are.
+    steps, and a dict from a row to what ended it: a DomainError outside g's
+    domain or before a step without slopes, or a ConvergenceError when it
+    stalled or spent _AUX_NEWTON_STEPS. Rows after the first failing one
+    stop where they are.
     """
     m = len(x0)
     steps = np.zeros(m, dtype=int)
-    g, r, dg, f, fails = _aux_residual(bm, x0, w1)
+    g, r, dg, f, fell = _aux_residual(bm, x0, w1)
     # the rows still iterating: their indices, x0, w1, g-values, residuals,
     # |r|^2, steps and slopes; the rows that have not failed took it steps
     ids, x, w, n = np.arange(m), x0, w1.copy(), steps.copy()
+    fails = {}
     it = 0
     while True:
         rn = np.abs(r).max(axis=1)
@@ -314,13 +279,12 @@ def _aux_newton(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray, gv: np.ndarr
                 return steps, fails
             out = ids[~keep]
             w1[out], gv[out], steps[out] = w[~keep], g[~keep], n[~keep]
-            ids, x, w, g, r, f, n, rn = (v[keep] for v in (ids, x, w, g, r, f, n, rn))
-            dg = None if dg is None else dg[keep]
-        if dg is None:  # the last evaluation left g's domain somewhere: slopes row by row
-            dg, bad = _by_row(lambda a, b: _g_slopes(bm, a, b)[1], x, w)
-            if bad:  # no row steps: drop the failed ones and look again
-                fails.update((ids[j], e) for j, e in bad.items())
-                dg = None
+            ids, x, w, g, r, f, n, rn, dg = (v[keep] for v in (ids, x, w, g, r, f, n, rn, dg))
+        if fell:  # an evaluation left g's domain: the first row with NaN slopes fails
+            fell = False
+            bad = np.flatnonzero(np.isnan(dg).any(axis=1))
+            if bad.size:
+                fails[ids[bad[0]]] = _row_error(bm, x[bad[0]], w[bad[0]])
                 continue
         J = _aux_jacobian(bm, dg)
         picard = set()  # rows searching along -r
@@ -335,7 +299,7 @@ def _aux_newton(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray, gv: np.ndarr
                     picard.add(j)
         it += 1
         trial = w + d
-        g_t, r_t, dg_t, f_t, _ = _aux_residual(bm, x, trial)
+        g_t, r_t, dg_t, f_t, fell = _aux_residual(bm, x, trial)
         ok = f_t <= (1.0 - 1e-4) * f
         if ok.all():  # every row takes the full step
             w, g, r, f, dg = trial, g_t, r_t, f_t, dg_t
@@ -345,11 +309,8 @@ def _aux_newton(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray, gv: np.ndarr
         while True:
             took = todo[ok]
             w[took], g[took], r[took], f[took] = trial[ok], g_t[ok], r_t[ok], f_t[ok]
+            dg[took] = dg_t[ok]
             n[took] += 1
-            if dg is not None and dg_t is not None:
-                dg[took] = dg_t[ok]
-            else:
-                dg = None
             todo = todo[~ok]
             s[todo] *= 0.5
             for j in todo[s[todo] < 1e-12]:
@@ -362,7 +323,8 @@ def _aux_newton(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray, gv: np.ndarr
             if not todo.size:
                 break
             trial = w[todo] + s[todo, None] * d[todo]
-            g_t, r_t, dg_t, f_t, _ = _aux_residual(bm, x[todo], trial)
+            g_t, r_t, dg_t, f_t, fell_t = _aux_residual(bm, x[todo], trial)
+            fell |= fell_t
             ok = f_t <= (1.0 - 1e-4 * s[todo]) * f[todo]
 
 
@@ -433,8 +395,10 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
     the same alpha.
     """
     lift = bm.kernel_lift(alpha)
-    w1, _ = _aux_fixed_point(bm, lift)
-    _, dg = _g_slopes(bm, lift[None, :, 0], w1[None])
+    x0, w1 = lift[None, :, 0], _aux_fixed_point(bm, lift)[0][None]
+    _, _, dg, _, fell = _aux_residual(bm, x0, w1)
+    if fell:
+        raise _row_error(bm, x0[0], w1[0])
     dx1 = np.linalg.solve(_aux_jacobian(bm, dg)[0], bm.ld.resonance.kernel_basis[:, :, 0].T)
     return bm.ld.adj_shift[:, :, 1] @ (dg[0][:, None] * dx1)
 
@@ -681,10 +645,15 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
 # -- regime 2: two-dimensional kernel ----------------------------------------
 
 
-def _estimate_bounds(problem: Problem) -> tuple[float, float]:
+def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
     """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup of |g|."""
     xs = np.linspace(-100.0, 100.0, 401)
-    vals = expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
+    try:
+        vals = expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
+    except expr.DomainError as e:
+        e = _located(problem, np.repeat(xs[:, None], problem.N, axis=1), e)
+        raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
+                          diagnostics={"radius": radius}) from None
     K_est = float(np.max(np.abs(vals)))
     zhat_est = 1.0
     for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
@@ -695,11 +664,44 @@ def _estimate_bounds(problem: Problem) -> tuple[float, float]:
     return zhat_est, K_est
 
 
+def _planar_newton(bm: BifurcationMap, alpha: np.ndarray, tol: float):
+    """Damped Newton on ``bifurcation_value`` = 0 from alpha, by ``bifurcation_jacobian``,
+    with an Armijo backtracking line search: (alpha, steps, converged).
+
+    A trial point that leaves g's domain counts as an infinite residual. It
+    converges when the value's Euclidean norm is <= tol (the last value then
+    at the returned alpha), and gives up on a singular Jacobian, on no
+    decrease down to step 1e-12, or after 40 steps.
+    """
+    r = bifurcation_value(bm, alpha)
+    for it in range(41):
+        if float(np.linalg.norm(r)) <= tol:
+            return alpha, it, True
+        if it == 40:
+            return alpha, it, False
+        try:
+            d = np.linalg.solve(bifurcation_jacobian(bm, alpha), -r)
+        except np.linalg.LinAlgError:
+            return alpha, it, False
+        f0, s = float(r @ r), 1.0
+        while True:
+            if s < 1e-12:
+                return alpha, it, False
+            try:
+                r_new = bifurcation_value(bm, alpha + s * d)
+            except expr.DomainError:
+                r_new = np.full_like(r, np.inf)
+            if float(r_new @ r_new) <= (1.0 - 1e-4 * s) * f0:
+                break
+            s *= 0.5
+        alpha, r = alpha + s * d, r_new
+
+
 def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> SolveReport:
     problem = bm.problem
 
     if radius <= 0.0:
-        zhat_est, K_est = _estimate_bounds(problem)
+        zhat_est, K_est = _estimate_bounds(problem, radius)
         radius = 10.0 * (zhat_est + bm.norm_upper * K_est)
 
     sweep = 0  # circle points the winding sweep evaluated the map at
@@ -711,7 +713,7 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
 
     try:
         winding = winding_of_map(swept_value, radius, _WINDING_SAMPLES)
-    except (BoundaryZeroError, ConvergenceError):
+    except (BoundaryZeroError, ConvergenceError, expr.DomainError):
         winding = None
     degree_evidence = winding is not None and winding != 0
 
@@ -727,13 +729,11 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
     for seed in seeds:
         try:
             # |beta| <= tol suffices: the residual is the Q-part, ~|beta|/N, plus the aux error
-            root, _, iters, stop = _damped_newton(
-                lambda a: bifurcation_value(bm, a), lambda a: bifurcation_jacobian(bm, a),
-                seed, lambda v: float(np.linalg.norm(v)), tol, 40)
+            root, iters, converged = _planar_newton(bm, seed, tol)
         except (ConvergenceError, expr.DomainError):
             continue
         newton_iters += iters
-        if stop != "converged":
+        if not converged:
             continue
         lift = bm.kernel_lift(root)
         # the last value was at root, so this reads the map's kept solution

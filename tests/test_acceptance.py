@@ -16,14 +16,12 @@ import pytest
 
 from perdiff import (
     BifurcationMap,
-    apply_F,
     apply_L,
     bifurcation_value,
     build_linear_data,
     check_corollary,
     check_thm1,
     check_thm2,
-    companion_matrix,
     image_test,
     membership_U,
     mp_solve,
@@ -36,6 +34,8 @@ from perdiff import (
     winding_of_map,
 )
 from perdiff.hypotheses import RATIONAL_ANGLE_TOL
+from perdiff.linear import companion_matrix
+from perdiff.reduction import apply_F
 
 from conftest import CANONICAL_G, instance_grid, make_problem, subprocess_env
 

@@ -93,6 +93,16 @@ def test_solve_failure_exit_code(tmp_path):
     assert "error" in data
 
 
+def test_solve_default_radius_outside_the_domain_exit_code(tmp_path):
+    path = write_problem(tmp_path / "ln.json", -2.0 * math.cos(2.0 * math.pi / 9), 1, 9,
+                         "ln(x+5)+0.1*cos(2*pi*t/9)")
+    code, out, _ = run_cli("solve", path)
+    assert code == 3
+    data = json.loads(out)
+    assert "samples g on [-100, 100]" in data["error"] and "(at t=0, x=" in data["error"]
+    assert data["diagnostics"]["radius"] == 0.0
+
+
 def _not_in_image(*args, **kwargs):
     raise NotInImageError(3.3e-9)
 

@@ -11,7 +11,6 @@ from perdiff import (
     apply_L,
     build_linear_data,
     classify,
-    companion_matrix,
     image_test,
     mp_solve,
     norm_bound_mp_iq,
@@ -20,7 +19,7 @@ from perdiff import (
     sup_norm,
 )
 from perdiff import linear
-from perdiff.linear import _mpiq_g1
+from perdiff.linear import _mpiq_g1, companion_matrix
 from perdiff.mat2 import svals2
 
 from conftest import dense_mpiq, g1_atol, instance_grid, make_problem

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from perdiff import (
     ModeLimitError,
     NotInImageError,
     NoSignChangeError,
-    apply_F,
     apply_L,
     bifurcation_jacobian,
     bifurcation_value,
@@ -29,7 +29,7 @@ from perdiff import (
 
 import perdiff.expr as expr
 from perdiff import linear, oracle, reduction
-from perdiff.reduction import _aux_jacobian, _brent, _g_slopes
+from perdiff.reduction import _aux_jacobian, _aux_residual, _brent, _row_error, apply_F
 
 from conftest import CANONICAL_G, dense_mpiq, g1_atol, make_problem
 
@@ -227,7 +227,8 @@ def test_aux_jacobian_matches_full_difference_jacobian():
         expected[:, j] = (resid(wf + e) - resid(wf - e)) / (2.0 * e[j])
     # Newton runs on the w1 block; the w2 columns of the full Jacobian are I
     np.testing.assert_allclose(expected[:, 1::2], np.eye(2 * N)[:, 1::2], rtol=0, atol=1e-6)
-    _, dg = _g_slopes(bm, lift[None, :, 0], wf[None, 0::2])
+    _, _, dg, _, fell = _aux_residual(bm, lift[None, :, 0], wf[None, 0::2])
+    assert not fell
     np.testing.assert_allclose(_aux_jacobian(bm, dg)[0], expected[0::2, 0::2],
                                rtol=0, atol=1e-6)
 
@@ -474,6 +475,66 @@ def test_a_stalling_stack_member_raises_what_its_point_raises():
     assert bm._inner_iters == point._inner_iters
 
 
+@pytest.mark.parametrize("g,slope", [
+    ("0.3*tanh(x)+0.1*cos(2*pi*t/9)", 0.27),
+    ("tanh(x)+0.1*cos(2*pi*t/9)", 0.9),
+], ids=["converges", "over-budget"])
+def test_a_stack_member_with_a_singular_jacobian_matches_its_point(g, slope, monkeypatch):
+    # a Jacobian is made singular wherever the mean slope of g exceeds
+    # slope, which only the middle lift, near g's steepest point, reaches:
+    # the batched solve fails, that member searches along -r alone, and
+    # the stack still gives each point's value or error and steps
+    p, bm = _bm(-3, 2, 9, g)
+    singular = []
+
+    def jacobian(bm, dg):
+        J = _aux_jacobian(bm, dg)
+        rows = dg.mean(axis=1) > slope
+        singular.append((len(dg), int(rows.sum())))
+        J[rows] = 0.0
+        return J
+
+    monkeypatch.setattr(reduction, "_aux_jacobian", jacobian)
+    alphas = np.array([[-2.0], [0.1], [2.0]])
+
+    def outcome(bm, points):
+        try:
+            values = [bifurcation_value(bm, a) for a in points]
+        except ConvergenceError as e:
+            return str(e), bm._inner_iters
+        return np.concatenate(values).ravel().tolist(), bm._inner_iters
+
+    stacked = outcome(bm, [alphas])
+    assert (3, 1) in singular
+    assert stacked == outcome(BifurcationMap(p, bm.ld), alphas)
+
+
+def test_a_stack_leaving_the_domain_needs_no_scalar_evaluation(monkeypatch):
+    # trial points of this stack leave ln's domain again and again, but no
+    # point fails there, so g is never evaluated at a single (t, x); the
+    # stack raises its point's error after its point's steps
+    p, bm = _bm(*_rotation_row(33), "ln(x+5)+0.1*cos(2*pi*t/33)")
+    phi = 2.0 * np.pi * np.arange(16) / 16
+    circle = 3.0 * np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    evaluate, scalar = expr.evaluate, []
+
+    def counted(node, t, x):
+        if np.ndim(x) == 0:
+            scalar.append((t, x))
+        return evaluate(node, t, x)
+
+    monkeypatch.setattr(expr, "evaluate", counted)
+    with pytest.raises(ConvergenceError) as info:
+        bifurcation_value(bm, circle)
+    point = BifurcationMap(p, bm.ld)
+    with pytest.raises(ConvergenceError) as at_point:
+        for a in circle:
+            bifurcation_value(point, a)
+    assert str(info.value) == str(at_point.value)
+    assert bm._inner_iters == point._inner_iters > 0
+    assert scalar == []
+
+
 def test_an_overflowing_trial_point_is_rejected_without_a_warning():
     # with exp(x) at |alpha| = 20 the search meets trial points where G1 g
     # overflows: such a residual is infinite, like one outside g's domain,
@@ -527,9 +588,10 @@ def test_solve_with_the_bound_forcing_matches_the_whole_tree(b, c, N, g, monkeyp
 def test_g_values_on_the_bound_tree_name_the_failing_t():
     p, bm = _bm(-3, 2, 5, "ln(t)+x")
     with pytest.raises(expr.DomainError, match=r"ln of a non-positive value \(at t=0, x="):
-        reduction._g_values(p, np.ones(5), bm.g_bound)
-    with pytest.raises(expr.DomainError, match=r"\(at t=0, x="):
-        _g_slopes(bm, bm.kernel_lift([[0.5]])[:, :, 0], np.zeros((1, 5)))
+        apply_F(p, np.ones((5, 2)))
+    x0, w1 = bm.kernel_lift([0.5])[:, 0], np.zeros(5)
+    assert _aux_residual(bm, x0[None], w1[None])[4]
+    assert re.search(r"ln of a non-positive value \(at t=0, x=", str(_row_error(bm, x0, w1)))
 
 
 def test_brent_meets_the_width_on_a_smooth_root():
@@ -716,6 +778,24 @@ def test_solve_2d_default_radius(dim2_problem):
     rep = solve(dim2_problem, radius=0.0, grid=5)
     assert rep.regime == 2
     assert rep.residual_sup <= 1e-9
+    assert rep.oracle_verified
+
+
+def test_solve_2d_default_radius_outside_the_domain_is_a_solver_error():
+    # the default radius samples g on [-100, 100], where ln(x+5) is undefined
+    p = make_problem(*_rotation_row(9), "ln(x+5)+0.1*cos(2*pi*t/9)")
+    with pytest.raises(SolverError, match=r"samples g on \[-100, 100\] at every t: "
+                                          r"ln of a non-positive value \(at t=0, x=") as info:
+        solve(p)
+    assert info.value.diagnostics == {"radius": 0.0}
+
+
+def test_a_winding_sweep_outside_the_domain_leaves_the_seeds_to_solve():
+    # circle points at radius 30 leave ln(x+20)'s domain: no winding, but a
+    # seed near the origin still finds the root
+    p = make_problem(*_rotation_row(9), "atan(x)+0.1*cos(2*pi*t/9)+0.001*ln(x+20)")
+    rep = solve(p, radius=30.0)
+    assert rep.winding is None and rep.degree_evidence is False
     assert rep.oracle_verified
 
 
