@@ -11,8 +11,8 @@ G = "tanh(x)+0.1*cos(2*pi*t/3)"
 
 for b, c, label in [
     (0, 2, "trivial kernel: fixed point of L^{-1} F by damped Newton"),
-    (-3, 2, "one-dimensional kernel: Brent's method on the bifurcation function"),
-    (1, 1, "two-dimensional kernel: winding evidence + planar Newton"),
+    (-3, 2, "one-dimensional kernel: sign change + bordered Newton"),
+    (1, 1, "two-dimensional kernel: winding evidence + bordered Newton"),
 ]:
     p = Problem.from_text(b, c, 3, G)
     rep = solve(p, radius=50.0)

@@ -24,8 +24,8 @@ bm1 = BifurcationMap(p1, build_linear_data(p1))
 for a in (-10.0, -1.0, -0.1, 0.0, 0.1, 1.0, 10.0):
     v = bifurcation_value(bm1, [a])[0]
     print(f"  beta({a:+6.1f}) = {v:+.6f}")
-print("  -> opposite signs at the interval ends pin a zero; Brent's method keeps")
-print("     a sign-change bracket around it while closing in")
+print("  -> opposite signs at the interval ends pin a zero; Newton on the auxiliary")
+print("     and bifurcation equations together finds it from the secant point")
 
 print()
 print("two-dimensional kernel (b, c) = (1, 1): winding of the planar map")

@@ -14,15 +14,22 @@ forcing) evaluated, once per bifurcation map, so each residual is one
 evaluation of the x-dependent part of g plus one matrix-vector product, and
 the Newton Jacobian is built from pointwise differences of g. The
 bifurcation value reuses the g-values of the converged residual, and the
-same Jacobian gives its derivative by the implicit-function theorem, so the
-planar Newton step needs no further auxiliary solve.
+same Jacobian gives its derivative by the implicit-function theorem.
+
+The reduced root itself is found without solving one equation inside the
+other: one damped Newton, ``_bordered_newton``, takes w1 and the kernel
+coordinates together, the auxiliary residual bordered by the bifurcation
+value. It finds the dim-1 root from the secant point of the sign-change
+bracket (Brent's method on the bracket is its fallback) and serves every
+dim-2 seed.
 
 The auxiliary Newton acts on a stack of kernel lifts: each row keeps its
 own iteration, line search and failure, while every step evaluates g once
 for the whole stack (at the points and at both sides of their slope
 differences) and solves the rows' Newton systems in one batched solve, a
 chunk of rows at a time. A single lift is the stack of one; the winding
-sweep and the regime-1 scan for nontrivial roots pass whole stacks.
+sweep and the regime-1 scan for nontrivial roots pass whole stacks, and
+it also solves dim 0, the ends of the dim-1 bracket and Brent's points.
 
 Where g is undefined (ln, / and ^ are in its grammar), a trial point
 counts as an infinite residual. A row fails with a DomainError only when it
@@ -60,10 +67,11 @@ from .linear import (
     _CHUNK_ENTRIES,
 )
 
-# tolerance and Newton step budget of one auxiliary solve
+# tolerance and Newton step budget of one auxiliary solve; the bordered
+# Newton takes the same for its w1 part and its steps
 _AUX_TOL = 1e-12
 _AUX_NEWTON_STEPS = 40
-# initial sample count and cap of the winding sweep of the planar solver
+# initial sample count and cap of the winding sweep of the dim-2 solver
 _WINDING_SAMPLES = 16
 _WINDING_MAX_SAMPLES = 1 << 14
 
@@ -99,7 +107,7 @@ def _located(problem: Problem, x1: np.ndarray, e: expr.DomainError) -> expr.Doma
             try:
                 expr.evaluate(problem.g, t, row[t])
             except expr.DomainError as err:
-                return expr.DomainError(f"{err} (at t={t}, x={row[t]!r})")
+                return expr.DomainError(f"{err} (at t={t}, x={float(row[t])!r})")
     return e
 
 
@@ -391,8 +399,9 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
     components of the kernel basis, x1 = z1 alpha + G1 g(x1) gives
     (I - G1 D) dx1/dalpha = z1, whose matrix is the auxiliary Newton
     matrix at the solution, and dbeta/dalpha = adj_shift[:, :, 1] D
-    dx1/dalpha. Costs one auxiliary solve, or none right after a value at
-    the same alpha.
+    dx1/dalpha: the Schur complement of the bordered Newton's Jacobian.
+    Costs one auxiliary solve, or none right after a value at the same
+    alpha.
     """
     lift = bm.kernel_lift(alpha)
     x0, w1 = lift[None, :, 0], _aux_fixed_point(bm, lift)[0][None]
@@ -401,6 +410,61 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
         raise _row_error(bm, x0[0], w1[0])
     dx1 = np.linalg.solve(_aux_jacobian(bm, dg)[0], bm.ld.resonance.kernel_basis[:, :, 0].T)
     return bm.ld.adj_shift[:, :, 1] @ (dg[0][:, None] * dx1)
+
+
+def _bordered_newton(bm: BifurcationMap, alpha0) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Damped Newton on the auxiliary and bifurcation equations together,
+    from (w1, alpha) = (0, alpha0): (y, alpha, steps, converged).
+
+    With x1 = Z alpha + w1, Z the first components of the kernel basis (N,
+    dim), A = adj_shift[:, :, 1] and D the slopes of g at x1, the residual
+    is [w1 - G1 g(x1); A g(x1)] and its Jacobian [[I - G1 D, -G1 D Z],
+    [A D, A D Z]] (Keller 1977; Govaerts 2000). The Schur complement of the
+    top-left block is ``bifurcation_jacobian``'s matrix, so a root is
+    nondegenerate here exactly when it is for Newton on the map. Each step
+    evaluates g once, with its slopes (``_aux_residual``), and takes one
+    dense (N + dim) solve; an Armijo search on |residual|^2 counts a trial
+    point outside g's domain as an infinite residual.
+
+    It converges when the w1 part is <= _AUX_TOL and |beta| is at its
+    rounding floor, 1e-13 N (1 + max|g|); y = x1 is then its last point. It
+    gives up on undefined slopes, a singular Jacobian, no decrease down to
+    step 1e-12, or after _AUX_NEWTON_STEPS steps.
+    """
+    N, A = bm.problem.N, bm.ld.adj_shift[:, :, 1]
+    Z = bm.ld.resonance.kernel_basis[:, :, 0].T
+    alpha, w1 = np.asarray(alpha0, dtype=float), np.zeros(N)
+
+    def residual(w1, alpha):
+        g, r, dg, _, _ = _aux_residual(bm, (Z @ alpha)[None], w1[None])
+        F = np.concatenate([r[0], A @ g[0]])
+        return g[0], F, dg[0], float(F @ F) if np.isfinite(F).all() else np.inf
+
+    # a residual that overflows is infinite, so its trial point is rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, F, dg, f = residual(w1, alpha)
+        for it in range(_AUX_NEWTON_STEPS + 1):
+            if (np.abs(F[:N]).max() <= _AUX_TOL
+                    and np.abs(F[N:]).max() <= 1e-13 * N * (1.0 + np.abs(g).max())):
+                return Z @ alpha + w1, alpha, it, True
+            if it == _AUX_NEWTON_STEPS or not np.isfinite(dg).all():
+                break
+            GD, AD = bm.aux_operator * dg, A * dg
+            try:
+                d = np.linalg.solve(np.block([[np.eye(N) - GD, -GD @ Z], [AD, AD @ Z]]), -F)
+            except np.linalg.LinAlgError:
+                break
+            s = 1.0
+            while True:
+                trial = w1 + s * d[:N], alpha + s * d[N:]
+                g_t, F_t, dg_t, f_t = residual(*trial)
+                if f_t <= (1.0 - 1e-4 * s) * f:
+                    break
+                s *= 0.5
+                if s < 1e-12:
+                    return Z @ alpha + w1, alpha, it, False
+            (w1, alpha), g, F, dg, f = trial, g_t, F_t, dg_t, f_t
+    return Z @ alpha + w1, alpha, it, False
 
 
 # -- winding numbers -------------------------------------------------------
@@ -595,10 +659,14 @@ def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
     def beta(a: float) -> float:
         return float(bifurcation_value(bm, [a])[0])
 
-    b_hi, b_lo = bifurcation_value(bm, [[r], [-r]])[:, 0].tolist()
-    bisection = 0
+    try:
+        b_hi, b_lo = bifurcation_value(bm, [[r], [-r]])[:, 0].tolist()
+    except expr.DomainError as e:
+        raise SolverError(f"bifurcation function undefined at the bracket ends -r, +r "
+                          f"(r = {r:g}): {e}", diagnostics={"r": r}) from None
+    newton = bisection = 0
     if max(abs(b_hi), abs(b_lo)) <= 1e-14:
-        alpha_star = 0.0
+        alpha_star, y = 0.0, None
     elif np.sign(b_hi) * np.sign(b_lo) > 0:
         raise NoSignChangeError(
             f"bifurcation function has the same sign at -r and +r "
@@ -606,17 +674,24 @@ def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
             diagnostics={"beta_minus": b_lo, "beta_plus": b_hi, "r": r},
         )
     else:
-        # Brent returns an end where beta is exactly zero without evaluating
-        alpha_star, bisection = _brent(beta, -r, r, b_lo, b_hi, 1e-12 * r)
+        # Newton from the secant point of the bracket; Brent's method on the
+        # bracket when it fails or converges outside it
+        y, root, newton, converged = _bordered_newton(bm, [-r + 2.0 * r * b_lo / (b_lo - b_hi)])
+        alpha_star = float(root[0])
+        if not (converged and -r <= alpha_star <= r):
+            # Brent returns an end where beta is exactly zero without evaluating
+            alpha_star, bisection = _brent(beta, -r, r, b_lo, b_hi, 1e-12 * r)
+            y = None
 
-    lift = bm.kernel_lift([alpha_star])
-    y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
+    if y is None:
+        lift = bm.kernel_lift([alpha_star])
+        y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
 
     nontrivial = None
     if _forcing_free(bm):
         nontrivial = _scan_1d_nontrivial(bm, beta, r)
 
-    iterations = {"bisection": bisection, "inner_fixed_point": bm._inner_iters}
+    iterations = {"newton": newton, "bisection": bisection, "inner_fixed_point": bm._inner_iters}
     return _finalize(bm, y, [alpha_star], tol, iterations, nontrivial=nontrivial)
 
 
@@ -664,39 +739,6 @@ def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
     return zhat_est, K_est
 
 
-def _planar_newton(bm: BifurcationMap, alpha: np.ndarray, tol: float):
-    """Damped Newton on ``bifurcation_value`` = 0 from alpha, by ``bifurcation_jacobian``,
-    with an Armijo backtracking line search: (alpha, steps, converged).
-
-    A trial point that leaves g's domain counts as an infinite residual. It
-    converges when the value's Euclidean norm is <= tol (the last value then
-    at the returned alpha), and gives up on a singular Jacobian, on no
-    decrease down to step 1e-12, or after 40 steps.
-    """
-    r = bifurcation_value(bm, alpha)
-    for it in range(41):
-        if float(np.linalg.norm(r)) <= tol:
-            return alpha, it, True
-        if it == 40:
-            return alpha, it, False
-        try:
-            d = np.linalg.solve(bifurcation_jacobian(bm, alpha), -r)
-        except np.linalg.LinAlgError:
-            return alpha, it, False
-        f0, s = float(r @ r), 1.0
-        while True:
-            if s < 1e-12:
-                return alpha, it, False
-            try:
-                r_new = bifurcation_value(bm, alpha + s * d)
-            except expr.DomainError:
-                r_new = np.full_like(r, np.inf)
-            if float(r_new @ r_new) <= (1.0 - 1e-4 * s) * f0:
-                break
-            s *= 0.5
-        alpha, r = alpha + s * d, r_new
-
-
 def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> SolveReport:
     problem = bm.problem
 
@@ -727,17 +769,10 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
     newton_iters = 0
     nontrivial = False
     for seed in seeds:
-        try:
-            # |beta| <= tol suffices: the residual is the Q-part, ~|beta|/N, plus the aux error
-            root, iters, converged = _planar_newton(bm, seed, tol)
-        except (ConvergenceError, expr.DomainError):
-            continue
+        y, root, iters, converged = _bordered_newton(bm, seed)
         newton_iters += iters
         if not converged:
             continue
-        lift = bm.kernel_lift(root)
-        # the last value was at root, so this reads the map's kept solution
-        y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
         if float(np.max(np.abs(oracle.residual(problem, y)))) > tol:
             continue
         if accepted is None:
@@ -767,21 +802,25 @@ def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
 
     * dim 0: the fixed point of L^{-1} F, the auxiliary equation with
       P = Q = 0; there is no bifurcation equation.
-    * dim 1: Brent's method on the scalar bifurcation function over
-      [-r, r]. It needs opposite signs at the two ends (what the existence
-      argument guarantees under its hypotheses) and raises
-      NoSignChangeError otherwise; keeping the bracket mirrors the sign
-      argument that proves existence. The sign-change bracket is kept down to
-      width 1e-12 * r; ``iterations["bisection"]`` counts the evaluations
-      of the bifurcation function inside it.
-    * dim 2: winding-number evidence plus Newton on the planar bifurcation
-      map. With radius <= 0 a heuristic default 10 * (zhat_est +
-      ||M_p(I-Q)|| * K_est) is used, both estimates sampled from g. Seeds
-      are the grid x grid points of the square inscribed in the search
-      disk, tried closest to the origin first; the first root that
-      reproduces the recurrence to tol wins. The Newton Jacobian is
-      ``bifurcation_jacobian``, which reuses the auxiliary solution of the
-      value at the same point.
+    * dim 1: the scalar bifurcation function must have opposite signs at
+      -r and +r (what the existence argument guarantees under its
+      hypotheses); otherwise NoSignChangeError, and a SolverError naming r
+      when g is undefined there. The bordered Newton on the auxiliary and
+      bifurcation equations together starts at the secant point of that
+      bracket, and its root is accepted inside [-r, r]. Otherwise Brent's
+      method keeps the sign-change bracket down to width 1e-12 * r.
+    * dim 2: winding-number evidence plus the bordered Newton from seeds.
+      With radius <= 0 a heuristic default 10 * (zhat_est + ||M_p(I-Q)|| *
+      K_est) is used, both estimates sampled from g. Seeds are the grid x
+      grid points of the square inscribed in the search disk, tried
+      closest to the origin first; the first root that reproduces the
+      recurrence to tol wins.
+
+    ``iterations`` counts the work: ``newton`` the bordered Newton steps
+    (dims 1 and 2, every seed's), ``bisection`` the bifurcation function
+    evaluations of Brent's method (dim 1; 0 unless the fallback ran),
+    ``inner_fixed_point`` the steps of the stacked auxiliary Newton and
+    ``winding_samples`` the circle points of the winding sweep (dim 2).
 
     Every argument is checked, whatever the regime, before the linear data
     is built: tol and r finite and positive, radius finite, grid an integer

@@ -100,7 +100,21 @@ def test_solve_default_radius_outside_the_domain_exit_code(tmp_path):
     assert code == 3
     data = json.loads(out)
     assert "samples g on [-100, 100]" in data["error"] and "(at t=0, x=" in data["error"]
+    assert "np.float64" not in data["error"]
     assert data["diagnostics"]["radius"] == 0.0
+
+
+def test_solve_bracket_end_outside_the_domain_exit_code(tmp_path, capsys):
+    # the dim-1 bracket end -r leaves ln(x+5)'s domain: a solver failure
+    # naming r, with x printed as a plain number
+    path = write_problem(tmp_path / "ln1.json", -3, 2, 9, "ln(x+5)+0.1*cos(2*pi*t/9)")
+    code = cli.main(["solve", path])
+    out, err = capsys.readouterr()
+    assert code == 3, err
+    data = json.loads(out)
+    assert "r = 10" in data["error"] and "(at t=0, x=-10.0)" in data["error"]
+    assert "np.float64" not in data["error"]
+    assert data["diagnostics"] == {"r": 10}
 
 
 def _not_in_image(*args, **kwargs):

@@ -8,7 +8,10 @@ domain-limited terms (x+a)^0.5 and ln. Cases that fail the property today
 are listed in FRONTIER and kept as strict expected failures; a case leaves
 the list only when it is fixed. A second sweep checks the implicit-function
 derivative of the bifurcation map against a central difference on the
-resonant draws.
+resonant draws. A third checks that the solver agrees with the
+two-dimensional existence theorem: where ``check_thm2`` passes every
+condition, a solution exists, so ``solve`` must verify one; its draws are
+rotation rows up to N = 299 with the benchmark's forcings.
 """
 
 import math
@@ -25,6 +28,7 @@ from perdiff import (
     bifurcation_jacobian,
     bifurcation_value,
     build_linear_data,
+    check_thm2,
     solve,
 )
 
@@ -45,6 +49,10 @@ FRONTIER = []
 # jumps at 0 and the central difference straddles the jump (an unseeded
 # probe of 1500 draws found 21 such cases, all of this kind)
 JACOBIAN_FRONTIER = [(-2.0, 1.0, 5, "4*ln(x+1)+0.05", (0.0, 0.05))]
+
+# (b, c, N, g) where check_thm2 passes every condition but solve does not
+# return a verified report today
+AGREEMENT_FRONTIER = []
 
 KINDS = ("generic", "near-resonance", "double-root", "rotation", "real-pair")
 
@@ -132,9 +140,32 @@ def test_bifurcation_jacobian_matches_central_difference(bcn, forcing, A, alpha)
     _check_jacobian(b, c, N, g, alpha)
 
 
+def _check_agreement(b, c, N, g):
+    # Theorem 2's hypotheses hold, so a solution exists and solve must find it
+    p = make_problem(b, c, N, g)
+    if check_thm2(p, zhat=1.0).overall:
+        rep = solve(p)
+        assert rep.oracle_verified
+        assert rep.residual_sup <= 1e-9
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 149), st.sampled_from(["tanh(x)", "atan(x)", "x/(1+abs(x))"]),
+       st.floats(0.05, 0.2), st.floats(0.0, 2.0 * math.pi))
+def test_a_passing_theorem_2_gets_a_verified_solve(m, shape, A, phi):
+    # rotation rows with k = 1 at odd N (check_thm2 needs an odd period),
+    # forced as in the benchmark: s(x) + A*cos(2*pi*t/N + phi)
+    N = 2 * m + 1
+    b, c = -2.0 * math.cos(2.0 * math.pi / N), 1.0
+    g = f"{shape}+{A!r}*cos(2*pi*t/{N}+{phi!r})"
+    assume((b, c, N, g) not in AGREEMENT_FRONTIER)
+    _check_agreement(b, c, N, g)
+
+
 @pytest.mark.parametrize("check,case", [
     pytest.param(check, case, marks=pytest.mark.xfail(strict=True))
-    for check, cases in ((_check, FRONTIER), (_check_jacobian, JACOBIAN_FRONTIER))
+    for check, cases in ((_check, FRONTIER), (_check_jacobian, JACOBIAN_FRONTIER),
+                         (_check_agreement, AGREEMENT_FRONTIER))
     for case in cases])
 def test_frontier_case_still_fails(check, case):
     check(*case)

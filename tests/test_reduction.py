@@ -620,13 +620,60 @@ def test_brent_converges_where_interpolation_is_useless():
 
 @pytest.mark.parametrize("b,c,Ns", [(-3, 2, (3, 9, 13, 17)), (-1.5, 0.5, (5, 13, 21, 25))])
 def test_solve_1d_root_finder_evaluations(b, c, Ns):
-    # counts that do not depend on the machine: the bisection it replaced
-    # took 41 evaluations on each of these rows
+    # counts that do not depend on the machine: bisection took 41
+    # evaluations of the bifurcation function on each of these rows and
+    # Brent's method up to 12; the bordered Newton takes a few steps and
+    # leaves Brent's method unused
     for N in Ns:
         for shape in ("tanh(x)", "atan(x)", "x/(1+abs(x))"):
             rep = solve(make_problem(b, c, N, f"{shape}+0.15*cos(2*pi*t/{N}+1.0)"))
             assert rep.oracle_verified
-            assert 1 <= rep.iterations["bisection"] <= 12
+            assert 1 <= rep.iterations["newton"] <= 6
+            assert rep.iterations["bisection"] == 0
+
+
+@pytest.mark.parametrize("how", ["fails", "leaves-the-bracket"])
+def test_solve_1d_falls_back_to_brent(how, monkeypatch):
+    # when the bordered Newton does not converge, or converges outside
+    # [-r, r], Brent's method on the bracket finds the root it would have
+    p = make_problem(-1.5, 0.5, 13, "atan(x)+0.12*cos(2*pi*t/13+4.1)")
+    r = 10.0
+    newton = solve(p, r=r)
+    bordered = reduction._bordered_newton
+
+    def failing(bm, alpha0):
+        y, alpha, steps, _ = bordered(bm, alpha0)
+        if how == "fails":
+            return y, alpha, steps, False
+        return y, alpha + 2.0 * r, steps, True
+
+    monkeypatch.setattr(reduction, "_bordered_newton", failing)
+    rep = solve(p, r=r)
+    assert rep.oracle_verified
+    assert rep.residual_sup <= 1e-9
+    assert abs(rep.alpha[0] - newton.alpha[0]) <= 1e-12 * r
+    assert rep.iterations["bisection"] > 0
+    assert rep.iterations["newton"] == newton.iterations["newton"]
+    assert rep.iterations["inner_fixed_point"] > newton.iterations["inner_fixed_point"]
+
+
+def test_solve_1d_bracket_end_outside_the_domain_is_a_solver_error():
+    # the kernel lift at -r = -10 leaves ln(x+5)'s domain: a SolverError
+    # naming r and the failing t and x, not a bare DomainError
+    p = make_problem(-3, 2, 9, "ln(x+5)+0.1*cos(2*pi*t/9)")
+    with pytest.raises(SolverError) as info:
+        solve(p)
+    message = str(info.value)
+    assert re.search(r"r = 10\b.*ln of a non-positive value \(at t=\d+, x=-10\.0\)", message)
+    assert "np.float64" not in message
+    assert info.value.diagnostics == {"r": 10.0}
+
+
+def test_a_located_domain_error_prints_a_plain_float():
+    p = make_problem(-3, 2, 3, "ln(x+5)")
+    with pytest.raises(expr.DomainError) as info:
+        apply_F(p, np.full((3, 2), -10.0))
+    assert str(info.value) == "ln of a non-positive value (at t=0, x=-10.0)"
 
 
 @pytest.mark.parametrize("error", [ConvergenceError, expr.DomainError])

@@ -150,3 +150,29 @@ def test_solve_2d_with_a_radius_samples_g_only_on_the_disk():
     assert rep.regime == 2
     assert rep.oracle_verified
     assert rep.winding == 1
+
+
+@pytest.mark.parametrize("N", [85, 129, 257])
+def test_large_period_rotation_verifies_with_its_default_radius(N):
+    # the auxiliary Newton from w1 = 0 at alpha = 0 needs more than its
+    # step budget here, and the default radius puts the other seeds far
+    # apart; solving the auxiliary and bifurcation equations together
+    # from the first seed needs neither
+    import math
+    p = make_problem(-2.0 * math.cos(2.0 * math.pi / N), 1, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+    rep = solve(p)
+    assert rep.regime == 2
+    assert rep.winding == 1
+    assert rep.oracle_verified
+    assert rep.residual_sup <= 1e-9
+
+
+def test_solve_2d_where_the_auxiliary_newton_has_no_direction():
+    # at alpha = 0, w1 = 0 the matrix I - G1 D has the eigenvalue 0, so an
+    # auxiliary solve there stalls; the constant solution sits at alpha = 0
+    p = make_problem(1, 1, 3, "2*atan(x)+0.05")
+    rep = solve(p)
+    assert rep.regime == 2
+    assert rep.winding == 1
+    assert rep.oracle_verified
+    np.testing.assert_allclose(rep.y, np.full(3, 0.0499172), atol=1e-7)
