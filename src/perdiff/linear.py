@@ -38,12 +38,21 @@ The operators apply_L, image_test, proj_P, proj_Q and mp_solve take one
 sequence (N, 2) or a stack (..., N, 2) of them and act on each member, so
 every application of M_p, including the operator's column, runs through
 ``mp_solve``.
+
+All of this depends on (b, c, N) alone, never on g: ``build_linear_data``
+builds it once per operator and keeps it, read-only and shared by every
+problem with that operator, the least recently used operator going first
+once the kept periods pass _KEEP_PERIODS. The column of M_p (I - Q) and
+its norm bracket are kept with it on first read; G1, the only (N, N)
+block, is gathered from the column per bifurcation map and never kept.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +67,12 @@ RESONANT_RTOL = 1e-9
 # symbol entries per chunk in kernel_dims, 2x2 blocks per chunk in norm_bound_mp_iq
 _CHUNK_ENTRIES = 1 << 16
 _HALF_SQRT2 = math.sqrt(0.5)
+# build_linear_data keeps operators while their periods sum to at most this;
+# at about 210 bytes per period (dim 2, column of M_p (I - Q) included) that
+# is about 14 MB
+_KEEP_PERIODS = 1 << 16
+_kept: OrderedDict[tuple, LinearData] = OrderedDict()  # least recently used first
+_kept_periods = 0
 
 
 class ModeLimitError(RuntimeError):
@@ -90,8 +105,12 @@ class Problem:
             raise ValueError("coefficients must be finite")
         if self.c == 0.0:
             raise ValueError("c must be nonzero")
-        if int(self.N) != self.N or self.N < 2:
+        if not (math.isfinite(self.N) and int(self.N) == self.N and self.N >= 2):
             raise ValueError("N must be an integer >= 2")
+        # one type per field: N = 9.0 is the period 9, b = True the coefficient 1.0
+        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "N", int(self.N))
 
     @classmethod
     def from_text(cls, b: float, c: float, N: int, g_text: str) -> "Problem":
@@ -127,9 +146,17 @@ class ResonanceClass:
 
 @dataclass(frozen=True)
 class LinearData:
-    """Everything derived from (b, c, N): symbol, bases, projections."""
+    """Everything derived from (b, c, N): symbol, bases, projections.
 
-    problem: Problem
+    ``build_linear_data`` keeps one per operator and hands it to every
+    problem with that operator, so every array it holds, the resonance
+    bases included, is read-only. The column of M_p (I - Q) and its norm
+    bracket are computed on first read and kept with it.
+    """
+
+    b: float
+    c: float
+    N: int
     A: np.ndarray           # companion matrix
     symbol: np.ndarray      # lambda_k on the real-FFT modes k = 0..N//2
     symbol_inv: np.ndarray  # 1 / lambda_k, 0 on the resonant modes
@@ -137,6 +164,29 @@ class LinearData:
     ker_coef: np.ndarray    # (2, dim): x(0) -> kernel coordinates of P x
     adj_shift: np.ndarray   # (dim, N, 2): adjoint basis advanced one step
     adj_dual: np.ndarray    # (dim, N, 2): Gram^{-1} adj_shift
+
+    def __post_init__(self):
+        _read_only(self.A, self.symbol, self.symbol_inv, self.resonance.kernel_basis,
+                   self.resonance.adjoint_basis, self.ker_coef, self.adj_shift, self.adj_dual)
+
+    @cached_property
+    def _column(self) -> tuple[np.ndarray, np.ndarray]:
+        """(D, K): block (t, i) of M_p (I - Q) is D[(t - i) % N] - K[t] @ D[(-i) % N],
+        as L and Q commute with the shift; D[s] is block (s, 0), (P x)(t) = K[t] x(0)."""
+        E = np.zeros((2, self.N, 2))
+        E[0, 0, 0] = E[1, 0, 1] = 1.0
+        return _read_only(mp_solve(self, E - proj_Q(self, E)).transpose(1, 2, 0),
+                          proj_P(self, E).transpose(1, 2, 0))
+
+    @cached_property
+    def _bracket(self) -> tuple[float, float]:
+        return _norm_bracket(self)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def sup_norm(x: np.ndarray) -> float:
@@ -188,8 +238,31 @@ def kernel_dims(bs, c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_linear_data(problem: Problem) -> LinearData:
-    """The linear data; ModeLimitError, before any basis, when dim Ker(L) > 2."""
-    b, c, N = problem.b, problem.c, problem.N
+    """The linear data of the problem's operator (b, c, N), kept across calls.
+
+    One LinearData is kept per operator, keyed by the bits of b and c (so
+    b = -0.0 and b = 0.0 stay apart) and by N, and shared, read-only, by
+    every problem with that operator. The kept operators' periods sum to at
+    most _KEEP_PERIODS; the least recently used goes first, and an operator
+    longer than that is built afresh on every call. ModeLimitError, before
+    any basis, when dim Ker(L) > 2; a call that raises keeps nothing.
+    """
+    global _kept_periods
+    key = (problem.b.hex(), problem.c.hex(), problem.N)
+    ld = _kept.get(key)
+    if ld is not None:
+        _kept.move_to_end(key)
+        return ld
+    ld = _build(problem.b, problem.c, problem.N)
+    if ld.N <= _KEEP_PERIODS:
+        _kept[key] = ld
+        _kept_periods += ld.N
+        while _kept_periods > _KEEP_PERIODS:
+            _kept_periods -= _kept.popitem(last=False)[1].N
+    return ld
+
+
+def _build(b: float, c: float, N: int) -> LinearData:
     symbol, resonant = resonant_modes(b, c, N)
     modes = np.flatnonzero(resonant)
     pair = 2 * modes % N != 0  # a conjugate pair k, N - k: a rotation by 2*pi*k/N
@@ -219,12 +292,15 @@ def build_linear_data(problem: Problem) -> LinearData:
     adj_dual = np.linalg.solve(W @ W.T, W).reshape(dim, N, 2)
 
     resonance = ResonanceClass(dim, kernel_basis, adjoint_basis, theta, r_int)
-    return LinearData(problem, companion_matrix(b, c), symbol, symbol_inv, resonance,
+    return LinearData(b, c, N, companion_matrix(b, c), symbol, symbol_inv, resonance,
                       np.linalg.pinv(kernel_basis[:, 0, :]), adj_shift, adj_dual)
 
 
 def classify(problem: Problem) -> ResonanceClass:
-    """Resonance classification of a problem (kernel dimension and bases)."""
+    """Resonance classification of a problem (kernel dimension and bases).
+
+    The kept classification of the operator: shared, its bases read-only.
+    """
     return build_linear_data(problem).resonance
 
 
@@ -287,8 +363,8 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
         raise NotInImageError(float(np.max(defect)))
     h1 = h[..., 0]
     # one expression, so no stack-sized temporary outlives its use
-    x1 = np.fft.irfft(np.fft.rfft(np.roll(h1, -1, axis=-1) + ld.problem.b * h1 + h[..., 1])
-                      * ld.symbol_inv, n=ld.problem.N)
+    x1 = np.fft.irfft(np.fft.rfft(np.roll(h1, -1, axis=-1) + ld.b * h1 + h[..., 1])
+                      * ld.symbol_inv, n=ld.N)
     x = np.empty_like(h)
     x[..., 0] = x1
     # x2 = x1(.+1) - h1, written in place
@@ -303,17 +379,8 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
 # -- the operator M_p (I - Q) ----------------------------------------------
 
 
-def _mpiq_column(ld: LinearData) -> tuple[np.ndarray, np.ndarray]:
-    """(D, K): block (t, i) of M_p (I - Q) is D[(t - i) % N] - K[t] @ D[(-i) % N],
-    as L and Q commute with the shift; D[s] is block (s, 0), (P x)(t) = K[t] x(0)."""
-    E = np.zeros((2, ld.problem.N, 2))
-    E[0, 0, 0] = E[1, 0, 1] = 1.0
-    return (mp_solve(ld, E - proj_Q(ld, E)).transpose(1, 2, 0),
-            proj_P(ld, E).transpose(1, 2, 0))
-
-
 def norm_bound_mp_iq(ld: LinearData) -> tuple[float, float]:
-    """(lower, upper) bracketing the operator norm of M_p (I - Q).
+    """(lower, upper) bracketing the operator norm of M_p (I - Q), kept with ld.
 
     Both hold for the norm induced by the sup-of-Euclidean sequence norm and
     are read off the operator's rows of 2x2 blocks: row t, over the inputs
@@ -325,7 +392,11 @@ def norm_bound_mp_iq(ld: LinearData) -> tuple[float, float]:
     (e1 +- e2)/sqrt2: the input x(i) = B^T u / |B^T u| has sup-norm 1 and
     u . (M x)(t) equals that sum, so the norm is at least it.
     """
-    D, K = _mpiq_column(ld)
+    return ld._bracket
+
+
+def _norm_bracket(ld: LinearData) -> tuple[float, float]:
+    D, K = ld._column
     N = len(D)
     window = np.lib.stride_tricks.sliding_window_view(np.concatenate([D, D]), N, axis=0)
     K = K[:N if ld.resonance.dim else 1]
@@ -343,7 +414,10 @@ def norm_bound_mp_iq(ld: LinearData) -> tuple[float, float]:
 
 
 def _mpiq_g1(ld: LinearData) -> np.ndarray:
-    """The (N, N) block G1 of M_p (I - Q): first output component, g input."""
-    D, K = _mpiq_column(ld)
+    """The (N, N) block G1 of M_p (I - Q): first output component, g input.
+
+    Gathered afresh on every call from the kept column: only O(N) is kept.
+    """
+    D, K = ld._column
     i = np.arange(len(D))
     return D[(i[:, None] - i) % len(D), 0, 1] - K[:, 0] @ D[-i % len(D), :, 1].T

@@ -130,7 +130,8 @@ class BifurcationMap:
     """Reduced problem in kernel coordinates.
 
     ``aux_operator`` (G1) and ``norm_upper`` are read from the column of
-    M_p (I - Q) that ``linear`` keeps, each on first use. ``_inner_iters``
+    M_p (I - Q) and the norm bracket that ``ld`` keeps for its operator,
+    each on first use; G1 is gathered for this map alone. ``_inner_iters``
     counts the auxiliary Newton steps taken on this map. The last auxiliary
     solution and its g-values are kept, keyed by the kernel lift, so a
     value, a Jacobian or a solution read at the point of the last one costs

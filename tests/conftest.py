@@ -1,11 +1,12 @@
 import math
 import os
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from perdiff import Problem, mp_solve, proj_P, proj_Q
+from perdiff import Problem, linear, mp_solve, proj_P, proj_Q
 
 CANONICAL_G = "tanh(x)+0.1*cos(2*pi*t/3)"
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,6 +26,17 @@ def subprocess_env():
 
 def make_problem(b, c, N, g):
     return Problem.from_text(b, c, N, g)
+
+
+def forget_linear_data(monkeypatch):
+    """Empty the kept linear data for the rest of the test; the kept set returns after it."""
+    monkeypatch.setattr(linear, "_kept", OrderedDict())
+    monkeypatch.setattr(linear, "_kept_periods", 0)
+
+
+@pytest.fixture
+def cold_linear_data(monkeypatch):
+    forget_linear_data(monkeypatch)
 
 
 @pytest.fixture
@@ -70,7 +82,7 @@ def dense_mpiq(ld):
     Entry [t, :, i, k] is the value at t of M_p (I - Q) applied to the unit
     sequence at (i, k): a reference built without the circulant structure.
     """
-    N = ld.problem.N
+    N = ld.N
     B = np.empty((N, 2, N, 2))
     for i in range(N):
         for k in range(2):
@@ -87,7 +99,7 @@ def g1_atol(ld, B):
     of the blocks; with a high-precision reference, neither is within
     4 eps max|B| on the rotation rows.
     """
-    E = np.zeros((2, ld.problem.N, 2))
+    E = np.zeros((2, ld.N, 2))
     E[0, 0, 0] = E[1, 0, 1] = 1.0
     K = proj_P(ld, E)  # K[:, t, :] = the map x(0) -> (P x)(t), transposed
     return 8.0 * np.finfo(float).eps * np.max(np.abs(B)) * max(1.0, float(np.max(np.abs(K))))

@@ -16,13 +16,14 @@ from perdiff import (
     norm_bound_mp_iq,
     proj_P,
     proj_Q,
+    solve,
     sup_norm,
 )
 from perdiff import linear
 from perdiff.linear import _mpiq_g1, companion_matrix
 from perdiff.mat2 import svals2
 
-from conftest import dense_mpiq, g1_atol, instance_grid, make_problem
+from conftest import dense_mpiq, forget_linear_data, g1_atol, instance_grid, make_problem
 
 
 def _ld(b, c, N, g="0"):
@@ -168,6 +169,86 @@ def test_more_than_two_resonant_modes_are_refused(N):
     assert linear.kernel_dims([-2.0], 1.0, N)[0][0] == 3
     with pytest.raises(ModeLimitError, match=r"^3 resonant modes .*4e-09.* N = "):
         build_linear_data(make_problem(-2.0, 1.0, N, "0"))
+
+
+def test_more_than_two_resonant_modes_are_refused_on_every_call(cold_linear_data):
+    # a call that raises keeps nothing, so the refusal comes back each time
+    p = make_problem(-2.0, 1.0, 99_400, "0")
+    for _ in range(2):
+        with pytest.raises(ModeLimitError, match="^3 resonant modes"):
+            build_linear_data(p)
+    assert not linear._kept and linear._kept_periods == 0
+
+
+def test_problem_stores_one_type_per_field():
+    g = "tanh(x)+0.1*cos(2*pi*t/9)"
+    p = Problem(0, 2, 9.0, make_problem(0, 2, 9, g).g)
+    assert (type(p.b), type(p.c), type(p.N)) == (float, float, int)
+    assert Problem(True, 2.0, 9, p.g).b == 1.0 and type(Problem(True, 2.0, 9, p.g).b) is float
+    for N in (9.5, math.inf, math.nan, 1.0):
+        with pytest.raises(ValueError, match="integer"):
+            Problem(0, 2, N, p.g)
+    # a float period classifies and solves like the integer one
+    assert classify(p).dim == 0
+    assert repr(solve(p).as_dict()) == repr(solve(make_problem(0, 2, 9, g)).as_dict())
+
+
+def _linear_bits(ld):
+    rc = ld.resonance
+    arrays = (ld.A, ld.symbol, ld.symbol_inv, rc.kernel_basis, rc.adjoint_basis, ld.ker_coef,
+              ld.adj_shift, ld.adj_dual, *ld._column)
+    return [(a.shape, a.tobytes()) for a in arrays] + [norm_bound_mp_iq(ld), rc.theta, rc.r_int]
+
+
+@pytest.mark.parametrize("c,N", [(2.0, 9), (-1.0, 4)], ids=["dim0", "dim2"])
+def test_negative_zero_b_is_kept_apart(c, N, monkeypatch):
+    forget_linear_data(monkeypatch)
+    cold = _linear_bits(_ld(-0.0, c, N))
+    forget_linear_data(monkeypatch)
+    positive = _ld(0.0, c, N)
+    negative = _ld(-0.0, c, N)
+    assert negative is not positive and negative is _ld(-0.0, c, N)
+    assert _linear_bits(negative) == cold
+    # -b is the last entry of A: its sign tells the two operators apart
+    assert np.signbit(negative.A[1, 1]) != np.signbit(positive.A[1, 1])
+
+
+@pytest.mark.parametrize("b,c,N", [(0.0, 2.0, 9), (-3.0, 2.0, 9), _rotation_row(9)],
+                         ids=["dim0", "dim1", "dim2"])
+def test_kept_arrays_are_read_only(b, c, N):
+    ld = _ld(b, c, N)
+    rc = classify(make_problem(b, c, N, "x"))
+    assert rc is ld.resonance
+    norm_bound_mp_iq(ld)
+    for a in (ld.A, ld.symbol, ld.symbol_inv, rc.kernel_basis, rc.adjoint_basis, ld.ker_coef,
+              ld.adj_shift, ld.adj_dual, *ld._column):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_the_least_recently_used_operator_goes_past_the_period_budget(cold_linear_data):
+    # three dim-0 operators at N = 20000 fit the budget of 2**16 periods; a fourth
+    # evicts the one read longest ago, and one longer than the budget is not kept
+    N = 20_000
+    first, second, third = (_ld(b, 2.0, N) for b in (0.0, 0.5, 1.0))
+    assert _ld(0.0, 2.0, N) is first
+    fourth = _ld(1.5, 2.0, N)
+    assert linear._kept_periods == 3 * N <= linear._KEEP_PERIODS
+    assert _ld(0.0, 2.0, N) is first and _ld(1.0, 2.0, N) is third
+    assert _ld(1.5, 2.0, N) is fourth
+    assert _ld(0.5, 2.0, N) is not second
+    N = linear._KEEP_PERIODS + 1
+    assert _ld(0.0, 2.0, N) is not _ld(0.0, 2.0, N)
+    assert linear._kept_periods == 3 * 20_000 and len(linear._kept) == 3
+
+
+def test_the_period_budget_counts_periods_not_operators(cold_linear_data, monkeypatch):
+    monkeypatch.setattr(linear, "_KEEP_PERIODS", 20)
+    kept = [_ld(0.0, 2.0, N) for N in (3, 5, 7)]
+    assert all(_ld(0.0, 2.0, ld.N) is ld for ld in kept)
+    assert _ld(0.0, 2.0, 6).N == 6                          # 3 + 5 + 7 + 6 = 21 > 20
+    assert [key[2] for key in linear._kept] == [5, 7, 6]   # least recently used first
+    assert linear._kept_periods == 18
 
 
 def test_kernel_basis_is_in_kernel():

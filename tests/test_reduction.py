@@ -17,6 +17,8 @@ from perdiff import (
     bifurcation_value,
     build_linear_data,
     check_solution,
+    check_thm1,
+    check_thm2,
     mp_solve,
     multistart_search,
     proj_P,
@@ -31,7 +33,8 @@ import perdiff.expr as expr
 from perdiff import linear, oracle, reduction
 from perdiff.reduction import _aux_jacobian, _aux_residual, _brent, _row_error, apply_F
 
-from conftest import CANONICAL_G, dense_mpiq, g1_atol, make_problem
+from conftest import (CANONICAL_G, dense_mpiq, forget_linear_data, g1_atol, instance_grid,
+                      make_problem)
 
 
 def _bm(b, c, N, g):
@@ -153,6 +156,47 @@ def test_norm_bound_image_failure_is_a_solver_error(monkeypatch):
         with pytest.raises(SolverError, match="not in image") as info:
             getattr(bm, name)
         assert info.value.diagnostics == {"defect": 3.3e-9, "N": 3}
+
+
+def _outcome(run, p):
+    try:
+        return repr(run(p).as_dict())
+    except Exception as e:  # a failure must repeat as well, class and message
+        return f"{type(e).__name__}: {e}"
+
+
+def test_kept_linear_data_gives_the_cold_reports(monkeypatch):
+    # a second forcing on a kept operator reports exactly what it reports
+    # on a freshly built one, failures included
+    def check(p):
+        if build_linear_data(p).resonance.dim == 2:
+            return check_thm2(p, zhat=1.0)
+        return check_thm1(p, r=10.0, zhat=1.0)
+
+    for b, c, N in instance_grid():
+        first = make_problem(b, c, N, f"atan(x)+0.2*sin(2*pi*t/{N})")
+        second = make_problem(b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+        for run in (solve, check):
+            forget_linear_data(monkeypatch)
+            _outcome(run, first)
+            assert build_linear_data(second) is build_linear_data(first)
+            warm = _outcome(run, second)
+            forget_linear_data(monkeypatch)
+            assert warm == _outcome(run, second), (b, c, N, run)
+
+
+def test_an_image_failure_of_the_column_is_not_kept(monkeypatch):
+    forget_linear_data(monkeypatch)
+    p = make_problem(-3, 2, 9, "tanh(x)+0.1*cos(2*pi*t/9)")
+    with monkeypatch.context() as patch:
+        def not_in_image(ld, h):
+            raise NotInImageError(3.3e-9)
+
+        patch.setattr(linear, "mp_solve", not_in_image)
+        for _ in range(2):
+            with pytest.raises(SolverError, match="cannot assemble"):
+                solve(p)
+    assert solve(p).oracle_verified
 
 
 @pytest.mark.parametrize("b,c,N", _REGIME_ROWS)
