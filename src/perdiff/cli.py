@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -237,6 +238,9 @@ def _cmd_check(args) -> int:
         # M_p(I-Q): a numerical failure, not a parse error
         return _print_failure(shell, f"cannot bound the norm of M_p(I-Q): {e}",
                               {"defect": e.defect, "N": problem.N})
+    except expr.DomainError as e:
+        # g leaves its domain on a sampled grid: a failure of the check, as in solve
+        return _print_failure(shell, str(e), None)
     except ValueError as e:
         raise _CliError(str(e), EXIT_PARSE) from None
     shell.update(report.as_dict())
@@ -267,22 +271,24 @@ def _cmd_scan(args) -> int:
         bs = np.linspace(lo, hi, steps)
     if not np.all(np.isfinite(bs)):
         raise _CliError("--b-range values must be finite", EXIT_USAGE)
-    # one symbol evaluation per N column, by the same rule as classify
-    columns = [kernel_dims(bs, args.c, N) for N in n_list]
+    # one symbol evaluation per N column, by the same rule as classify, and
+    # one continued-fraction pass for the in_U column
+    columns = []
+    for N in n_list:
+        dim, r_int = kernel_dims(bs, args.c, N)
+        rot = ["," if r < 0 else f"{r},{d}"
+               for r, d in zip(r_int.tolist(), np.gcd(r_int, N).tolist())]
+        columns.append((N, dim.tolist(), rot))
+    inside = np.abs(bs) < 2.0
+    in_u = np.zeros(bs.size, dtype=bool)
+    in_u[inside] = hypotheses._resonant_angles(bs[inside], hypotheses.DEFAULT_MAX_DENOMINATOR)[0]
     c_text = _fmt_float(args.c)
     lines = ["b,c,N,dim,theta,in_U,r_int,gcd"]
-    for row, b in enumerate(bs):
-        theta = math.acos(max(-1.0, min(1.0, -b / 2.0))) if abs(b) <= 2.0 else None
-        in_u = None
-        if abs(b) < 2.0:
-            in_u, _ = hypotheses.membership_U(float(b))
-        b_text = _fmt_float(b)
-        theta_text = "" if theta is None else _fmt_float(theta)
-        in_u_text = "" if in_u is None else ("true" if in_u else "false")
-        for N, (dim, r_int) in zip(n_list, columns):
-            r = int(r_int[row])
-            rot = "," if r < 0 else f"{r},{math.gcd(r, N)}"
-            lines.append(f"{b_text},{c_text},{N},{dim[row]},{theta_text},{in_u_text},{rot}")
+    for row, (b, b_inside, b_in_u) in enumerate(zip(bs.tolist(), inside.tolist(), in_u.tolist())):
+        theta_text = _fmt_float(math.acos(max(-1.0, min(1.0, -b / 2.0)))) if abs(b) <= 2.0 else ""
+        in_u_text = ("true" if b_in_u else "false") if b_inside else ""
+        head, tail = f"{_fmt_float(b)},{c_text}", f"{theta_text},{in_u_text}"
+        lines += [f"{head},{N},{dim[row]},{tail},{rot[row]}" for N, dim, rot in columns]
     csv_text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -295,7 +301,9 @@ def _cmd_scan(args) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parsing reads it and leaves it as it was
     parser = _Parser(prog="perdiff",
                      description="Periodic solutions of y(t+2)+b y(t+1)+c y(t)=g(t,y(t)).")
     sub = parser.add_subparsers(dest="command", required=True)

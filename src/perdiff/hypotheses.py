@@ -12,7 +12,10 @@ verdicts are flagged as such in the report, and the 5% inflation of
 suprema / deflation of infima only ever pushes a verdict toward "fail",
 so a reported pass under-claims relative to the true bounds. Reports are
 pure functions of their inputs, with no random sampling, hence bit-for-bit
-reproducible.
+reproducible. Each checker evaluates g at most twice, each time over
+several x grids joined together; if g leaves its domain there, the grids
+are evaluated one at a time so the error is that of the first grid to
+fail.
 """
 
 from __future__ import annotations
@@ -93,40 +96,74 @@ def _check_args(grid: int, N: int | None = None, **positive) -> None:
         raise ValueError("this check requires an odd period N")
 
 
-def _g_on_grid(problem: Problem, xs: np.ndarray) -> np.ndarray:
-    """g sampled at every t in one period over the x grid; shape (N, len(xs))."""
-    return expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
+def _on_grids(g: expr.Node, t, grids: list) -> list:
+    """g at t over each x grid, from one evaluation over their concatenation."""
+    values = expr.evaluate(g, t, np.concatenate(grids))
+    return np.split(values, np.cumsum([len(x) for x in grids[:-1]]), axis=-1)
 
 
+# x values at which g is compared across t
 _PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
 
 
-def _t_periodic(problem: Problem, tol: float = 1e-12) -> bool:
-    ts = np.arange(problem.N)[:, None]
-    a = expr.evaluate(problem.g, ts, _PROBE)
-    b = expr.evaluate(problem.g, ts + problem.N, _PROBE)
-    return bool(np.all(np.max(np.abs(a - b), axis=1)
-                       <= tol * (1.0 + np.max(np.abs(a), axis=1))))
+def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
+    """Whether g is N-periodic in t at the probe x values, and g over one
+    period t = 0..N-1 on each x grid: one evaluation of g over the probe and
+    the grids together, one over the probe at t + N.
+
+    If either raises DomainError, the probe at t, the probe at t + N and each
+    grid are evaluated one at a time, in that order, so the error raised is
+    the first that evaluating them separately meets.
+    """
+    g, ts = problem.g, np.arange(problem.N)[:, None]
+    try:
+        probe, *values = _on_grids(g, ts, [_PROBE, *grids])
+        shifted = expr.evaluate(g, ts + problem.N, _PROBE)
+    except expr.DomainError:
+        probe, shifted, *values = (expr.evaluate(g, t, x) for t, x in
+                                   [(ts, _PROBE), (ts + problem.N, _PROBE)]
+                                   + [(ts, x) for x in grids])
+    periodic = np.all(np.max(np.abs(probe - shifted), axis=1)
+                      <= tol * (1.0 + np.max(np.abs(probe), axis=1)))
+    return bool(periodic), values
 
 
-def _t_independent(problem: Problem, tol: float = 1e-12) -> bool:
-    base = expr.evaluate(problem.g, 0, _PROBE)
-    vals = expr.evaluate(problem.g, np.arange(1, problem.N + 1)[:, None], _PROBE)
-    return bool(np.all(np.max(np.abs(vals - base), axis=1)
-                       <= tol * (1.0 + np.max(np.abs(base)))))
+def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e-12):
+    """g at t = 0 on each window and over one period t = 0..N-1 on each grid,
+    once g is seen independent of t at the probe x values (ValueError if
+    not): one evaluation of g at t = 0 over the probe and the windows, one
+    at t = 0..N over the probe and the grids (their row t = N unused).
+
+    If either raises DomainError, g is evaluated one piece at a time, in this
+    order: the probe at t = 0, at t = 1..N (then the independence check),
+    each window, each grid. So the error raised is the first that
+    evaluating them separately meets.
+    """
+    g, ts = problem.g, np.arange(problem.N + 1)[:, None]
+    try:
+        base, *on_windows = _on_grids(g, 0, [_PROBE, *windows])
+        probe, *on_grids = _on_grids(g, ts, [_PROBE, *grids])
+        later, on_grids = probe[1:], [v[:-1] for v in on_grids]
+    except expr.DomainError:
+        base, later = expr.evaluate(g, 0, _PROBE), expr.evaluate(g, ts[1:], _PROBE)
+        _require_t_free(base, later, tol)
+        on_windows = [expr.evaluate(g, 0, x) for x in windows]
+        on_grids = [expr.evaluate(g, ts[:-1], x) for x in grids]
+    _require_t_free(base, later, tol)
+    return on_windows, on_grids
 
 
-def _sign_condition(problem: Problem, lo: float, hi: float, grid: int) -> tuple[bool, float]:
-    """Is x*g(t,x) > 0 on sampled lo < |x| <= hi? Also the smallest product."""
-    xs = np.linspace(lo, hi, grid)[1:]  # strictly beyond lo
-    worst = math.inf
-    ok = True
-    for sgn in (1.0, -1.0):
-        vals = _g_on_grid(problem, sgn * xs)
-        prods = (sgn * xs)[None, :] * vals
-        worst = min(worst, float(np.min(prods)))
-        ok = ok and bool(np.all(prods > 0.0))
-    return ok, worst
+def _require_t_free(base: np.ndarray, later: np.ndarray, tol: float) -> None:
+    # g at t = 1..N against g at t = 0, on the probe
+    if not np.all(np.max(np.abs(later - base), axis=1) <= tol * (1.0 + np.max(np.abs(base)))):
+        raise ValueError("the corollary requires g independent of t")
+
+
+def _sign_condition(xs: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray) -> tuple[bool, float]:
+    """Is x*g(t,x) > 0 at x = xs and x = -xs (g sampled there)? Also the smallest product."""
+    prods = (xs * g_pos, -xs * g_neg)
+    return (all(bool(np.all(v > 0.0)) for v in prods),
+            min(float(np.min(v)) for v in prods))
 
 
 # -- theorem for kernel dimension < 2 ----------------------------------------
@@ -147,16 +184,17 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201) -> Chec
     _check_args(grid, problem.N, r=r, zhat=zhat)
     ld = build_linear_data(problem)
 
-    periodic_ok = _t_periodic(problem)
-    xs = np.linspace(-2.0 * r, 2.0 * r, grid)
-    delta = INFLATE * float(np.max(np.abs(_g_on_grid(problem, xs))))
+    xs = np.linspace(zhat, 4.0 * r, grid)[1:]  # strictly beyond zhat
+    periodic_ok, (window, g_pos, g_neg) = _sample_period(
+        problem, [np.linspace(-2.0 * r, 2.0 * r, grid), xs, -xs])
+    delta = INFLATE * float(np.max(np.abs(window)))
     c1 = Condition(
         "C1", periodic_ok, True,
         {"delta": delta, "window": 2.0 * r, "g_periodic_in_t": periodic_ok},
         "delta sampled on a grid, inflated 5%; sampled, not proven",
     )
 
-    sign_ok, worst = _sign_condition(problem, zhat, 4.0 * r, grid)
+    sign_ok, worst = _sign_condition(xs, g_pos, g_neg)
     c2 = Condition(
         "C2", sign_ok, True,
         {"zhat": zhat, "range_hi": 4.0 * r, "min_x_times_g": worst},
@@ -183,22 +221,55 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201) -> Chec
 
 # -- resonance set membership ------------------------------------------------
 
+# a continued fraction stops at a remainder this small, or after this many terms
+_FRACTION_FLOOR = 1e-18
+_MAX_TERMS = 64
+# convergents are carried as doubles, exact while their denominators are below 2**53
+_MAX_DENOMINATOR_LIMIT = 2**53 - 1
+# b values per recurrence, whose every term is kept while it runs
+_ROWS_PER_PASS = 1024
 
-def _convergents(x: float, max_terms: int = 64):
-    """Continued-fraction convergents (p, q) of x, in order."""
-    h_prev, k_prev = 1, 0
-    h, k = int(math.floor(x)), 1
-    yield h, k
-    frac = x - math.floor(x)
-    for _ in range(max_terms):
-        if frac <= 1e-18:
-            return
-        x = 1.0 / frac
-        a = int(math.floor(x))
-        frac = x - a
-        h, h_prev = a * h + h_prev, h
-        k, k_prev = a * k + k_prev, k
-        yield h, k
+
+def _resonant_angles(b: np.ndarray, max_denominator: int):
+    """(in_u, p, q) for each b of a column with |b| < 2: is arccos(-b/2)/(2*pi)
+    within RATIONAL_ANGLE_TOL of a continued-fraction convergent p/q with
+    q <= max_denominator and 0 <= 2p < q? p and q are the first such
+    convergent's, 0 where there is none.
+
+    One recurrence runs for _ROWS_PER_PASS rows at a time, up to _MAX_TERMS
+    terms; a row's scan ends at its first hit, at its first convergent past
+    max_denominator, or after a remainder at most _FRACTION_FLOOR. Terms a
+    row computes after that (possibly 1/0 and inf - inf) are never read.
+    """
+    if b.size > _ROWS_PER_PASS:
+        parts = [_resonant_angles(b[s:s + _ROWS_PER_PASS], max_denominator)
+                 for s in range(0, b.size, _ROWS_PER_PASS)]
+        return tuple(np.concatenate(column) for column in zip(*parts))
+    # math.acos per element: np.arccos may differ from it in the last bit
+    x = np.array([math.acos(-v / 2.0) for v in b.tolist()]) / (2.0 * math.pi)
+    whole = np.floor(x)
+    frac = x - whole
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    pq, pq_prev = np.array([whole, one]), np.array([one, zero])  # rows p, q
+    terms, fracs = [pq], [frac]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while (len(terms) <= _MAX_TERMS
+               and ((pq[1] <= max_denominator) & (frac > _FRACTION_FLOOR)).any()):
+            y = 1.0 / frac
+            whole = np.floor(y)
+            frac = y - whole
+            pq, pq_prev = whole * pq + pq_prev, pq
+            terms.append(pq)
+            fracs.append(frac)
+        terms = np.array(terms)
+        p, q = terms[:, 0], terms[:, 1]  # (terms, rows) each
+        within = q <= max_denominator
+        hit = within & (np.abs(x - p / q) <= RATIONAL_ANGLE_TOL) & (0 <= 2 * p) & (2 * p < q)
+        end = hit | ~within | ~(np.array(fracs) > _FRACTION_FLOOR)
+    first = np.argmax(end, axis=0), np.arange(x.size)
+    in_u = hit[first]
+    p, q = (np.where(in_u, v[first], 0).astype(np.int64) for v in (p, q))
+    return in_u, p, q
 
 
 def membership_U(b: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR):
@@ -208,19 +279,17 @@ def membership_U(b: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR):
     given denominator; a convergent at machine-equality distance
     (RATIONAL_ANGLE_TOL) is taken as a rational hit. Returns
     (in_U, witness) where witness is the (k, j) pair or None. Only defined
-    for |b| < 2.
+    for finite b with |b| < 2 and an integer max_denominator in
+    [2, 2**53). This is the one-row case of the array pass that gives
+    ``perdiff scan`` its whole in_U column at once.
     """
-    if max_denominator < 2:
-        raise ValueError("max_denominator must be >= 2")
-    if abs(b) >= 2.0:
+    if not (2 <= max_denominator <= _MAX_DENOMINATOR_LIMIT
+            and float(max_denominator).is_integer()):
+        raise ValueError("max_denominator must be an integer in [2, 2**53)")
+    if not abs(b) < 2.0:  # nan fails every comparison
         raise ValueError("membership is defined for b in (-2, 2) only")
-    x = math.acos(-b / 2.0) / (2.0 * math.pi)
-    for p, q in _convergents(x):
-        if q > max_denominator:
-            break
-        if q >= 1 and abs(x - p / q) <= RATIONAL_ANGLE_TOL and 0 <= 2 * p < q:
-            return True, (p, q)
-    return False, None
+    in_u, p, q = _resonant_angles(np.array([float(b)]), int(max_denominator))
+    return (True, (int(p[0]), int(q[0]))) if in_u[0] else (False, None)
 
 
 # -- corollary: time-independent nonlinearities -------------------------------
@@ -244,14 +313,11 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
     r_schedule = [float(r) for r in r_schedule]
     if not r_schedule or not all(map(_positive, r_schedule)):
         raise ValueError("r_schedule entries must be finite and positive")
-    if not _t_independent(problem):
-        raise ValueError("the corollary requires g independent of t")
-
-    ratios = []
-    for r in r_schedule:
-        xs = np.linspace(-2.0 * r, 2.0 * r, grid)
-        sup = float(np.max(np.abs(np.asarray(expr.evaluate(problem.g, 0, xs)))))
-        ratios.append(sup / (2.0 * r))
+    range_hi = max(4.0 * R, R + 10.0)
+    xs = np.linspace(R, range_hi, grid)[1:]  # strictly beyond R
+    windows, (g_pos, g_neg) = _sample_t_free(
+        problem, [np.linspace(-2.0 * r, 2.0 * r, grid) for r in r_schedule], [xs, -xs])
+    ratios = [float(np.max(np.abs(w))) / (2.0 * r) for w, r in zip(windows, r_schedule)]
     decreasing = all(ratios[k + 1] < ratios[k] for k in range(len(ratios) - 1))
     c1 = Condition(
         "C1*", decreasing and ratios[-1] < RATIO_THRESHOLD, True,
@@ -260,10 +326,10 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
         "asymptotic condition sampled along a finite schedule",
     )
 
-    sign_ok, worst = _sign_condition(problem, R, max(4.0 * R, R + 10.0), grid)
+    sign_ok, worst = _sign_condition(xs, g_pos, g_neg)
     c2 = Condition(
         "C2*", sign_ok, True,
-        {"R": R, "range_hi": max(4.0 * R, R + 10.0), "min_x_times_h": worst},
+        {"R": R, "range_hi": range_hi, "min_x_times_h": worst},
         "sampled, not proven",
     )
 
@@ -308,18 +374,16 @@ def check_thm2(problem: Problem, zhat: float, grid: int = 201,
     if xmax is None:
         xmax = max(100.0, 100.0 * zhat)
 
-    periodic_ok = _t_periodic(problem)
-    xs = np.linspace(-xmax, xmax, grid)
-    K = INFLATE * float(np.max(np.abs(_g_on_grid(problem, xs))))
+    xs_pos = np.linspace(zhat, xmax, grid)
+    periodic_ok, (window, g_pos, g_neg) = _sample_period(
+        problem, [np.linspace(-xmax, xmax, grid), xs_pos, -xs_pos])
+    K = INFLATE * float(np.max(np.abs(window)))
     c1 = Condition(
         "C1", periodic_ok, True,
         {"K": K, "xmax": xmax, "g_periodic_in_t": periodic_ok},
         "K sampled on a grid, inflated 5%; sampled, not proven",
     )
 
-    xs_pos = np.linspace(zhat, xmax, grid)
-    g_pos = _g_on_grid(problem, xs_pos)
-    g_neg = _g_on_grid(problem, -xs_pos)
     J_raw = float(min(np.min(g_pos), np.min(-g_neg)))
     J = DEFLATE * J_raw if J_raw > 0 else J_raw / DEFLATE
     c2 = Condition(

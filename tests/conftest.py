@@ -72,6 +72,26 @@ def instance_grid():
     return out
 
 
+def exact_membership(b, max_denominator=10**6, tol=64.0 * 2.220446049250313e-16):
+    """(in_U, witness) of b from the exact continued-fraction convergents of
+    the double arccos(-b/2)/(2*pi): the first p/q with q <= max_denominator,
+    0 <= 2p < q and |x - p/q| <= tol, as integer arithmetic finds it.
+    """
+    x = math.acos(-b / 2.0) / (2.0 * math.pi)
+    num, den = x.as_integer_ratio()  # exact, as Fraction(x)
+    p0, q0, p, q = 1, 0, num // den, 1
+    num, den = den, num % den
+    while q <= max_denominator:
+        if abs(x - p / q) <= tol and 0 <= 2 * p < q:
+            return True, (p, q)
+        if not den:
+            break
+        a, r = divmod(num, den)
+        p0, q0, p, q = p, q, a * p + p0, a * q + q0
+        num, den = den, r
+    return False, None
+
+
 def random_sequences(N, count, rng):
     return rng.standard_normal((count, N, 2))
 

@@ -9,7 +9,7 @@ import pytest
 
 from perdiff import NotInImageError, Problem, classify, cli, hypotheses, linear, reduction
 
-from conftest import subprocess_env
+from conftest import exact_membership, subprocess_env
 
 CANONICAL_G = "tanh(x)+0.1*cos(2*pi*t/3)"
 
@@ -229,6 +229,42 @@ def test_check_image_failure_is_a_solver_error(tmp_path, monkeypatch, capsys):
     assert data["diagnostics"]["defect"] > 0.0
 
 
+@pytest.mark.parametrize("theorem, b, c", [("thm1", 0, 2), ("thm2", 1, 1), ("cor", 0, 2)])
+def test_check_outside_the_domain_of_g_is_a_solver_error(theorem, b, c, tmp_path, capsys):
+    # ln(x+5) leaves its domain on the sampled grids: exit 3 with the
+    # message in the report, as solve does, not a traceback and exit 1
+    path = write_problem(tmp_path / "p.json", b, c, 3, "ln(x+5)+0.1")
+    code = cli.main(["check", path, "--theorem", theorem])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_SOLVER, err
+    assert err == ""
+    data = json.loads(out)
+    assert data["command"] == "check" and data["input"]["theorem"] == theorem
+    assert data["error"] == "ln of a non-positive value"
+    assert "diagnostics" not in data and "conditions" not in data
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(dim1_file, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    # an option given once does not stay for the next call
+    assert cli.main(["solve", dim1_file, "--tol", "1e-6"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["input"]["tol"] == 1e-6
+    assert cli.main(["solve", dim1_file]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["input"]["tol"] == 1e-9
+    # a usage error after a good call still exits 1
+    for argv in (["solve", dim1_file, "--tol"], ["nonsense"], []):
+        assert cli.main(argv) == cli.EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+    # check after scan reports as it does on its own
+    assert cli.main(["check", dim1_file, "--theorem", "thm1"]) == cli.EXIT_OK
+    alone = capsys.readouterr().out
+    assert cli.main(["scan", "--b-range=-1:1:3", "--c", "1", "--N-list", "3"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["check", dim1_file, "--theorem", "thm1"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == alone
+
+
 @pytest.mark.parametrize("argv", [["classify"], ["solve"], ["check", "--theorem", "thm1"]])
 def test_more_than_two_resonant_modes_exit_3(argv, tmp_path, capsys):
     # one line on stderr and the solver-failure code, no traceback
@@ -279,11 +315,11 @@ def test_scan_csv(tmp_path):
 
 
 def _reference_scan(lo, hi, steps, c, n_list):
-    # the scan as one classify call per row
+    # the scan as one classify call per row, in_U from exact convergents
     lines = ["b,c,N,dim,theta,in_U,r_int,gcd"]
     for b in np.linspace(lo, hi, steps):
         theta = math.acos(max(-1.0, min(1.0, -b / 2.0))) if abs(b) <= 2.0 else None
-        in_u = hypotheses.membership_U(float(b))[0] if abs(b) < 2.0 else None
+        in_u = exact_membership(float(b))[0] if abs(b) < 2.0 else None
         for N in n_list:
             rc = classify(Problem.from_text(b, c, N, "0"))
             lines.append(",".join([

@@ -1,13 +1,15 @@
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from perdiff import check_corollary, check_thm1, check_thm2, classify, membership_U
-from perdiff.hypotheses import RATIONAL_ANGLE_TOL
+from perdiff import check_corollary, check_thm1, check_thm2, classify, expr, membership_U
+from perdiff.hypotheses import RATIONAL_ANGLE_TOL, _resonant_angles
 
-from conftest import CANONICAL_G, make_problem
+from conftest import CANONICAL_G, exact_membership, make_problem
 
 
 # -- membership in the resonant-angle set ------------------------------------
@@ -47,6 +49,84 @@ def test_membership_rejects_out_of_range():
         membership_U(-2.5)
     with pytest.raises(ValueError):
         membership_U(1.0, max_denominator=1)
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_membership_refuses_a_non_finite_b(b):
+    with pytest.raises(ValueError, match="b in \\(-2, 2\\)"):
+        membership_U(b)
+
+
+@pytest.mark.parametrize("max_denominator", [2.5, 1, 0, -3, math.nan, math.inf, 2**53])
+def test_membership_refuses_a_max_denominator_out_of_range(max_denominator):
+    with pytest.raises(ValueError, match="max_denominator must be an integer"):
+        membership_U(1.2, max_denominator=max_denominator)
+
+
+def test_membership_takes_an_integral_float_max_denominator():
+    b = -2.0 * math.cos(2.0 * math.pi / 7.0)
+    assert membership_U(b, max_denominator=7.0) == (True, (1, 7))
+    assert membership_U(b, max_denominator=7) == (True, (1, 7))
+    assert membership_U(b, max_denominator=6.0) == (False, None)
+
+
+def _resonant_b():
+    # -2cos(2*pi*k/j) for every angle of U with j <= 1000, each double once
+    bs = {-2.0 * math.cos(2.0 * math.pi * k / j)
+          for j in range(1, 1001) for k in range((j + 1) // 2)}
+    return sorted(b for b in bs if abs(b) < 2.0)
+
+
+_ULP_BELOW_2 = math.nextafter(2.0, 0.0)
+_COLUMNS = {
+    "uniform": lambda: np.random.default_rng(20).uniform(-2.0, 2.0, 20_000).tolist(),
+    "resonant": _resonant_b,
+    "edges": lambda: [_ULP_BELOW_2, -_ULP_BELOW_2, -0.0, 0.0],
+    # a partial quotient far beyond the cap: 1/3 and 1/4 missed by about 1e-11
+    "past the cap": lambda: [1.0 + 1e-10, 1.0 - 1e-10, 1e-10, -1e-10],
+}
+
+
+@pytest.mark.parametrize("max_denominator", [10**6, 10])
+@pytest.mark.parametrize("column", sorted(_COLUMNS))
+def test_membership_column_matches_exact_convergents(column, max_denominator):
+    bs = _COLUMNS[column]()
+    if column == "resonant" and max_denominator != 10**6:
+        bs = bs[::50]
+    in_u, p, q = _resonant_angles(np.array(bs), max_denominator)
+    got = [(True, (pp, qq)) if hit else (False, None)
+           for hit, pp, qq in zip(in_u.tolist(), p.tolist(), q.tolist())]
+    want = [exact_membership(b, max_denominator) for b in bs]
+    assert got == want
+    if column == "resonant" and max_denominator == 10**6:
+        assert all(in_u)
+    # the one-row case is the same pass
+    for b, expected in list(zip(bs, want))[::max(1, len(bs) // 200)]:
+        assert membership_U(b, max_denominator) == expected
+
+
+def test_membership_column_memory_does_not_grow_with_the_column():
+    # every term of a row is kept while its recurrence runs, so rows go
+    # through _ROWS_PER_PASS at a time: 50k rows at up to 65 terms would
+    # otherwise hold more than 100 MB
+    b = np.random.default_rng(21).uniform(-2.0, 2.0, 50_000)
+    tracemalloc.start()
+    try:
+        in_u, p, q = _resonant_angles(b, 2**53 - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert in_u.shape == p.shape == q.shape == b.shape
+    assert peak < 16 * 2**20
+
+
+def test_membership_column_never_warns():
+    # rows that end early run on through 1/0 and inf - inf, unread
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        in_u, p, q = _resonant_angles(np.array([0.0, 1.0, 1.2, 1.0 + 1e-10, -_ULP_BELOW_2]), 10**6)
+    assert in_u.tolist() == [True, True, False, False, False]
+    assert (p.tolist(), q.tolist()) == ([1, 1, 0, 0, 0], [4, 3, 0, 0, 0])
 
 
 # -- bounded-window theorem ----------------------------------------------------
@@ -195,6 +275,41 @@ def test_checks_reject_a_non_finite_argument(arg, value):
 def test_corollary_rejects_time_dependent_g():
     with pytest.raises(ValueError):
         check_corollary(make_problem(0, 2, 3, CANONICAL_G), R=1.0)
+
+
+_CHECKS = {
+    "thm1": lambda g: check_thm1(make_problem(0, 2, 3, g), r=20.0, zhat=1.0),
+    "thm2": lambda g: check_thm2(make_problem(1, 1, 3, g), zhat=1.0),
+    "cor": lambda g: check_corollary(make_problem(1.2, 1, 3, g), R=1.0),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(_CHECKS))
+def test_a_checker_raises_the_error_of_the_first_grid_that_fails(theorem):
+    # ln(x+30) leaves its domain on the wide x windows, 1/x at the probe
+    # point x = 0, which is sampled first; one evaluation over both would
+    # name ln, the node it walks first
+    g = "ln(x+30)+1/x"
+    with pytest.raises(expr.DomainError, match="ln of a non-positive value"):
+        expr.evaluate(expr.parse(g), 0, np.array([0.0, -40.0]))
+    with pytest.raises(expr.DomainError) as err:
+        _CHECKS[theorem](g)
+    assert type(err.value) is expr.DomainError and str(err.value) == "division by zero"
+
+
+def test_a_corollary_time_dependence_is_found_before_a_domain_error():
+    # g depends on t and leaves its domain on the growth windows: the
+    # independence check comes first
+    with pytest.raises(ValueError, match="independent of t"):
+        _CHECKS["cor"]("ln(x+30)+t")
+
+
+def test_the_corollary_ignores_g_where_it_does_not_sample():
+    # 0*ln(30 - t*x) is 0 wherever the corollary samples, but leaves its
+    # domain at t = N = 3 for x >= 10, a row its joined evaluation also
+    # covers: the report is that of tanh(x)
+    assert (_CHECKS["cor"]("tanh(x)+0*ln(30-t*x)").as_dict()
+            == _CHECKS["cor"]("tanh(x)").as_dict())
 
 
 # -- two-dimensional resonance theorem --------------------------------------------
