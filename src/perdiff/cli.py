@@ -13,7 +13,8 @@ All structured output is JSON with a fixed key layout, the tool version and
 a full echo of the inputs; floats are printed with 17 significant digits so
 identical runs produce byte-identical bytes. Exit codes: 0 success/pass,
 1 usage, 2 file or expression parse error, 3 solver failure (or more than
-two resonant modes, in one line on stderr), 4 hypothesis check failed.
+two resonant modes, in one line on stderr), 4 hypothesis check failed (or
+a theorem that does not apply to the problem).
 """
 
 from __future__ import annotations
@@ -162,12 +163,13 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _print_failure(shell: dict, message: str, diagnostics: dict | None) -> int:
+def _print_failure(shell: dict, message: str, diagnostics: dict | None,
+                   code: int = EXIT_SOLVER) -> int:
     shell["error"] = message
     if diagnostics:
         shell["diagnostics"] = diagnostics
     print(to_json(shell))
-    return EXIT_SOLVER
+    return code
 
 
 def _cmd_solve(args) -> int:
@@ -241,6 +243,9 @@ def _cmd_check(args) -> int:
     except expr.DomainError as e:
         # g leaves its domain on a sampled grid: a failure of the check, as in solve
         return _print_failure(shell, str(e), None)
+    except hypotheses.NotApplicableError as e:
+        # the problem parses, but the theorem does not apply to it
+        return _print_failure(shell, str(e), None, EXIT_HYPOTHESIS)
     except ValueError as e:
         raise _CliError(str(e), EXIT_PARSE) from None
     shell.update(report.as_dict())

@@ -26,6 +26,7 @@ dominated by any sublinear power bound.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -316,32 +317,40 @@ def _ev(node: Node, t, x):
     return getattr(np, fn)(a)
 
 
-def _reads_x(node: Node) -> bool:
+def _bound(node: Node, t) -> Node:
+    # an x-free node as a Num of its read-only value at t; a Num, or a node
+    # that raises DomainError at t, as it is
+    if not isinstance(node, Num):
+        with contextlib.suppress(DomainError), np.errstate(all="ignore"):
+            value = np.array(_ev(node, t, 0.0))
+            value.flags.writeable = False
+            return Num(value)
+    return node
+
+
+def _bind_x(node: Node, t) -> tuple[Node, bool]:
+    # (node with its largest x-free subtrees bound at t, does node read x?);
+    # an x-free node comes back as it is, for its parent to bind whole
     if isinstance(node, (Num, Var)):
-        return node == Var("x")
-    kids = (node.arg,) if isinstance(node, Neg) else (
-        (node.left, node.right) if isinstance(node, Bin) else node.args)
-    return any(_reads_x(k) for k in kids)
+        return node, isinstance(node, Var) and node.name == "x"
+    kids = [_bind_x(k, t) for k in ((node.arg,) if isinstance(node, Neg) else (
+        (node.left, node.right) if isinstance(node, Bin) else node.args))]
+    if not any([reads for _, reads in kids]):
+        return node, False
+    kids = [k if reads else _bound(k, t) for k, reads in kids]
+    return (Neg(*kids) if isinstance(node, Neg) else Bin(node.op, *kids)
+            if isinstance(node, Bin) else Call(node.fn, tuple(kids))), True
 
 
 def bind_t(node: Node, t) -> Node:
     """node with each largest subtree that does not read x replaced by a Num
     of its read-only value at t, so it evaluates at t like node, walking only
-    the part that reads x. A subtree that raises DomainError stays as it is.
+    the part that reads x, found in one walk. A subtree that raises
+    DomainError stays as it is.
     """
-    if not (isinstance(node, Num) or _reads_x(node)):
-        try:
-            with np.errstate(all="ignore"):
-                value = np.array(_ev(node, np.asarray(t, dtype=float), 0.0))
-        except DomainError:
-            return node
-        value.flags.writeable = False
-        return Num(value)
-    if isinstance(node, Neg):
-        return Neg(bind_t(node.arg, t))
-    if isinstance(node, Bin):
-        return Bin(node.op, bind_t(node.left, t), bind_t(node.right, t))
-    return Call(node.fn, tuple(bind_t(a, t) for a in node.args)) if isinstance(node, Call) else node
+    t = np.asarray(t, dtype=float)
+    bound, reads = _bind_x(node, t)
+    return bound if reads else _bound(node, t)
 
 
 def evaluate(node: Node, t, x) -> float | np.ndarray:
@@ -352,10 +361,11 @@ def evaluate(node: Node, t, x) -> float | np.ndarray:
     violations and non-finite results raise DomainError rather than leaking
     NaN/inf into callers. An array result is fresh or read-only.
     """
-    tv, xv = (np.asarray(v, dtype=float) if np.ndim(v) else float(v) for v in (t, x))
+    tv, xv = (v if type(v) is np.ndarray and v.dtype == np.float64 else
+              np.asarray(v, dtype=float) if np.ndim(v) else float(v) for v in (t, x))
     with np.errstate(all="ignore"):
         arr = np.asarray(_ev(node, tv, xv), dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("evaluation produced a non-finite value")
     if arr.shape != np.shape(x) or np.shape(t) != arr.shape[arr.ndim - np.ndim(t):]:
         # constant subtrees evaluate to scalars; hand callers the full grid shape

@@ -40,6 +40,12 @@ DEFAULT_MAX_DENOMINATOR = 10**6
 RATIONAL_ANGLE_TOL = 64.0 * 2.220446049250313e-16
 
 
+class NotApplicableError(ValueError):
+    """The theorem does not apply to the problem: an even period for thm1 and
+    thm2, a kernel that is not two-dimensional for thm2, a g that depends on t
+    for the corollary."""
+
+
 @dataclass(frozen=True)
 class Condition:
     id: str
@@ -93,7 +99,7 @@ def _check_args(grid: int, N: int | None = None, **positive) -> None:
     if grid < 2:
         raise ValueError("grid must be >= 2")
     if N is not None and N % 2 == 0:
-        raise ValueError("this check requires an odd period N")
+        raise NotApplicableError("this check requires an odd period N")
 
 
 def _on_grids(g: expr.Node, t, grids: list) -> list:
@@ -130,8 +136,8 @@ def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
 
 def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e-12):
     """g at t = 0 on each window and over one period t = 0..N-1 on each grid,
-    once g is seen independent of t at the probe x values (ValueError if
-    not): one evaluation of g at t = 0 over the probe and the windows, one
+    once g is seen independent of t at the probe x values (NotApplicableError
+    if not): one evaluation of g at t = 0 over the probe and the windows, one
     at t = 0..N over the probe and the grids (their row t = N unused).
 
     If either raises DomainError, g is evaluated one piece at a time, in this
@@ -156,7 +162,7 @@ def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e
 def _require_t_free(base: np.ndarray, later: np.ndarray, tol: float) -> None:
     # g at t = 1..N against g at t = 0, on the probe
     if not np.all(np.max(np.abs(later - base), axis=1) <= tol * (1.0 + np.max(np.abs(base)))):
-        raise ValueError("the corollary requires g independent of t")
+        raise NotApplicableError("the corollary requires g independent of t")
 
 
 def _sign_condition(xs: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray) -> tuple[bool, float]:
@@ -305,7 +311,7 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
     C2*: x*h(x) > 0 sampled beyond |x| = R;
     C3*: b outside the resonant angle set U, or c != 1.
 
-    Requires g to be independent of t (checked; ValueError otherwise).
+    Requires g to be independent of t (checked; NotApplicableError otherwise).
     """
     _check_args(grid, R=R)
     if r_schedule is None:
@@ -370,7 +376,7 @@ def check_thm2(problem: Problem, zhat: float, grid: int = 201,
     _check_args(grid, problem.N, zhat=zhat, xmax=xmax)
     ld = build_linear_data(problem)
     if ld.resonance.dim != 2:
-        raise ValueError("kernel dimension is not 2; this theorem does not apply")
+        raise NotApplicableError("kernel dimension is not 2; this theorem does not apply")
     if xmax is None:
         xmax = max(100.0, 100.0 * zhat)
 

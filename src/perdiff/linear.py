@@ -266,7 +266,7 @@ def _build(b: float, c: float, N: int) -> LinearData:
     symbol, resonant = resonant_modes(b, c, N)
     modes = np.flatnonzero(resonant)
     pair = 2 * modes % N != 0  # a conjugate pair k, N - k: a rotation by 2*pi*k/N
-    dim = modes.size + np.count_nonzero(pair)
+    dim = int(modes.size + np.count_nonzero(pair))
     if dim > 2:
         cutoff = RESONANT_RTOL * (1.0 + abs(b) + abs(c))
         raise ModeLimitError(f"{dim} resonant modes (|lambda_k| <= {cutoff:.3g}) at N = {N}; "
@@ -363,7 +363,8 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
         raise NotInImageError(float(np.max(defect)))
     h1 = h[..., 0]
     # one expression, so no stack-sized temporary outlives its use
-    x1 = np.fft.irfft(np.fft.rfft(np.roll(h1, -1, axis=-1) + ld.b * h1 + h[..., 1])
+    x1 = np.fft.irfft(np.fft.rfft(np.concatenate([h1[..., 1:], h1[..., :1]], axis=-1)
+                                  + ld.b * h1 + h[..., 1])
                       * ld.symbol_inv, n=ld.N)
     x = np.empty_like(h)
     x[..., 0] = x1

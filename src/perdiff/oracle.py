@@ -29,7 +29,8 @@ def residual(problem: Problem, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {problem.N} values, got shape {y.shape}")
     ts = np.arange(problem.N)
     g_vals = np.asarray(expr.evaluate(problem.g, ts, y), dtype=float)
-    return np.roll(y, -2) + problem.b * np.roll(y, -1) + problem.c * y - g_vals
+    return (np.concatenate([y[2:], y[:2]]) + problem.b * np.concatenate([y[1:], y[:1]])
+            + problem.c * y - g_vals)
 
 
 def _jacobian(problem: Problem, y: np.ndarray) -> np.ndarray:

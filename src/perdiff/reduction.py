@@ -39,8 +39,9 @@ then is g scanned one (t, x) at a time to name the failing t and x.
 ``solve`` is the one entry point. It checks its arguments, builds the
 linear data once and runs the regime solver of the kernel dimension (0, 1
 or 2), as its docstring describes. Every solution is re-validated: the
-two reduced equations hold, and the recurrence residual, computed by the
-independent oracle module, is within tol.
+two reduced equations hold (read with the map's bound g), and the
+recurrence residual, computed once by the independent oracle module, is
+within tol.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .linear import (
     proj_Q,
     sup_norm,
     _mpiq_g1,
+    _read_only,
     _CHUNK_ENTRIES,
 )
 
@@ -111,12 +113,13 @@ def _located(problem: Problem, x1: np.ndarray, e: expr.DomainError) -> expr.Doma
     return e
 
 
-def apply_F(problem: Problem, x: np.ndarray) -> np.ndarray:
-    """(F x)(t) = (0, g(t, x1(t))), the nonlinearity on sequences; a DomainError names t and x."""
+def apply_F(problem: Problem, x: np.ndarray, g: expr.Node | None = None) -> np.ndarray:
+    """(F x)(t) = (0, g(t, x1(t))), the nonlinearity on sequences; a DomainError names t and x.
+    g is problem.g or, with the same bits, a ``bind_t`` of it at t = 0..N-1."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     try:
-        out[:, 1] = expr.evaluate(problem.g, np.arange(problem.N), x[:, 0])
+        out[:, 1] = expr.evaluate(problem.g if g is None else g, np.arange(problem.N), x[:, 0])
     except expr.DomainError as e:
         raise _located(problem, x[:, 0], e) from None
     return out
@@ -173,9 +176,14 @@ class BifurcationMap:
         return self._mpiq(_mpiq_g1)
 
     @cached_property
+    def ts(self) -> np.ndarray:
+        """Cached read-only float grid t = 0..N-1."""
+        return _read_only(np.arange(self.problem.N, dtype=float))[0]
+
+    @cached_property
     def g_bound(self) -> expr.Node:
         """Cached ``expr.bind_t(problem.g, t)`` at t = 0..N-1: the forcing, once."""
-        return expr.bind_t(self.problem.g, np.arange(self.problem.N))
+        return expr.bind_t(self.problem.g, self.ts)
 
     def kernel_lift(self, alpha) -> np.ndarray:
         """Kernel element with coordinates alpha (dim,) in the classified basis,
@@ -210,7 +218,7 @@ def _aux_residual(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray):
     infinite |r|^2. ``_row_error`` names such a row's failure.
     """
     points, h = _points(x0, w1)
-    ts = np.arange(bm.problem.N)
+    ts = bm.ts
     try:
         values, fell = expr.evaluate(bm.g_bound, ts, points), False
     except expr.DomainError:
@@ -435,6 +443,7 @@ def _bordered_newton(bm: BifurcationMap, alpha0) -> tuple[np.ndarray, np.ndarray
     N, A = bm.problem.N, bm.ld.adj_shift[:, :, 1]
     Z = bm.ld.resonance.kernel_basis[:, :, 0].T
     alpha, w1 = np.asarray(alpha0, dtype=float), np.zeros(N)
+    eye, J = np.eye(N), np.empty((N + bm.dim, N + bm.dim))  # J: written in place each step
 
     def residual(w1, alpha):
         g, r, dg, _, _ = _aux_residual(bm, (Z @ alpha)[None], w1[None])
@@ -451,8 +460,12 @@ def _bordered_newton(bm: BifurcationMap, alpha0) -> tuple[np.ndarray, np.ndarray
             if it == _AUX_NEWTON_STEPS or not np.isfinite(dg).all():
                 break
             GD, AD = bm.aux_operator * dg, A * dg
+            np.subtract(eye, GD, out=J[:N, :N])
+            np.matmul(-GD, Z, out=J[:N, N:])
+            J[N:, :N] = AD
+            np.matmul(AD, Z, out=J[N:, N:])
             try:
-                d = np.linalg.solve(np.block([[np.eye(N) - GD, -GD @ Z], [AD, AD @ Z]]), -F)
+                d = np.linalg.solve(J, -F)
             except np.linalg.LinAlgError:
                 break
             s = 1.0
@@ -500,7 +513,7 @@ def winding_of_map(fn, radius: float, samples: int = 8) -> int:
             raise BoundaryZeroError(
                 f"map vanishes on the circle of radius {radius}; degree undefined"
             )
-        nxt = np.roll(vals, -1, axis=0)
+        nxt = np.concatenate([vals[1:], vals[:1]])
         cross = vals[:, 0] * nxt[:, 1] - vals[:, 1] * nxt[:, 0]
         dot = np.sum(vals * nxt, axis=1)
         dang = np.arctan2(cross, dot)
@@ -544,10 +557,9 @@ class SolveReport:
         }
 
 
-def _check_reduced_equations(problem: Problem, ld: LinearData, x: np.ndarray,
-                             tol: float) -> None:
-    # both halves of the reduction must hold on any accepted solution
-    Fx = apply_F(problem, x)
+def _check_reduced_equations(bm: BifurcationMap, x: np.ndarray, tol: float) -> None:
+    # both halves of the reduction must hold on any accepted solution, F from the bound g
+    ld, Fx = bm.ld, apply_F(bm.problem, x, bm.g_bound)
     QFx = proj_Q(ld, Fx)
     aux = sup_norm(x - proj_P(ld, x) - mp_solve(ld, Fx - QFx))
     if aux > 10.0 * tol:
@@ -560,14 +572,19 @@ def _check_reduced_equations(problem: Problem, ld: LinearData, x: np.ndarray,
 _REGIME_NAMES = {0: "nonresonant", 1: "resonant 1d", 2: "resonant 2d"}
 
 
-def _finalize(bm: BifurcationMap, y: np.ndarray, alpha, tol: float, iterations: dict,
-              winding=None, degree_evidence=None, nontrivial=None) -> SolveReport:
-    """Judge the reduction's y, unchanged, by the oracle's residual; the
-    report, or a ConvergenceError carrying it when that residual is above tol."""
-    problem = bm.problem
-    x = np.stack([y, np.roll(y, -1)], axis=1)
-    residual_sup = float(np.max(np.abs(oracle.residual(problem, y))))
-    _check_reduced_equations(problem, bm.ld, x, tol)
+def _oracle_sup(problem: Problem, y: np.ndarray) -> float:
+    # the sup of the oracle's recurrence residual at y
+    return float(np.max(np.abs(oracle.residual(problem, y))))
+
+
+def _finalize(bm: BifurcationMap, y: np.ndarray, residual_sup: float, alpha, tol: float,
+              iterations: dict, winding=None, degree_evidence=None,
+              nontrivial=None) -> SolveReport:
+    """Judge the reduction's y, unchanged, by residual_sup (``_oracle_sup`` at
+    y); the report, or a ConvergenceError carrying it when that is above tol."""
+    x = np.empty((bm.problem.N, 2))
+    x[:, 0], x[:-1, 1], x[-1, 1] = y, y[1:], y[0]
+    _check_reduced_equations(bm, x, tol)
     report = SolveReport(
         y=y,
         solution=x,
@@ -590,7 +607,7 @@ def _finalize(bm: BifurcationMap, y: np.ndarray, alpha, tol: float, iterations: 
 
 def _forcing_free(bm: BifurcationMap) -> bool:
     # does the zero sequence solve the problem (g(t, 0) = 0 for every t)?
-    vals = expr.evaluate(bm.g_bound, np.arange(bm.problem.N), np.zeros(bm.problem.N))
+    vals = expr.evaluate(bm.g_bound, bm.ts, np.zeros(bm.problem.N))
     return float(np.max(np.abs(np.asarray(vals)))) <= 1e-13
 
 
@@ -650,7 +667,8 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
 
 def _solve_dim0(bm: BifurcationMap, tol: float) -> SolveReport:
     y, _ = _aux_fixed_point(bm, bm.kernel_lift([]))
-    return _finalize(bm, y, None, tol, {"inner_fixed_point": bm._inner_iters})
+    return _finalize(bm, y, _oracle_sup(bm.problem, y), None, tol,
+                     {"inner_fixed_point": bm._inner_iters})
 
 
 # -- regime 1: one-dimensional kernel ---------------------------------------
@@ -693,7 +711,8 @@ def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
         nontrivial = _scan_1d_nontrivial(bm, beta, r)
 
     iterations = {"newton": newton, "bisection": bisection, "inner_fixed_point": bm._inner_iters}
-    return _finalize(bm, y, [alpha_star], tol, iterations, nontrivial=nontrivial)
+    return _finalize(bm, y, _oracle_sup(bm.problem, y), [alpha_star], tol, iterations,
+                     nontrivial=nontrivial)
 
 
 def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
@@ -722,21 +741,22 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
 
 
 def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
-    """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup of |g|."""
+    """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup of |g|,
+    g sampled at every t, about _CHUNK_ENTRIES samples at a time."""
     xs = np.linspace(-100.0, 100.0, 401)
-    try:
-        vals = expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
-    except expr.DomainError as e:
-        e = _located(problem, np.repeat(xs[:, None], problem.N, axis=1), e)
-        raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
-                          diagnostics={"radius": radius}) from None
-    K_est = float(np.max(np.abs(vals)))
-    zhat_est = 1.0
-    for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
-        mask = np.abs(xs) >= cand
-        if np.all((xs[None, mask] * vals[:, mask]) > 0.0):
-            zhat_est = cand
-            break
+    ts, rows = np.arange(problem.N)[:, None], max(1, _CHUNK_ENTRIES // xs.size)
+    K_est, signed = 0.0, np.ones(xs.size, dtype=bool)  # signed: x g(t, x) > 0 at every t
+    for lo in range(0, problem.N, rows):
+        try:
+            vals = expr.evaluate(problem.g, ts[lo:lo + rows], xs)
+        except expr.DomainError as e:
+            e = _located(problem, np.broadcast_to(xs[:, None], (xs.size, problem.N)), e)
+            raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
+                              diagnostics={"radius": radius}) from None
+        K_est = max(K_est, float(np.max(np.abs(vals))))
+        signed &= np.all(xs * vals > 0.0, axis=0)
+    zhat_est = next((cand for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+                     if signed[np.abs(xs) >= cand].all()), 1.0)
     return zhat_est, K_est
 
 
@@ -760,10 +780,10 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
         winding = None
     degree_evidence = winding is not None and winding != 0
 
-    axis = np.linspace(-radius, radius, grid) if grid > 1 else np.array([0.0])
-    seeds = [np.array([a0, a1]) for a0 in axis for a1 in axis
-             if math.hypot(a0, a1) <= radius * (1.0 + 1e-12)]
-    seeds.sort(key=lambda a: (float(np.hypot(a[0], a[1])), float(a[0]), float(a[1])))
+    axis = (np.linspace(-radius, radius, grid) if grid > 1 else np.array([0.0])).tolist()
+    seeds = np.array([(a0, a1) for a0 in axis for a1 in axis
+                      if math.hypot(a0, a1) <= radius * (1.0 + 1e-12)]).reshape(-1, 2)
+    seeds = seeds[np.lexsort((seeds[:, 1], seeds[:, 0], np.hypot(seeds[:, 0], seeds[:, 1])))]
 
     forcing_free = _forcing_free(bm)
     accepted = None
@@ -774,10 +794,11 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
         newton_iters += iters
         if not converged:
             continue
-        if float(np.max(np.abs(oracle.residual(problem, y)))) > tol:
+        residual_sup = _oracle_sup(problem, y)
+        if residual_sup > tol:
             continue
         if accepted is None:
-            accepted = (root, y)
+            accepted = (root, y, residual_sup)
             if not forcing_free:
                 break
         if forcing_free and sup_norm(y) > 1e-6:
@@ -789,10 +810,10 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
             "no root of the bifurcation map found from any seed",
             diagnostics={"radius": radius, "grid": grid, "winding": winding},
         )
-    root, y = accepted
+    root, y, residual_sup = accepted
     iterations = {"newton": newton_iters, "inner_fixed_point": bm._inner_iters,
                   "winding_samples": sweep}
-    return _finalize(bm, y, root, tol, iterations, winding=winding,
+    return _finalize(bm, y, residual_sup, root, tol, iterations, winding=winding,
                      degree_evidence=degree_evidence,
                      nontrivial=nontrivial if forcing_free else None)
 

@@ -244,6 +244,26 @@ def test_check_outside_the_domain_of_g_is_a_solver_error(theorem, b, c, tmp_path
     assert "diagnostics" not in data and "conditions" not in data
 
 
+@pytest.mark.parametrize("theorem, b, c, N, message", [
+    ("cor", 1.2, 1, 3, "the corollary requires g independent of t"),
+    ("thm2", 0, 2, 3, "kernel dimension is not 2; this theorem does not apply"),
+    ("thm1", 0, 2, 4, "this check requires an odd period N"),
+])
+def test_check_a_theorem_that_does_not_apply_exits_4(theorem, b, c, N, message, tmp_path,
+                                                      capsys):
+    # the problem file parses: a theorem that does not apply to it is a
+    # failed check (exit 4, the message in the report), not a parse error
+    path = write_problem(tmp_path / "p.json", b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+    code = cli.main(["check", path, "--theorem", theorem])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_HYPOTHESIS, err
+    assert err == ""
+    data = json.loads(out)
+    assert data["command"] == "check" and data["input"]["theorem"] == theorem
+    assert data["error"] == message
+    assert "conditions" not in data
+
+
 def test_the_parser_is_built_once_and_keeps_no_state(dim1_file, capsys):
     assert cli._build_parser() is cli._build_parser()
     # an option given once does not stay for the next call

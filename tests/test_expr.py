@@ -130,6 +130,20 @@ def test_bind_t_evaluates_like_the_whole_tree(text):
             assert np.array_equal(got, want) and got.shape == want.shape
 
 
+@pytest.mark.parametrize("text", _BIND_CASES)
+def test_evaluate_gives_the_same_bits_for_an_int_and_a_float_t_grid(text):
+    # the solvers keep a float64 t grid; evaluate converts an int one to it
+    g = parse(text)
+    x = np.linspace(-3.0, 3.0, 7)
+    for node in (g, expr.bind_t(g, np.arange(7)), expr.bind_t(g, np.arange(7.0))):
+        for xs in (x, np.stack([x + 1e-6, x - 1e-6])):
+            want, got = _outcome(node, np.arange(7), xs), _outcome(node, np.arange(7.0), xs)
+            if isinstance(want, DomainError):
+                assert isinstance(got, DomainError) and str(got) == str(want)
+            else:
+                assert np.array_equal(got, want) and got.shape == want.shape
+
+
 def test_bind_t_replaces_only_x_free_subtrees():
     bound = expr.bind_t(parse("tanh(x)+0.1*cos(2*pi*t/3)"), np.arange(3))
     assert bound.left == Call("tanh", (Var("x"),))

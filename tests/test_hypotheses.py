@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from perdiff import check_corollary, check_thm1, check_thm2, classify, expr, membership_U
-from perdiff.hypotheses import RATIONAL_ANGLE_TOL, _resonant_angles
+from perdiff.hypotheses import RATIONAL_ANGLE_TOL, NotApplicableError, _resonant_angles
 
 from conftest import CANONICAL_G, exact_membership, make_problem
 
@@ -302,6 +302,19 @@ def test_a_corollary_time_dependence_is_found_before_a_domain_error():
     # independence check comes first
     with pytest.raises(ValueError, match="independent of t"):
         _CHECKS["cor"]("ln(x+30)+t")
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_corollary(make_problem(1.2, 1, 3, CANONICAL_G), R=1.0),
+    lambda: check_thm2(make_problem(0, 2, 3, CANONICAL_G), zhat=1.0),
+    lambda: check_thm2(make_problem(0, 1, 4, "tanh(x)"), zhat=1.0),
+    lambda: check_thm1(make_problem(0, 2, 4, "tanh(x)"), r=10.0, zhat=1.0),
+], ids=["cor-t-dependent", "thm2-dim0", "thm2-even-N", "thm1-even-N"])
+def test_a_theorem_that_does_not_apply_raises_not_applicable(check):
+    # a ValueError subclass: callers that catch ValueError see no change
+    with pytest.raises(NotApplicableError) as info:
+        check()
+    assert isinstance(info.value, ValueError)
 
 
 def test_the_corollary_ignores_g_where_it_does_not_sample():

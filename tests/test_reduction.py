@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -16,6 +17,7 @@ from perdiff import (
     bifurcation_jacobian,
     bifurcation_value,
     build_linear_data,
+    check_corollary,
     check_solution,
     check_thm1,
     check_thm2,
@@ -919,3 +921,133 @@ def test_solver_reports_are_deterministic(dim1_problem):
     assert a.regime == 1
     np.testing.assert_array_equal(a.y, b.y)
     assert a.as_dict() == b.as_dict()
+
+
+def test_reports_are_plain_json_data(dim0_problem, dim1_problem, dim2_problem):
+    # as_dict() holds plain Python data, no NumPy scalars, in every regime
+    # and for every checker
+    for rep, regime in ((solve(dim0_problem), 0), (solve(dim1_problem), 1),
+                        (solve(dim2_problem, radius=50.0), 2)):
+        assert json.loads(json.dumps(rep.as_dict()))["regime"] == regime
+    for check in (check_thm1(make_problem(0, 2, 3, "tanh(x)"), r=10.0, zhat=1.0),
+                  check_thm2(dim2_problem, zhat=1.0),
+                  check_corollary(make_problem(1.2, 1, 3, "tanh(x)"), R=1.0)):
+        assert json.loads(json.dumps(check.as_dict()))["theorem"] == check.theorem
+    assert type(check_thm1(dim0_problem, r=10.0, zhat=1.0).metadata["dim"]) is int
+
+
+def _old_seed_order(radius, grid):
+    # the seeds as a list sorted by a Python key: the order the solver keeps
+    axis = np.linspace(-radius, radius, grid) if grid > 1 else np.array([0.0])
+    seeds = [np.array([a0, a1]) for a0 in axis for a1 in axis
+             if math.hypot(a0, a1) <= radius * (1.0 + 1e-12)]
+    seeds.sort(key=lambda a: (float(np.hypot(a[0], a[1])), float(a[0]), float(a[1])))
+    return [a.tolist() for a in seeds]
+
+
+def test_dim2_seeds_are_tried_in_order_of_distance_then_coordinates(monkeypatch):
+    # no seed converges, so every seed is tried; grid 11 at radius 5 puts
+    # (3, 4) and its mirror images exactly on the circle
+    tried = []
+
+    def no_root(bm, alpha0):
+        tried.append(np.asarray(alpha0).tolist())
+        return np.zeros(bm.problem.N), np.asarray(alpha0), 0, False
+
+    monkeypatch.setattr(reduction, "_bordered_newton", no_root)
+    p = make_problem(*_rotation_row(5), "tanh(x)+0.1*cos(2*pi*t/5)")
+    assert [3.0, 4.0] in _old_seed_order(5.0, 11)
+    for radius in (5.0, 1.0, 2.5, math.pi, 0.3):
+        for grid in range(1, 13):
+            tried.clear()
+            with pytest.raises(SolverError, match="no root of the bifurcation map"):
+                solve(p, radius=radius, grid=grid)
+            assert tried == _old_seed_order(radius, grid), (radius, grid)
+
+
+@pytest.mark.parametrize("g", ["tanh(x)+0.1*cos(2*pi*t/5)", "atan(x)"],
+                         ids=["forced", "forcing-free"])
+def test_a_dim2_solve_asks_the_oracle_once_per_converged_seed(g, monkeypatch):
+    # the seed loop judges each converged root by the oracle's residual, and
+    # the accepted root's residual goes to the report without a second call;
+    # without forcing the loop goes on looking for a nontrivial root
+    converged, calls = [], []
+    bordered, residual = reduction._bordered_newton, oracle.residual
+
+    def counting_newton(bm, alpha0):
+        out = bordered(bm, alpha0)
+        converged.append(out[3])
+        return out
+
+    def counting_residual(problem, y):
+        calls.append(y)
+        return residual(problem, y)
+
+    monkeypatch.setattr(reduction, "_bordered_newton", counting_newton)
+    monkeypatch.setattr(oracle, "residual", counting_residual)
+    p = make_problem(*_rotation_row(5), g)
+    rep = solve(p, radius=5.0, grid=5)
+    assert rep.oracle_verified
+    assert len(calls) == sum(converged) >= 1
+    assert rep.residual_sup == float(np.max(np.abs(residual(p, rep.y))))
+    if g == "atan(x)":
+        assert len(converged) > 1
+
+
+def test_the_reduced_equations_check_names_a_domain_error_as_apply_F_does():
+    # the check evaluates the map's bound g; outside g's domain it raises
+    # the located error of the raw g
+    p, bm = _bm(-3, 2, 5, "ln(x+5)+0.1*cos(2*pi*t/5)")
+    x = np.zeros((5, 2))
+    x[3, 0] = -7.0
+    with pytest.raises(expr.DomainError) as via_apply:
+        apply_F(p, x)
+    with pytest.raises(expr.DomainError) as via_check:
+        reduction._check_reduced_equations(bm, x, 1e-9)
+    assert str(via_check.value) == str(via_apply.value)
+    assert str(via_apply.value) == "ln of a non-positive value (at t=3, x=-7.0)"
+
+
+def _unchunked_bounds(problem):
+    # the default-radius estimates from one (N, 401) sample of g
+    xs = np.linspace(-100.0, 100.0, 401)
+    vals = expr.evaluate(problem.g, np.arange(problem.N)[:, None], xs)
+    for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0):
+        mask = np.abs(xs) >= cand
+        if np.all(xs[None, mask] * vals[:, mask] > 0.0):
+            return cand, float(np.max(np.abs(vals)))
+    return 1.0, float(np.max(np.abs(vals)))
+
+
+@pytest.mark.parametrize("g", ["tanh(x)+0.1*cos(2*pi*t/9)", "atan(x)+3*cos(2*pi*t/9+0.4)",
+                               "tanh(x-3)", "0.5", "x/(1+abs(x))+0.9*sin(t)"])
+@pytest.mark.parametrize("entries", [1, 2 * 401, 4 * 401 + 7, 1 << 16])
+def test_default_radius_estimates_do_not_depend_on_the_chunk(g, entries, monkeypatch):
+    p = make_problem(*_rotation_row(9), g)
+    monkeypatch.setattr(reduction, "_CHUNK_ENTRIES", entries)
+    assert reduction._estimate_bounds(p, 0.0) == _unchunked_bounds(p)
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 401, 1 << 16])
+def test_default_radius_estimates_name_the_same_domain_error_in_chunks(entries, monkeypatch):
+    # ln(x + 200 - 30 t) first leaves its domain at t = 4, in a later chunk
+    p = make_problem(*_rotation_row(9), "ln(x+200-30*t)")
+    monkeypatch.setattr(reduction, "_CHUNK_ENTRIES", entries)
+    with pytest.raises(SolverError) as info:
+        reduction._estimate_bounds(p, 0.0)
+    assert str(info.value) == ("the default radius samples g on [-100, 100] at every t: "
+                               "ln of a non-positive value (at t=4, x=-100.0)")
+
+
+def test_default_radius_estimates_memory_does_not_grow_with_the_period():
+    # one (N, 401) sample would be 52 MB at N = 16384; the chunks hold about
+    # _CHUNK_ENTRIES samples each
+    p = make_problem(0, 2, 16384, "tanh(x)+0.1*cos(2*pi*t/16384)")
+    tracemalloc.start()
+    try:
+        zhat, K = reduction._estimate_bounds(p, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (zhat, K) == (0.25, pytest.approx(1.1, abs=1e-3))
+    assert peak < 8 * 8 * linear._CHUNK_ENTRIES
