@@ -12,9 +12,10 @@ other keys are ignored):
 All structured output is JSON with a fixed key layout, the tool version and
 a full echo of the inputs; floats are printed with 17 significant digits so
 identical runs produce byte-identical bytes. Exit codes: 0 success/pass,
-1 usage, 2 file or expression parse error, 3 solver failure (or more than
-two resonant modes, in one line on stderr), 4 hypothesis check failed (or
-a theorem that does not apply to the problem).
+1 usage, 2 file or expression parse error, 3 solver failure (also a failed
+verify, or g undefined at a checked point; more than two resonant modes
+in one line on stderr), 4 hypothesis check failed (or a theorem that does
+not apply to the problem).
 """
 
 from __future__ import annotations
@@ -212,12 +213,13 @@ def _cmd_verify(args) -> int:
             raise _CliError(f"solution entry y[{i}] is not a number: {json.dumps(v)}",
                             EXIT_PARSE) from None
     y = np.asarray(values)
+    out = _report_shell("verify", problem, tol=args.tol, solution=values)
     try:
         res = float(np.max(np.abs(oracle.residual(problem, y))))
     except expr.DomainError as e:
-        raise _CliError(f"cannot evaluate residual: {e}", EXIT_PARSE) from None
+        # g leaves its domain at the given y: a failed verify, as in check
+        return _print_failure(out, f"cannot evaluate residual: {e}", None)
     passed = res <= args.tol
-    out = _report_shell("verify", problem, tol=args.tol, solution=values)
     out.update({"residual_sup": res, "passed": passed})
     print(to_json(out))
     return EXIT_OK if passed else EXIT_SOLVER

@@ -353,6 +353,90 @@ def bind_t(node: Node, t) -> Node:
     return bound if reads else _bound(node, t)
 
 
+def _operands(t, x):
+    # t and x as evaluation reads them: float64 arrays, or floats
+    return (v if type(v) is np.ndarray and v.dtype == np.float64 else
+            np.asarray(v, dtype=float) if np.ndim(v) else float(v) for v in (t, x))
+
+
+def _variables(node: Node) -> set:
+    # the names of the variables node reads
+    names, stack = set(), [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Var):
+            names.add(n.name)
+        elif isinstance(n, Neg):
+            stack.append(n.arg)
+        elif isinstance(n, Bin):
+            stack += (n.left, n.right)
+        elif isinstance(n, Call):
+            stack += n.args
+    return names
+
+
+def _forcing_split(node: Node):
+    # (h, p, p is the right operand) for node = h(x) +- p(t) or p(t) +- h(x),
+    # (node, None, True) for a node that reads no t, None otherwise
+    if not (isinstance(node, Bin) and node.op in "+-"):
+        return (node, None, True) if "t" not in _variables(node) else None
+    left, right = _variables(node.left), _variables(node.right)
+    if "t" not in left | right:
+        return node, None, True
+    if "t" not in left and "x" not in right:
+        return node.left, node.right, True
+    if "t" not in right and "x" not in left:
+        return node.right, node.left, False
+    return None
+
+
+def evaluate_at_extremes(node: Node, t, x, every: int = 0, rows: int | None = None):
+    """(g over x[:every] at every t, g over x[every:] at two t) for a g of the
+    form h(x) + p(t), h(x) - p(t), p(t) + h(x) or p(t) - h(x), where h reads
+    no t and p no x: the two t are those of t[:rows] where p is least and
+    greatest. A g that reads no t is the case with no p; its second part has
+    one row. t is a column of times, x one grid.
+
+    h is evaluated once over x and p once over t, the arrays that
+    ``evaluate(node, t, x)`` evaluates them on, and g is formed from them by
+    the same operation, so each value is bitwise that evaluation's. Rounding
+    is monotone, so at each x g, |g| and x*g are monotone in p: every
+    extreme over t[:rows] of them, and every overflow, is met at one of the
+    two t.
+
+    None where g is not of that form, where h or p raises DomainError, or
+    where a value formed is not finite: the caller then evaluates g at every
+    t, and meets any error there.
+    """
+    split = _forcing_split(node)
+    if split is None:
+        return None
+    h_node, p_node, p_right = split
+
+    def form(h_values, p_values):
+        a, b = (h_values, p_values) if p_right else (p_values, h_values)
+        return a + b if node.op == "+" else a - b
+
+    def shaped(value, shape):
+        return value if np.shape(value) == shape else np.broadcast_to(value, shape)
+
+    tv, xv = _operands(t, x)
+    with np.errstate(all="ignore"):
+        try:
+            h = shaped(_ev(h_node, tv, xv), xv.shape)
+            if p_node is None:
+                parts = [np.broadcast_to(h[:every], (len(tv), every)), h[None, every:]]
+            else:
+                p = shaped(_ev(p_node, tv, xv), tv.shape)
+                ends = np.array([p[:rows].min(), p[:rows].max()])[:, None]
+                parts = [form(h[:every], p), form(h[every:], ends), p]
+        except DomainError:
+            return None
+    if not all(np.isfinite(v).all() for v in parts):
+        return None
+    return parts[0], parts[1]
+
+
 def evaluate(node: Node, t, x) -> float | np.ndarray:
     """Evaluate an AST at time index t and state x.
 
@@ -361,8 +445,7 @@ def evaluate(node: Node, t, x) -> float | np.ndarray:
     violations and non-finite results raise DomainError rather than leaking
     NaN/inf into callers. An array result is fresh or read-only.
     """
-    tv, xv = (v if type(v) is np.ndarray and v.dtype == np.float64 else
-              np.asarray(v, dtype=float) if np.ndim(v) else float(v) for v in (t, x))
+    tv, xv = _operands(t, x)
     with np.errstate(all="ignore"):
         arr = np.asarray(_ev(node, tv, xv), dtype=float)
     if not np.isfinite(arr).all():

@@ -12,10 +12,19 @@ verdicts are flagged as such in the report, and the 5% inflation of
 suprema / deflation of infima only ever pushes a verdict toward "fail",
 so a reported pass under-claims relative to the true bounds. Reports are
 pure functions of their inputs, with no random sampling, hence bit-for-bit
-reproducible. Each checker evaluates g at most twice, each time over
-several x grids joined together; if g leaves its domain there, the grids
-are evaluated one at a time so the error is that of the first grid to
-fail.
+reproducible. Each checker samples g in two passes, each over several x
+grids joined together; if g leaves its domain there, the grids are
+evaluated one at a time so the error is that of the first grid to fail.
+
+The hypotheses quantify over every t, yet a grid is not always sampled at
+every t. For the forced form g = h(x) +- p(t), h is evaluated once over
+the joined grids and p once over the period, and g is formed only at the
+two t where p is least and greatest (``expr.evaluate_at_extremes``).
+Rounding is monotone, so at each x the sup, the inf, the signs and any
+overflow over the period are met at one of those two t, and every value
+read is bitwise one of the full evaluation. A g that reads no t is formed
+at one t. Any other g, and a g that leaves its domain or overflows there,
+is evaluated at every t as before.
 """
 
 from __future__ import annotations
@@ -102,28 +111,48 @@ def _check_args(grid: int, N: int | None = None, **positive) -> None:
         raise NotApplicableError("this check requires an odd period N")
 
 
+def _split(values: np.ndarray, grids: list) -> list:
+    # the columns of values, one block per grid
+    return np.split(values, np.cumsum([len(x) for x in grids[:-1]]), axis=-1)
+
+
 def _on_grids(g: expr.Node, t, grids: list) -> list:
     """g at t over each x grid, from one evaluation over their concatenation."""
-    values = expr.evaluate(g, t, np.concatenate(grids))
-    return np.split(values, np.cumsum([len(x) for x in grids[:-1]]), axis=-1)
+    return _split(expr.evaluate(g, t, np.concatenate(grids)), grids)
 
 
 # x values at which g is compared across t
 _PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
 
 
+def _on_probe_and_grids(g: expr.Node, ts: np.ndarray, grids: list, rows: int | None = None):
+    """g on the probe at every t of the column ts, and g on each x grid at
+    enough of the t of ts[:rows] to give each of its extremes over them: for
+    g = h(x) +- p(t), the two where p is least and greatest
+    (``expr.evaluate_at_extremes``), one for a g that reads no t, else all.
+    The probe and the grids are joined in one evaluation.
+    """
+    sampled = expr.evaluate_at_extremes(g, ts, np.concatenate([_PROBE, *grids]),
+                                        _PROBE.size, rows)
+    if sampled is None:
+        probe, *values = _on_grids(g, ts, [_PROBE, *grids])
+        return probe, [v[:rows] for v in values]
+    return sampled[0], _split(sampled[1], grids)
+
+
 def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
-    """Whether g is N-periodic in t at the probe x values, and g over one
-    period t = 0..N-1 on each x grid: one evaluation of g over the probe and
-    the grids together, one over the probe at t + N.
+    """Whether g is N-periodic in t at the probe x values, and g on each x
+    grid at the t of one period t = 0..N-1 that give its extremes there
+    (``_on_probe_and_grids``): one evaluation of g over the probe and the
+    grids together, one over the probe at t + N.
 
     If either raises DomainError, the probe at t, the probe at t + N and each
-    grid are evaluated one at a time, in that order, so the error raised is
-    the first that evaluating them separately meets.
+    grid are evaluated one at a time, at every t, in that order, so the
+    error raised is the first that evaluating them separately meets.
     """
     g, ts = problem.g, np.arange(problem.N)[:, None]
     try:
-        probe, *values = _on_grids(g, ts, [_PROBE, *grids])
+        probe, values = _on_probe_and_grids(g, ts, grids)
         shifted = expr.evaluate(g, ts + problem.N, _PROBE)
     except expr.DomainError:
         probe, shifted, *values = (expr.evaluate(g, t, x) for t, x in
@@ -135,21 +164,23 @@ def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
 
 
 def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e-12):
-    """g at t = 0 on each window and over one period t = 0..N-1 on each grid,
-    once g is seen independent of t at the probe x values (NotApplicableError
-    if not): one evaluation of g at t = 0 over the probe and the windows, one
-    at t = 0..N over the probe and the grids (their row t = N unused).
+    """g at t = 0 on each window, and on each grid at the t of one period
+    t = 0..N-1 that give its extremes there (``_on_probe_and_grids``; one row
+    for a g that reads no t), once g is seen independent of t at the probe x
+    values (NotApplicableError if not): one evaluation of g at t = 0 over the
+    probe and the windows, one at t = 0..N over the probe and the grids
+    (their row t = N unused).
 
     If either raises DomainError, g is evaluated one piece at a time, in this
     order: the probe at t = 0, at t = 1..N (then the independence check),
-    each window, each grid. So the error raised is the first that
+    each window, each grid at every t. So the error raised is the first that
     evaluating them separately meets.
     """
     g, ts = problem.g, np.arange(problem.N + 1)[:, None]
     try:
         base, *on_windows = _on_grids(g, 0, [_PROBE, *windows])
-        probe, *on_grids = _on_grids(g, ts, [_PROBE, *grids])
-        later, on_grids = probe[1:], [v[:-1] for v in on_grids]
+        probe, on_grids = _on_probe_and_grids(g, ts, grids, problem.N)
+        later = probe[1:]
     except expr.DomainError:
         base, later = expr.evaluate(g, 0, _PROBE), expr.evaluate(g, ts[1:], _PROBE)
         _require_t_free(base, later, tol)
@@ -166,10 +197,12 @@ def _require_t_free(base: np.ndarray, later: np.ndarray, tol: float) -> None:
 
 
 def _sign_condition(xs: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray) -> tuple[bool, float]:
-    """Is x*g(t,x) > 0 at x = xs and x = -xs (g sampled there)? Also the smallest product."""
-    prods = (xs * g_pos, -xs * g_neg)
-    return (all(bool(np.all(v > 0.0)) for v in prods),
-            min(float(np.min(v)) for v in prods))
+    """Is x*g(t,x) > 0 at x = xs and x = -xs (g sampled there)? Also the smallest product.
+
+    The products are finite or +-inf, never nan, so all are positive iff the
+    smallest is."""
+    worst = min(float(np.min(xs * g_pos)), float(np.min(-xs * g_neg)))
+    return worst > 0.0, worst
 
 
 # -- theorem for kernel dimension < 2 ----------------------------------------

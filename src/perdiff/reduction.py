@@ -740,12 +740,17 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
 # -- regime 2: two-dimensional kernel ----------------------------------------
 
 
-def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
-    """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup of |g|,
-    g sampled at every t, about _CHUNK_ENTRIES samples at a time."""
-    xs = np.linspace(-100.0, 100.0, 401)
-    ts, rows = np.arange(problem.N)[:, None], max(1, _CHUNK_ENTRIES // xs.size)
-    K_est, signed = 0.0, np.ones(xs.size, dtype=bool)  # signed: x g(t, x) > 0 at every t
+def _over_period(problem: Problem, xs: np.ndarray, radius: float):
+    """g over xs at the t of one period that give its extremes there: for
+    g = h(x) +- p(t) the two where p is least and greatest, for a g that reads
+    no t one (expr.evaluate_at_extremes); else every t, about _CHUNK_ENTRIES
+    samples at a time."""
+    ts = np.arange(problem.N)[:, None]
+    sampled = expr.evaluate_at_extremes(problem.g, ts, xs)
+    if sampled is not None:
+        yield sampled[1]
+        return
+    rows = max(1, _CHUNK_ENTRIES // xs.size)
     for lo in range(0, problem.N, rows):
         try:
             vals = expr.evaluate(problem.g, ts[lo:lo + rows], xs)
@@ -753,6 +758,15 @@ def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
             e = _located(problem, np.broadcast_to(xs[:, None], (xs.size, problem.N)), e)
             raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
                               diagnostics={"radius": radius}) from None
+        yield vals
+
+
+def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
+    """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup of |g|
+    over every t, from g at the t that give its extremes (_over_period)."""
+    xs = np.linspace(-100.0, 100.0, 401)
+    K_est, signed = 0.0, np.ones(xs.size, dtype=bool)  # signed: x g(t, x) > 0 at every t
+    for vals in _over_period(problem, xs, radius):
         K_est = max(K_est, float(np.max(np.abs(vals))))
         signed &= np.all(xs * vals > 0.0, axis=0)
     zhat_est = next((cand for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)

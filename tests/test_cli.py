@@ -197,6 +197,22 @@ def test_verify_length_mismatch(tmp_path, dim1_file):
     assert "3" in err
 
 
+def test_verify_outside_the_domain_of_g_is_a_failed_verify(tmp_path, capsys):
+    # g = ln(x+1) is undefined at y(0) = -5: exit 3 with the message in the
+    # report, as check and solve do, not a parse error
+    path = write_problem(tmp_path / "p.json", 0, 2, 3, "ln(x+1)")
+    sol = tmp_path / "y.json"
+    sol.write_text(json.dumps({"y": [-5, 0, 0]}))
+    code = cli.main(["verify", path, str(sol)])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_SOLVER, err
+    assert err == ""
+    data = json.loads(out)
+    assert data["command"] == "verify" and data["input"]["solution"] == [-5, 0, 0]
+    assert data["error"] == "cannot evaluate residual: ln of a non-positive value"
+    assert "passed" not in data and "residual_sup" not in data
+
+
 def test_check_exit_codes(tmp_path, dim0_file, dim1_file, dim2_file):
     assert run_cli("check", dim0_file, "--theorem", "thm1")[0] == 0
     assert run_cli("check", dim1_file, "--theorem", "thm1")[0] == 0
