@@ -191,9 +191,10 @@ def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e
 
 
 def _require_t_free(base: np.ndarray, later: np.ndarray, tol: float) -> None:
-    # g at t = 1..N against g at t = 0, on the probe
-    if not np.all(np.max(np.abs(later - base), axis=1) <= tol * (1.0 + np.max(np.abs(base)))):
-        raise NotApplicableError("the corollary requires g independent of t")
+    # g at t = 1..N against g at t = 0, on the probe; a difference that overflows is inf
+    with np.errstate(over="ignore"):
+        if not np.all(np.max(np.abs(later - base), axis=1) <= tol * (1.0 + np.max(np.abs(base)))):
+            raise NotApplicableError("the corollary requires g independent of t")
 
 
 def _sign_condition(xs: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray) -> tuple[bool, float]:
@@ -201,7 +202,8 @@ def _sign_condition(xs: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray) -> tup
 
     The products are finite or +-inf, never nan, so all are positive iff the
     smallest is."""
-    worst = min(float(np.min(xs * g_pos)), float(np.min(-xs * g_neg)))
+    with np.errstate(over="ignore"):
+        worst = min(float(np.min(xs * g_pos)), float(np.min(-xs * g_neg)))
     return worst > 0.0, worst
 
 

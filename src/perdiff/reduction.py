@@ -1,35 +1,28 @@
 """Nonlinear machinery: reduction of the periodic problem to kernel coordinates.
 
 Solving L x = F(x) splits into the auxiliary equation
-x = P x + M_p (I - Q) F(x), solved by damped Newton (Armijo line search,
-with the Picard step as the second search direction) for each choice of
-kernel coordinates, and a finite-dimensional bifurcation equation: the
-pairing of F against the periodic adjoint solutions must vanish. A sequence
-solves the original problem exactly when both hold.
+x = P x + M_p (I - Q) F(x) and a finite-dimensional bifurcation equation:
+the pairing of F against the periodic adjoint solutions must vanish. A
+sequence solves the original problem exactly when both hold. As
+F(x) = (0, g(t, x1)) and the solvers read only x1 = y, the auxiliary
+equation is solved for w1 alone: only the (N, N) first-component block G1
+of M_p (I - Q) on the g component is gathered, and g's x-free part (its
+forcing) evaluated, once per bifurcation map.
 
-As F(x) = (0, g(t, x1)) and the solvers read only x1 = y, the auxiliary
-equation is solved for w1 alone: only the (N, N) first-component block of
-M_p (I - Q) on the g component is gathered, and g's x-free part (its
-forcing) evaluated, once per bifurcation map, so each residual is one
-evaluation of the x-dependent part of g plus one matrix-vector product, and
-the Newton Jacobian is built from pointwise differences of g. The
-bifurcation value reuses the g-values of the converged residual, and the
-same Jacobian gives its derivative by the implicit-function theorem.
-
-The reduced root itself is found without solving one equation inside the
-other: one damped Newton, ``_bordered_newton``, takes w1 and the kernel
-coordinates together, the auxiliary residual bordered by the bifurcation
-value. It finds the dim-1 root from the secant point of the sign-change
-bracket (Brent's method on the bracket is its fallback) and serves every
-dim-2 seed.
-
-The auxiliary Newton acts on a stack of kernel lifts: each row keeps its
-own iteration, line search and failure, while every step evaluates g once
-for the whole stack (at the points and at both sides of their slope
-differences) and solves the rows' Newton systems in one batched solve, a
-chunk of rows at a time. A single lift is the stack of one; the winding
-sweep and the regime-1 scan for nontrivial roots pass whole stacks, and
-it also solves dim 0, the ends of the dim-1 bracket and Brent's points.
+One damped Newton, ``_newton``, solves both equations. Its unknowns are
+u = (w1, alpha), with a border of m free kernel coordinates alpha, and its
+residual is [w1 - G1 g(x1); A g(x1)]: the auxiliary residual bordered by
+the bifurcation value (Keller 1977; Govaerts 2000). The border is empty
+(m = 0) for an auxiliary solve at given kernel coordinates (dim 0 and every
+value of the bifurcation map: the winding sweep, the ends of the dim-1
+bracket, Brent's points) and has m = dim for a reduced root (from the
+secant point of the dim-1 bracket and from each dim-2 seed). It acts on a
+stack of rows: each keeps its own iteration, Armijo search (with the
+Picard step as the second direction when unbordered) and failure, while
+every step evaluates g once for the whole stack, with its slopes, and
+solves the rows' systems in one batched solve. A bifurcation value reuses
+the g-values of the converged residual, and its derivative is a Schur
+complement of the same Jacobian.
 
 Where g is undefined (ln, / and ^ are in its grammar), a trial point
 counts as an infinite residual. A row fails with a DomainError only when it
@@ -176,6 +169,12 @@ class BifurcationMap:
         return self._mpiq(_mpiq_g1)
 
     @cached_property
+    def border(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached (Z, A): the kernel basis's first components (N, dim) and the
+        shifted adjoint basis's second components (dim, N)."""
+        return self.ld.resonance.kernel_basis[:, :, 0].T, self.ld.adj_shift[:, :, 1]
+
+    @cached_property
     def ts(self) -> np.ndarray:
         """Cached read-only float grid t = 0..N-1."""
         return _read_only(np.arange(self.problem.N, dtype=float))[0]
@@ -197,150 +196,173 @@ class BifurcationMap:
         return lift
 
 
-def _points(x0: np.ndarray, w1: np.ndarray):
-    # the (k, 3, N) points [x1, x1 + h, x1 - h], x1 = x0 + w1, and the steps h
+def _points(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray):
+    # the (k, 3, N) points [x1, x1 + h, x1 - h], x1 = x0 + w1 + Z alpha for u = (w1, alpha), and h
+    N = x0.shape[-1]
+    w1 = u[:, :N]
     h = 1e-6 * (1.0 + np.abs(w1))
     x1 = x0 + w1
-    points = np.empty((len(x1), 3, x1.shape[-1]))
+    if u.shape[1] > N:
+        x1 += u[:, N:] @ bm.border[0].T
+    points = np.empty((len(x1), 3, N))
     points[:, 0], points[:, 1], points[:, 2] = x1, x1 + h, x1 - h
     return points, h
 
 
-def _aux_residual(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray):
-    """(g, r = w1 - G1 g, dg, |r|^2, fell) at x1 = x0 + w1 for each row of the
-    (k, N) stacks x0 (lift first components) and w1.
+def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray):
+    """(g, R, dg, |R|^2, fell) for each row of the stacks x0 (k, N) (lift first
+    components) and u = (w1, alpha) (k, N + m): g = g(x1) at the points of
+    ``_points`` and R = [w1 - G1 g; A g], (Z, A) = ``bm.border``.
 
-    g is evaluated once, on the stack of ``_points``; dg are the central
-    difference quotients at step h, those of a column-by-column difference
-    of the whole residual without the operator's rounding noise. Where that
-    leaves g's domain (fell), g is evaluated row by row: a row whose x1 +- h
-    leave it gets NaN slopes, and one whose x1 does NaN g and r and an
-    infinite |r|^2. ``_row_error`` names such a row's failure.
+    g is evaluated once, on the whole stack; dg are the central difference
+    quotients at step h, those of a column-by-column difference of the
+    residual without the operator's rounding noise. Where that leaves g's
+    domain (fell), g is evaluated row by row: a row whose x1 +- h leave it
+    gets NaN slopes, and one whose x1 does NaN g and R and an infinite
+    |R|^2. ``_row_error`` names such a row's failure.
     """
-    points, h = _points(x0, w1)
-    ts = bm.ts
+    N = x0.shape[-1]
+    points, h = _points(bm, x0, u)
     try:
-        values, fell = expr.evaluate(bm.g_bound, ts, points), False
+        values, fell = expr.evaluate(bm.g_bound, bm.ts, points), False
     except expr.DomainError:
         values, fell = np.full(points.shape, np.nan), True
         for i, row in enumerate(points):
             with contextlib.suppress(expr.DomainError):
-                values[i, 0] = expr.evaluate(bm.g_bound, ts, row[0])
-                values[i, 1:] = expr.evaluate(bm.g_bound, ts, row[1:])
+                values[i, 0] = expr.evaluate(bm.g_bound, bm.ts, row[0])
+                values[i, 1:] = expr.evaluate(bm.g_bound, bm.ts, row[1:])
     gv, dg = values[:, 0], (values[:, 1] - values[:, 2]) / (2.0 * h)
     if not gv.flags.writeable:  # a read-only view of the points: the search writes rows into it
         gv = gv.copy()
     # matrix-vector and dot products row by row, the arithmetic of one row alone
-    r = w1 - np.matmul(bm.aux_operator, gv[:, :, None])[:, :, 0]
-    f = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+    R = u[:, :N] - np.matmul(bm.aux_operator, gv[:, :, None])[:, :, 0]
+    if u.shape[1] > N:
+        R = np.concatenate([R, np.matmul(bm.border[1], gv[:, :, None])[:, :, 0]], axis=1)
+    f = np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
     if fell:
         f[np.isnan(gv[:, 0])] = np.inf
-    return gv, r, dg, f, fell
+    return gv, R, dg, f, fell
 
 
-def _row_error(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray) -> expr.DomainError:
+@np.errstate(over="ignore", invalid="ignore")
+def _row_error(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray) -> expr.DomainError:
     # the DomainError of a row (N,) found outside g's domain, naming t and x: x1, x1 + h, x1 - h
-    return _located(bm.problem, _points(x0[None], w1[None])[0], None)
+    return _located(bm.problem, _points(bm, x0[None], u[None])[0], None)
 
 
-def _aux_jacobian(bm: BifurcationMap, dg: np.ndarray) -> np.ndarray:
-    """Jacobians (k, N, N) of w1 -> w1 - G1 g(x0 + w1), one per row of the slopes dg.
+def _jacobian(bm: BifurcationMap, dg: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Write the Jacobians of ``_residual`` at the slopes dg (k, N) into the
+    contiguous J (k, N + m, N + m): with D = diag(dg), [[I - G1 D, -G1 D Z],
+    [A D, A D Z]] (Keller 1977; Govaerts 2000), as g acts pointwise."""
+    k, N, n = len(J), dg.shape[1], J.shape[1]
+    D = dg[:, None, :]
+    top = np.multiply(bm.aux_operator, -D, out=J[:, :N, :N])  # -G1 D
+    if n > N:
+        Z, A = bm.border
+        np.matmul(top, Z, out=J[:, :N, N:])
+        np.matmul(np.multiply(A, D, out=J[:, N:, :N]), Z, out=J[:, N:, N:])
+    J.reshape(k, n * n)[:, :N * (n + 1):n + 1] += 1.0  # the diagonal of top: I - G1 D
+    return J
 
-    g acts pointwise, so each is I - G1 diag(dg), dg from ``_aux_residual``.
+
+_STALLED = "auxiliary equation stalled (residual {:.3e})"
+_BUDGET = "auxiliary equation did not converge (residual {:.3e})"
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
+    """Damped Newton on ``_residual`` = 0 from u, for each row of x0 (k, N) and u (k, N + m).
+
+    Each row takes its own Armijo search on |R|^2 along the Newton
+    direction, and an unbordered row (m = 0) along -R (Picard) when that
+    finds no decrease down to step 1e-12 or its Jacobian is singular; a
+    trial point outside g's domain, or whose residual overflows, is
+    rejected. A row converges when its w1 part is <= _AUX_TOL and its border
+    |A g| at its rounding floor, 1e-13 N (1 + max|g|); its last point goes
+    to u and its g-values to gv. Returns (steps, fails): each row's Newton
+    steps, and a dict from a failed row to what ended it: None outside g's
+    domain or before a step without slopes (``_row_error`` names it), else
+    a ConvergenceError. Rows after the first failing one stop where they are.
     """
-    return np.eye(bm.problem.N) - bm.aux_operator * dg[:, None, :]
-
-
-_AUX_FAILURE = {
-    "stalled": "auxiliary equation stalled (residual {:.3e})",
-    "budget": "auxiliary equation did not converge (residual {:.3e})",
-}
-
-
-def _aux_newton(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray, gv: np.ndarray):
-    """Damped Newton on w1 - G1 g(x0 + w1) = 0 from w1 = 0, for each row of x0 (m, N).
-
-    Every row takes its own Armijo search: along the Newton direction, then,
-    if that finds no decrease down to step 1e-12 or the row's Jacobian is
-    singular, along the Picard direction -r. A trial point that leaves g's
-    domain, or whose residual overflows, counts as an infinite residual.
-    Each evaluation of g at the points also takes the slopes there, so the
-    Jacobian at an accepted point needs no further evaluation. Each row's
-    last point goes to w1 and the g-values of its last residual (at w1 for
-    a converged row) to gv. Returns (steps, fails): each row's Newton
-    steps, and a dict from a row to what ended it: a DomainError outside g's
-    domain or before a step without slopes, or a ConvergenceError when it
-    stalled or spent _AUX_NEWTON_STEPS. Rows after the first failing one
-    stop where they are.
-    """
-    m = len(x0)
-    steps = np.zeros(m, dtype=int)
-    g, r, dg, f, fell = _aux_residual(bm, x0, w1)
-    # the rows still iterating: their indices, x0, w1, g-values, residuals,
-    # |r|^2, steps and slopes; the rows that have not failed took it steps
-    ids, x, w, n = np.arange(m), x0, w1.copy(), steps.copy()
+    k, N = x0.shape
+    m = u.shape[1] - N
+    steps = np.zeros(k, dtype=int)  # a row's steps: it when it ends, less one if it stalled
+    J = np.empty((k, N + m, N + m))  # written in place each step
+    g, R, dg, f, fell = _residual(bm, x0, u)
+    # the rows still iterating: their indices, x0, u, g-values, residuals,
+    # |R|^2 and slopes; the rows that have not failed took it steps
+    ids, x, v = np.arange(k), x0, u.copy()
     fails = {}
     it = 0
     while True:
-        rn = np.abs(r).max(axis=1)
-        keep = ~(rn <= _AUX_TOL)  # a NaN residual has not converged
-        if fails:
-            keep &= ids < min(fails)
-        if it == _AUX_NEWTON_STEPS:
-            for j in np.flatnonzero(keep):
-                fails[ids[j]] = ConvergenceError(_AUX_FAILURE["budget"].format(rn[j]))
-            keep[:] = False
-        if not keep.all():
+        rn = np.abs(R[:, :N]).max(1)
+        done = rn <= _AUX_TOL  # a NaN residual has not converged
+        if fails or it == _AUX_NEWTON_STEPS or done.any():
+            if m:
+                done &= np.abs(R[:, N:]).max(1) <= 1e-13 * N * (1.0 + np.abs(g).max(1))
+            keep = ~done
+            if fails:
+                keep &= ids < min(fails)
+            if it == _AUX_NEWTON_STEPS:
+                for j in np.flatnonzero(keep):
+                    fails[ids[j]] = ConvergenceError(_BUDGET.format(rn[j]))
+                keep[:] = False
             if not keep.any():
-                w1[ids], gv[ids], steps[ids] = w, g, n
+                u[ids], gv[ids] = v, g
+                steps[ids] += it
                 return steps, fails
-            out = ids[~keep]
-            w1[out], gv[out], steps[out] = w[~keep], g[~keep], n[~keep]
-            ids, x, w, g, r, f, n, rn, dg = (v[keep] for v in (ids, x, w, g, r, f, n, rn, dg))
+            if not keep.all():
+                out = ids[~keep]
+                u[out], gv[out] = v[~keep], g[~keep]
+                steps[out] += it
+                ids, x, v, g, R, f, rn, dg = (a[keep] for a in (ids, x, v, g, R, f, rn, dg))
         if fell:  # an evaluation left g's domain: the first row with NaN slopes fails
             fell = False
             bad = np.flatnonzero(np.isnan(dg).any(axis=1))
             if bad.size:
-                fails[ids[bad[0]]] = _row_error(bm, x[bad[0]], w[bad[0]])
+                fails[ids[bad[0]]] = None
                 continue
-        J = _aux_jacobian(bm, dg)
-        picard = set()  # rows searching along -r
-        try:
-            d = np.linalg.solve(J, -r[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # a singular row searches along -r only
-            d = -r
+        Jk = _jacobian(bm, dg, J[:len(ids)])
+        picard = set()  # rows searching along -R
+        try:  # d is minus the search direction: R itself is the right-hand side
+            d = np.linalg.solve(Jk, R[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # a singular row searches along -R only
+            d = R.copy()
             for j in range(len(ids)):
                 try:
-                    d[j] = np.linalg.solve(J[j], -r[j])
+                    d[j] = np.linalg.solve(Jk[j], R[j])
                 except np.linalg.LinAlgError:
                     picard.add(j)
+        if m and picard:  # but a bordered row has no Picard direction
+            j = min(picard)
+            fails[ids[j]] = ConvergenceError(_STALLED.format(rn[j]))
+            continue
         it += 1
-        trial = w + d
-        g_t, r_t, dg_t, f_t, fell = _aux_residual(bm, x, trial)
+        trial = v - d
+        g_t, R_t, dg_t, f_t, fell = _residual(bm, x, trial)
         ok = f_t <= (1.0 - 1e-4) * f
         if ok.all():  # every row takes the full step
-            w, g, r, f, dg = trial, g_t, r_t, f_t, dg_t
-            n += 1
+            v, g, R, f, dg = trial, g_t, R_t, f_t, dg_t
             continue
         s, todo = np.ones(len(ids)), np.arange(len(ids))
         while True:
             took = todo[ok]
-            w[took], g[took], r[took], f[took] = trial[ok], g_t[ok], r_t[ok], f_t[ok]
+            v[took], g[took], R[took], f[took] = trial[ok], g_t[ok], R_t[ok], f_t[ok]
             dg[took] = dg_t[ok]
-            n[took] += 1
             todo = todo[~ok]
             s[todo] *= 0.5
             for j in todo[s[todo] < 1e-12]:
-                if j not in picard:  # no decrease along Newton: the damped Picard step
+                if not m and j not in picard:  # no decrease along Newton: the damped Picard step
                     picard.add(j)
-                    s[j], d[j] = 1.0, -r[j]
+                    s[j], d[j] = 1.0, R[j]
                 else:
-                    fails[ids[j]] = ConvergenceError(_AUX_FAILURE["stalled"].format(rn[j]))
+                    fails[ids[j]] = ConvergenceError(_STALLED.format(rn[j]))
+                    steps[ids[j]] = -1
             todo = todo[s[todo] >= 1e-12]
             if not todo.size:
                 break
-            trial = w[todo] + s[todo, None] * d[todo]
-            g_t, r_t, dg_t, f_t, fell_t = _aux_residual(bm, x[todo], trial)
+            trial = v[todo] - s[todo, None] * d[todo]
+            g_t, R_t, dg_t, f_t, fell_t = _residual(bm, x[todo], trial)
             fell |= fell_t
             ok = f_t <= (1.0 - 1e-4 * s[todo]) * f[todo]
 
@@ -348,8 +370,8 @@ def _aux_newton(bm: BifurcationMap, x0: np.ndarray, w1: np.ndarray, gv: np.ndarr
 def _aux_fixed_points(bm: BifurcationMap, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve the first component of w = M_p (I - Q) F(lift + w) to _AUX_TOL for a stack of lifts.
 
-    x0 (m, N) holds the lifts' first components. ``_aux_newton`` solves the
-    stack in chunks of at most linear._CHUNK_ENTRIES Jacobian entries.
+    x0 (m, N) holds the lifts' first components; ``_newton`` solves them
+    unbordered, in chunks of at most linear._CHUNK_ENTRIES Jacobian entries.
     Returns (w1, g(x0 + w1)), both (m, N). When a row fails, its error is
     raised once the rows before it are solved; the map counts their steps,
     and the failing row's own when it stalled or ran out of steps, and
@@ -364,121 +386,67 @@ def _aux_fixed_points(bm: BifurcationMap, x0: np.ndarray) -> tuple[np.ndarray, n
     w1, gv = np.zeros((m, N)), np.empty((m, N))
     rows = max(1, _CHUNK_ENTRIES // N**2)
     for lo in range(0, m, rows):
-        # a residual that overflows is infinite, so its trial point is rejected
-        with np.errstate(over="ignore", invalid="ignore"):
-            steps, fails = _aux_newton(bm, x0[lo:lo + rows], w1[lo:lo + rows], gv[lo:lo + rows])
+        steps, fails = _newton(bm, x0[lo:lo + rows], w1[lo:lo + rows], gv[lo:lo + rows])
         solved = lo + min(fails, default=len(steps))
         counted = solved - lo + isinstance(fails.get(solved - lo), ConvergenceError)
         bm._inner_iters += int(steps[:counted].sum())
         if solved:
             bm._last_aux = (x0[solved - 1].tobytes(), w1[solved - 1].copy(), gv[solved - 1].copy())
         if fails:
-            raise fails[solved - lo]
+            raise fails[solved - lo] or _row_error(bm, x0[solved], w1[solved])
     return w1, gv
 
 
-def _aux_fixed_point(bm: BifurcationMap, lift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_aux_fixed_points`` for one lift (N, 2): (w1, g(lift1 + w1))."""
-    w1, gv = _aux_fixed_points(bm, lift[None, :, 0])
-    return w1[0], gv[0]
+def _aux_y(bm: BifurcationMap, alpha) -> np.ndarray:
+    """y = x1 = lift1 + w1 of the auxiliary solution at the kernel coordinates alpha (dim,)."""
+    x0 = bm.kernel_lift(alpha)[None, :, 0]
+    return x0[0] + _aux_fixed_points(bm, x0)[0][0]
 
 
 def bifurcation_value(bm: BifurcationMap, alpha) -> np.ndarray:
-    """Reduced equation values at alpha (dim,) (one entry per kernel dimension),
-    or at each row of a stack alpha (k, dim), as a (k, dim) stack.
-
-    Pairs F(kernel_lift(alpha) + w(alpha)) = (0, g) against the shifted
-    adjoint basis, with the g-values of the auxiliary solve; a stack's
-    auxiliary equations are solved together, by one stacked Newton. With the
-    classified bases this is the plain sum of g-values in the
-    one-dimensional constant-kernel case and the cos/sin-weighted sums in
-    the two-dimensional rotation case.
+    """Reduced equation values at alpha (dim,), or at each row of a stack alpha
+    (k, dim) as a (k, dim) stack: F(kernel_lift(alpha) + w(alpha)) = (0, g)
+    paired against the shifted adjoint basis, with the g-values of the
+    auxiliary solve (one stacked Newton for a stack). With the classified
+    bases, the plain sum of g-values in the one-dimensional constant-kernel
+    case and the cos/sin-weighted sums in the two-dimensional rotation case.
     """
     lifts = bm.kernel_lift(alpha)
     _, gv = _aux_fixed_points(bm, lifts.reshape(-1, bm.problem.N, 2)[:, :, 0])
-    beta = np.matmul(bm.ld.adj_shift[:, :, 1], gv[:, :, None])[:, :, 0]
+    beta = np.matmul(bm.border[1], gv[:, :, None])[:, :, 0]
     return beta.reshape(lifts.shape[:-2] + (bm.dim,))
 
 
 def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
     """(dim, dim) derivative of ``bifurcation_value`` at alpha.
 
-    By the implicit-function theorem: with x1 = lift1 + w1 the converged
-    auxiliary solution, D = diag(dg) the slopes of g at x1 and z1 the first
-    components of the kernel basis, x1 = z1 alpha + G1 g(x1) gives
-    (I - G1 D) dx1/dalpha = z1, whose matrix is the auxiliary Newton
-    matrix at the solution, and dbeta/dalpha = adj_shift[:, :, 1] D
-    dx1/dalpha: the Schur complement of the bordered Newton's Jacobian.
-    Costs one auxiliary solve, or none right after a value at the same
-    alpha.
+    By the implicit-function theorem: with x1 = Z alpha + w1 the converged
+    auxiliary solution and D the slopes of g there, x1 = Z alpha + G1 g(x1)
+    gives (I - G1 D) dx1/dalpha = Z and dbeta/dalpha = A D dx1/dalpha: the
+    Schur complement of the top-left block of the bordered Jacobian
+    (``_jacobian``) at the solution. Costs one auxiliary solve, or none
+    right after a value at the same alpha.
     """
-    lift = bm.kernel_lift(alpha)
-    x0, w1 = lift[None, :, 0], _aux_fixed_point(bm, lift)[0][None]
-    _, _, dg, _, fell = _aux_residual(bm, x0, w1)
+    x0 = bm.kernel_lift(alpha)[None, :, 0]
+    w1 = _aux_fixed_points(bm, x0)[0]
+    _, _, dg, _, fell = _residual(bm, x0, w1)
     if fell:
         raise _row_error(bm, x0[0], w1[0])
-    dx1 = np.linalg.solve(_aux_jacobian(bm, dg)[0], bm.ld.resonance.kernel_basis[:, :, 0].T)
-    return bm.ld.adj_shift[:, :, 1] @ (dg[0][:, None] * dx1)
+    N = bm.problem.N
+    J = _jacobian(bm, dg, np.empty((1, N + bm.dim, N + bm.dim)))[0]
+    return J[N:, N:] - J[N:, :N] @ np.linalg.solve(J[:N, :N], J[:N, N:])
 
 
 def _bordered_newton(bm: BifurcationMap, alpha0) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Damped Newton on the auxiliary and bifurcation equations together,
-    from (w1, alpha) = (0, alpha0): (y, alpha, steps, converged).
-
-    With x1 = Z alpha + w1, Z the first components of the kernel basis (N,
-    dim), A = adj_shift[:, :, 1] and D the slopes of g at x1, the residual
-    is [w1 - G1 g(x1); A g(x1)] and its Jacobian [[I - G1 D, -G1 D Z],
-    [A D, A D Z]] (Keller 1977; Govaerts 2000). The Schur complement of the
-    top-left block is ``bifurcation_jacobian``'s matrix, so a root is
-    nondegenerate here exactly when it is for Newton on the map. Each step
-    evaluates g once, with its slopes (``_aux_residual``), and takes one
-    dense (N + dim) solve; an Armijo search on |residual|^2 counts a trial
-    point outside g's domain as an infinite residual.
-
-    It converges when the w1 part is <= _AUX_TOL and |beta| is at its
-    rounding floor, 1e-13 N (1 + max|g|); y = x1 is then its last point. It
-    gives up on undefined slopes, a singular Jacobian, no decrease down to
-    step 1e-12, or after _AUX_NEWTON_STEPS steps.
+    """``_newton`` on the auxiliary and bifurcation equations together from
+    (w1, alpha) = (0, alpha0): (y = x1, alpha, steps, converged) at its last
+    point, any failure reported as not converged. A root is nondegenerate
+    here exactly when it is for Newton on the map (``bifurcation_jacobian``).
     """
-    N, A = bm.problem.N, bm.ld.adj_shift[:, :, 1]
-    Z = bm.ld.resonance.kernel_basis[:, :, 0].T
-    alpha, w1 = np.asarray(alpha0, dtype=float), np.zeros(N)
-    eye, J = np.eye(N), np.empty((N + bm.dim, N + bm.dim))  # J: written in place each step
-
-    def residual(w1, alpha):
-        g, r, dg, _, _ = _aux_residual(bm, (Z @ alpha)[None], w1[None])
-        F = np.concatenate([r[0], A @ g[0]])
-        return g[0], F, dg[0], float(F @ F) if np.isfinite(F).all() else np.inf
-
-    # a residual that overflows is infinite, so its trial point is rejected
-    with np.errstate(over="ignore", invalid="ignore"):
-        g, F, dg, f = residual(w1, alpha)
-        for it in range(_AUX_NEWTON_STEPS + 1):
-            if (np.abs(F[:N]).max() <= _AUX_TOL
-                    and np.abs(F[N:]).max() <= 1e-13 * N * (1.0 + np.abs(g).max())):
-                return Z @ alpha + w1, alpha, it, True
-            if it == _AUX_NEWTON_STEPS or not np.isfinite(dg).all():
-                break
-            GD, AD = bm.aux_operator * dg, A * dg
-            np.subtract(eye, GD, out=J[:N, :N])
-            np.matmul(-GD, Z, out=J[:N, N:])
-            J[N:, :N] = AD
-            np.matmul(AD, Z, out=J[N:, N:])
-            try:
-                d = np.linalg.solve(J, -F)
-            except np.linalg.LinAlgError:
-                break
-            s = 1.0
-            while True:
-                trial = w1 + s * d[:N], alpha + s * d[N:]
-                g_t, F_t, dg_t, f_t = residual(*trial)
-                if f_t <= (1.0 - 1e-4 * s) * f:
-                    break
-                s *= 0.5
-                if s < 1e-12:
-                    return Z @ alpha + w1, alpha, it, False
-            (w1, alpha), g, F, dg, f = trial, g_t, F_t, dg_t, f_t
-    return Z @ alpha + w1, alpha, it, False
+    N = bm.problem.N
+    u = np.concatenate([np.zeros(N), alpha0])[None]
+    steps, fails = _newton(bm, np.zeros((1, N)), u, np.empty((1, N)))
+    return bm.border[0] @ u[0, N:] + u[0, :N], u[0, N:], int(steps[0]), not fails
 
 
 # -- winding numbers -------------------------------------------------------
@@ -606,9 +574,11 @@ def _finalize(bm: BifurcationMap, y: np.ndarray, residual_sup: float, alpha, tol
 
 
 def _forcing_free(bm: BifurcationMap) -> bool:
-    # does the zero sequence solve the problem (g(t, 0) = 0 for every t)?
-    vals = expr.evaluate(bm.g_bound, bm.ts, np.zeros(bm.problem.N))
-    return float(np.max(np.abs(np.asarray(vals)))) <= 1e-13
+    # does the zero sequence solve the problem (g(t, 0) = 0 for every t)? Not where g is undefined
+    with contextlib.suppress(expr.DomainError):
+        vals = expr.evaluate(bm.g_bound, bm.ts, np.zeros(bm.problem.N))
+        return float(np.max(np.abs(vals))) <= 1e-13
+    return False
 
 
 def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -666,7 +636,7 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
 
 
 def _solve_dim0(bm: BifurcationMap, tol: float) -> SolveReport:
-    y, _ = _aux_fixed_point(bm, bm.kernel_lift([]))
+    y = _aux_y(bm, [])
     return _finalize(bm, y, _oracle_sup(bm.problem, y), None, tol,
                      {"inner_fixed_point": bm._inner_iters})
 
@@ -703,8 +673,7 @@ def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
             y = None
 
     if y is None:
-        lift = bm.kernel_lift([alpha_star])
-        y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
+        y = _aux_y(bm, [alpha_star])
 
     nontrivial = None
     if _forcing_free(bm):
@@ -728,8 +697,7 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
             continue
         try:
             alpha, _ = _brent(beta, grid[k], grid[k + 1], vals[k], vals[k + 1], 1e-12 * r)
-            lift = bm.kernel_lift([alpha])
-            y = lift[:, 0] + _aux_fixed_point(bm, lift)[0]
+            y = _aux_y(bm, [alpha])
         except (ConvergenceError, expr.DomainError):
             continue
         if sup_norm(y) > 1e-6:
@@ -768,7 +736,8 @@ def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
     K_est, signed = 0.0, np.ones(xs.size, dtype=bool)  # signed: x g(t, x) > 0 at every t
     for vals in _over_period(problem, xs, radius):
         K_est = max(K_est, float(np.max(np.abs(vals))))
-        signed &= np.all(xs * vals > 0.0, axis=0)
+        with np.errstate(over="ignore"):  # a product that overflows is +-inf, signed alike
+            signed &= np.all(xs * vals > 0.0, axis=0)
     zhat_est = next((cand for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
                      if signed[np.abs(xs) >= cand].all()), 1.0)
     return zhat_est, K_est

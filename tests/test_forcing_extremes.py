@@ -67,20 +67,25 @@ def _every_t(monkeypatch):
 @pytest.mark.parametrize("N", [3, 9, 27])
 @pytest.mark.parametrize("overflow", ["error", "ignore"])
 def test_the_extremes_give_the_reports_of_every_t(N, overflow, monkeypatch):
-    # products x*g may overflow outside np.errstate; as errors, a warning
-    # ends the check; ignored, the reports carry +-inf
+    # products x*g and differences of g may overflow: they are +-inf, and no
+    # warning escapes, so warnings as errors and ignored give the same reports
     cases = _cases(N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore" if overflow == "error" else "error", RuntimeWarning)
+        other_filter = [_outcomes(g, N) for g in cases]
     with warnings.catch_warnings():
         warnings.simplefilter(overflow, RuntimeWarning)
         fast = [_outcomes(g, N) for g in cases]
+        assert fast == other_filter
         _every_t(monkeypatch)
         for g, outcomes in zip(cases, fast):
             assert outcomes == _outcomes(g, N), g
     # the cases pass, fail, overflow and leave the domain
     seen = " ".join(o for outcomes in fast for o in outcomes)
+    assert "RuntimeWarning" not in seen
     for text in ("'overall': True", "'overall': False", "DomainError: ln of a non-positive",
                  "DomainError: evaluation produced a non-finite value", "NotApplicableError",
-                 "SolverError", "RuntimeWarning" if overflow == "error" else "-inf"):
+                 "SolverError", "-inf"):
         assert text in seen
 
 

@@ -33,7 +33,7 @@ from perdiff import (
 
 import perdiff.expr as expr
 from perdiff import linear, oracle, reduction
-from perdiff.reduction import _aux_jacobian, _aux_residual, _brent, _row_error, apply_F
+from perdiff.reduction import _brent, _jacobian, _residual, _row_error, apply_F
 
 from conftest import (CANONICAL_G, dense_mpiq, forget_linear_data, g1_atol, instance_grid,
                       make_problem)
@@ -58,7 +58,7 @@ def _aux_solution(bm, alpha):
     # the full auxiliary solution w(alpha): the solver's w1, and w2 from
     # g evaluated afresh at lift1 + w1
     lift = bm.kernel_lift(alpha)
-    w1, _ = reduction._aux_fixed_point(bm, lift)
+    w1 = reduction._aux_fixed_points(bm, lift[None, :, 0])[0][0]
     return _with_w2(bm, w1, expr.evaluate(bm.problem.g, np.arange(bm.problem.N), lift[:, 0] + w1))
 
 
@@ -273,9 +273,9 @@ def test_aux_jacobian_matches_full_difference_jacobian():
         expected[:, j] = (resid(wf + e) - resid(wf - e)) / (2.0 * e[j])
     # Newton runs on the w1 block; the w2 columns of the full Jacobian are I
     np.testing.assert_allclose(expected[:, 1::2], np.eye(2 * N)[:, 1::2], rtol=0, atol=1e-6)
-    _, _, dg, _, fell = _aux_residual(bm, lift[None, :, 0], wf[None, 0::2])
+    _, _, dg, _, fell = _residual(bm, lift[None, :, 0], wf[None, 0::2])
     assert not fell
-    np.testing.assert_allclose(_aux_jacobian(bm, dg)[0], expected[0::2, 0::2],
+    np.testing.assert_allclose(_jacobian(bm, dg, np.empty((1, N, N)))[0], expected[0::2, 0::2],
                                rtol=0, atol=1e-6)
 
 
@@ -289,9 +289,9 @@ def test_inner_iterations_count_newton_on_its_last_step(monkeypatch):
 
     def counting(*args):
         jacobians.append(1)
-        return _aux_jacobian(*args)
+        return _jacobian(*args)
 
-    monkeypatch.setattr(reduction, "_aux_jacobian", counting)
+    monkeypatch.setattr(reduction, "_jacobian", counting)
     _aux_solution(bm, [0.0])
     assert jacobians
     used = bm._inner_iters
@@ -385,6 +385,51 @@ def test_bifurcation_jacobian_reuses_the_value_solve():
     assert bm._inner_iters > steps
 
 
+@pytest.mark.parametrize("b,c,N", [(-1.5, 0.5, 9), _rotation_row(5)], ids=["dim1", "dim2"])
+def test_bordered_jacobian_matches_central_difference(b, c, N):
+    # all four blocks of the bordered Jacobian against a column-by-column
+    # central difference of the bordered residual, at a nonzero (w1, alpha)
+    _, bm = _bm(b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+    m = bm.dim
+    x0 = np.zeros((1, N))
+    u = np.concatenate([0.3 * np.random.default_rng(1).standard_normal(N), [0.7, -0.4][:m]])[None]
+    _, _, dg, _, fell = _residual(bm, x0, u)
+    assert not fell
+    J = _jacobian(bm, dg, np.empty((1, N + m, N + m)))[0]
+    expected = np.empty_like(J)
+    for j in range(N + m):
+        e = np.zeros_like(u)
+        e[0, j] = 1e-6 * (1.0 + abs(u[0, j]))
+        diff = _residual(bm, x0, u + e)[1] - _residual(bm, x0, u - e)[1]
+        expected[:, j] = diff[0] / (2.0 * e[0, j])
+    np.testing.assert_allclose(J, expected, rtol=0, atol=1e-6)
+    # the border blocks hold more than rounding noise
+    assert min(np.abs(J[:N, N:]).max(), np.abs(J[N:, :N]).max(), np.abs(J[N:, N:]).max()) > 0.1
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_solve_holds_about_two_dense_matrices():
+    # the Newton matrix is written in place into one buffer per solve: one
+    # dim-0 auxiliary solve at N = 512 and one bordered solve on the N = 257
+    # rotation row each peak at most 2.5 float (N, N) arrays (4.0 and 4.2
+    # with a fresh matrix per step)
+    for (b, c, N), solve_once in [
+        ((0, 2, 512), lambda bm: reduction._aux_y(bm, [])),
+        (_rotation_row(257), lambda bm: reduction._bordered_newton(bm, [0.5, 0.3])),
+    ]:
+        _, bm = _bm(b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
+        bm.aux_operator, bm.g_bound, bm.border  # built once per map, outside the measurement
+        assert _peak_bytes(lambda: solve_once(bm)) <= 2.5 * 8 * N * N
+
+
 def test_bifurcation_value_evaluates_g_only_in_its_auxiliary_solve(monkeypatch):
     # the value pairs the g-values of the converged auxiliary residual: a
     # repeat at the same alpha evaluates g no more, and a fresh alpha
@@ -404,7 +449,7 @@ def test_bifurcation_value_evaluates_g_only_in_its_auxiliary_solve(monkeypatch):
     assert value_calls > 0
     bifurcation_value(bm, alpha)
     assert len(calls) == value_calls
-    reduction._aux_fixed_point(BifurcationMap(p, bm.ld), bm.kernel_lift(alpha))
+    reduction._aux_y(BifurcationMap(p, bm.ld), alpha)
     assert len(calls) == 2 * value_calls
 
 
@@ -533,14 +578,14 @@ def test_a_stack_member_with_a_singular_jacobian_matches_its_point(g, slope, mon
     p, bm = _bm(-3, 2, 9, g)
     singular = []
 
-    def jacobian(bm, dg):
-        J = _aux_jacobian(bm, dg)
+    def jacobian(bm, dg, J):
+        J = _jacobian(bm, dg, J)
         rows = dg.mean(axis=1) > slope
         singular.append((len(dg), int(rows.sum())))
         J[rows] = 0.0
         return J
 
-    monkeypatch.setattr(reduction, "_aux_jacobian", jacobian)
+    monkeypatch.setattr(reduction, "_jacobian", jacobian)
     alphas = np.array([[-2.0], [0.1], [2.0]])
 
     def outcome(bm, points):
@@ -636,7 +681,7 @@ def test_g_values_on_the_bound_tree_name_the_failing_t():
     with pytest.raises(expr.DomainError, match=r"ln of a non-positive value \(at t=0, x="):
         apply_F(p, np.ones((5, 2)))
     x0, w1 = bm.kernel_lift([0.5])[:, 0], np.zeros(5)
-    assert _aux_residual(bm, x0[None], w1[None])[4]
+    assert _residual(bm, x0[None], w1[None])[4]
     assert re.search(r"ln of a non-positive value \(at t=0, x=", str(_row_error(bm, x0, w1)))
 
 

@@ -1,5 +1,7 @@
 """Harder solver paths: line-search fallbacks, even periods, degenerate forcing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,25 @@ def test_solve_2d_forcing_free_reports_nontrivial_flag():
     assert rep.regime == 2
     assert sup_norm(rep.y) <= 1e-9  # trivial root reported first
     assert rep.nontrivial_root_found in (True, False)
+
+
+@pytest.mark.parametrize("b,c,N,g,radius", [
+    (-3, 2, 7, "tanh(x)+0.1*cos(2*pi*t/7)+0.01*ln(abs(x))", 0.0),
+    (-3, 2, 7, "atan(x)+0.1*cos(2*pi*t/7)+0.001*ln(x*x)", 0.0),
+    (-1.5, 0.5, 9, "tanh(x)+0.1*cos(2*pi*t/9)+0.01*ln(abs(x))", 0.0),
+    (-1.5, 0.5, 9, "atan(x)+0.1*cos(2*pi*t/9)+0.001*ln(x*x)", 0.0),
+    (-2.0 * math.cos(2.0 * math.pi / 5), 1.0, 5, "tanh(x)+0.3*cos(2*pi*t/5)+0.01*ln(abs(x))", 5.0),
+], ids=["dim1-N7-ln-abs", "dim1-N7-ln-square", "dim1-N9-ln-abs", "dim1-N9-ln-square",
+        "dim2-N5-ln-abs"])
+def test_a_g_undefined_at_zero_is_not_forcing_free(b, c, N, g, radius):
+    # the zero sequence solves nothing where g(t, 0) is undefined: the
+    # solve keeps its verified root instead of failing on that question
+    rep = solve(make_problem(b, c, N, g), radius=radius)
+    assert rep.oracle_verified
+    assert rep.residual_sup <= 1e-9
+    assert rep.nontrivial_root_found is None
+    if rep.regime == 2:
+        assert rep.winding == 1
 
 
 def test_oracle_matches_nonresonant_solver_for_small_lipschitz():
