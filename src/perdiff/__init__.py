@@ -23,6 +23,7 @@ from .hypotheses import (
 )
 from .linear import (
     LinearData,
+    LinearOverflowError,
     ModeLimitError,
     NotInImageError,
     Problem,
@@ -54,8 +55,8 @@ from .reduction import (
 __all__ = [
     "__version__",
     "BifurcationMap", "BoundaryZeroError", "CheckReport", "ConvergenceError",
-    "DomainError", "ExprError", "LinearData", "ModeLimitError", "NoSignChangeError",
-    "NotInImageError", "Problem", "ResonanceClass", "SolveReport",
+    "DomainError", "ExprError", "LinearData", "LinearOverflowError", "ModeLimitError",
+    "NoSignChangeError", "NotInImageError", "Problem", "ResonanceClass", "SolveReport",
     "SolverError", "apply_L", "bifurcation_jacobian",
     "bifurcation_value",
     "build_linear_data", "check_corollary", "check_solution", "check_thm1",

@@ -30,7 +30,8 @@ import sys
 import numpy as np
 
 from . import __version__, expr, hypotheses, oracle, reduction
-from .linear import ModeLimitError, NotInImageError, Problem, build_linear_data, kernel_dims
+from .linear import (LinearOverflowError, ModeLimitError, NotInImageError, Problem,
+                     build_linear_data, kernel_dims)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -364,7 +365,7 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
-    except ModeLimitError as e:
+    except (ModeLimitError, LinearOverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -16,8 +16,10 @@ vanishes:
 
 * the resonance classification dim Ker(L) in {0, 1, 2}: the number of
   resonant modes, |lambda_k| <= RESONANT_RTOL * (1 + |b| + |c|), a cutoff
-  that does not depend on N and lives in ``resonant_modes``, which
-  ``kernel_dims`` evaluates for a whole column of b values at once;
+  that does not depend on N, is formed in ``_cutoff`` (finite for every
+  finite b and c) and is applied to the whole symbol by ``resonant_modes``;
+  ``kernel_dims`` applies the same test for a whole column of b values, on
+  only the modes that a lower bound on |lambda_k| leaves;
 * bases for Ker(L) and for the periodic solutions of the adjoint
   recurrence x(t+1) = A^{-T} x(t), whose shifted pairing annihilates
   exactly Im(L): a resonant mode mu = w^k gives mu^t (1, mu) and
@@ -49,6 +51,7 @@ block, is gathered from the column per bifurcation map and never kept.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -64,6 +67,15 @@ from .mat2 import svals2
 # on (99400 for b = -2, c = 1); build_linear_data refuses them.
 RESONANT_RTOL = 1e-9
 
+# kernel_dims runs the exact test on a mode only while its lower bound
+# |(1 + c) Re w_k + b| is within (1 + _BOUND_SLACK) * cutoff. Rounding moves
+# the computed symbol by a few ulp of 1 + |b| + |c| (five operations), and
+# the bound by as much again (|w_k| = 1 only to an ulp, and the run's ends
+# divide by 1 + c): below 1e-14 * (1 + |b| + |c|) together. The slack,
+# 2 * cutoff + 1e-12 * (1 + |b| + |c|) = 2.001 * cutoff, is more than 10^5
+# times that
+_BOUND_SLACK = 2.0 + 1e-12 / RESONANT_RTOL
+
 # symbol entries per chunk in kernel_dims, 2x2 blocks per chunk in norm_bound_mp_iq
 _CHUNK_ENTRIES = 1 << 16
 _HALF_SQRT2 = math.sqrt(0.5)
@@ -77,6 +89,10 @@ _kept_periods = 0
 
 class ModeLimitError(RuntimeError):
     """More than two modes pass the resonance cutoff: dim Ker(L) > 2."""
+
+
+class LinearOverflowError(OverflowError):
+    """The linear data of (b, c, N) overflows the double range."""
 
 
 class NotInImageError(ValueError):
@@ -204,36 +220,98 @@ def companion_matrix(b: float, c: float) -> np.ndarray:
     return np.array([[0.0, 1.0], [-float(c), -float(b)]])
 
 
+def _cutoff(b, c: float):
+    """RESONANT_RTOL * (1 + |b| + |c|), finite for every finite b and c; b may be an array.
+
+    The halved sum 0.5 + |b|/2 + |c|/2 cannot overflow, and halving and
+    doubling are exact, so the bits are those of the plain formula wherever
+    that is finite.
+    """
+    return (2.0 * RESONANT_RTOL) * (0.5 + 0.5 * np.abs(b) + 0.5 * abs(c))
+
+
+def _roots(N: int) -> np.ndarray:
+    """w_k = e^{2*pi*i*k/N} on the real-FFT modes k = 0..N//2."""
+    return np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
+
+
 def resonant_modes(b, c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The symbol lambda_k on the real-FFT modes k = 0..N//2, and its resonant mask.
 
     b is a scalar, or an array (..., 1) of them; both results then have
-    shape (..., N//2 + 1).
+    shape (..., N//2 + 1). A symbol entry that overflows is inf, truly far
+    above any finite cutoff, so it is not resonant.
     """
-    w = np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
-    symbol = w * w + b * w + c
-    return symbol, np.abs(symbol) <= RESONANT_RTOL * (1.0 + np.abs(b) + abs(c))
+    w = _roots(N)
+    with np.errstate(over="ignore"):
+        symbol = w * w + b * w + c
+    return symbol, np.abs(symbol) <= _cutoff(b, c)
 
 
 def kernel_dims(bs, c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """dim and r_int of (b, c, N) for each b in bs, as ``classify`` gives them.
 
     dim counts the resonant modes, a conjugate pair (2k % N != 0) twice;
-    r_int is the largest resonant pair k, or -1 where there is none. The b
-    values are taken in chunks of about _CHUNK_ENTRIES symbol entries.
+    r_int is the largest resonant pair k, or -1 where there is none.
+
+    The exact test of ``resonant_modes`` runs only on the modes that can
+    pass it. As |w_k| = 1, conj(w_k) lambda_k = (1 + c) Re w_k + b +
+    i (1 - c) Im w_k, so |lambda_k| >= |(1 + c) Re w_k + b|: a mode whose
+    bound exceeds the cutoff by more than the slack, 2 * cutoff + 1e-12 *
+    (1 + |b| + |c|), cannot pass. The slack is safe: it is more than 10^5
+    times the rounding of the computed symbol and bound together (see
+    _BOUND_SLACK), so no mode that passes the exact test is left out, and a
+    mode the bound lets through is still decided by the exact test.
+
+    Re w_k falls with k, so the modes left form one run per b, found by
+    binary search and widened by one mode each side, against a rounded
+    Re w_k out of order by an ulp; at 1 + c = 0 the bound is |b|, and the
+    run holds every mode or none. The cost per column is O(N + steps log N)
+    plus the runs' length: a few modes per b, unless 1 + c is near 0 or, at
+    very large N, b sits next to the multiplier 1 or -1. Runs are gathered
+    in chunks of about _CHUNK_ENTRIES modes, so memory does not grow with
+    the b column.
     """
     bs = np.asarray(bs, dtype=float)
-    k = np.arange(N // 2 + 1)
-    pair = 2 * k % N != 0
-    dim = np.empty(bs.size, dtype=int)
-    r_int = np.empty(bs.size, dtype=int)
-    rows = max(1, _CHUNK_ENTRIES // k.size)
-    for s in range(0, bs.size, rows):
-        _, resonant = resonant_modes(bs[s:s + rows, None], c, N)
-        rotation = resonant & pair
-        dim[s:s + rows] = np.sum(resonant, axis=1) + np.sum(rotation, axis=1)
-        r_int[s:s + rows] = np.where(np.any(rotation, axis=1),
-                                     k[-1] - np.argmax(rotation[:, ::-1], axis=1), -1)
+    w = _roots(N)
+    w2 = w * w  # the bits of resonant_modes' w * w
+    cutoff = _cutoff(bs, c)
+    width = (1.0 + _BOUND_SLACK) * cutoff
+    a = 1.0 + c
+    rising = -w.real
+    with np.errstate(over="ignore"):
+        # the run of modes with -Re w_k in [lo, hi]: |(1 + c) Re w_k + b| <= width
+        if a == 0.0:
+            lo, hi = np.where(np.abs(bs) <= width, -np.inf, np.inf), np.inf
+        else:
+            lo, hi = (bs - width) / a, (bs + width) / a
+            if a < 0.0:
+                lo, hi = hi, lo
+        # widened by one mode each side: max(k_lo - 1, 0) to min(k_hi + 1, N//2 + 1)
+        start = rising[1:].searchsorted(lo, "left")
+        length = rising[:-1].searchsorted(hi, "right")
+        length += 1
+        length -= start
+        end = length.cumsum()
+        dim = np.zeros(bs.size, dtype=int)
+        r_int = np.full(bs.size, -1)
+        s = 0
+        while s < bs.size:
+            first = end[s] - length[s]
+            e = max(s + 1, int(end.searchsorted(first + _CHUNK_ENTRIES, "right")))
+            rows = np.arange(s, e).repeat(length[s:e])
+            k = (start[s:e] - (end[s:e] - length[s:e])).repeat(length[s:e])
+            k += np.arange(first, end[e - 1])
+            symbol = w2[k]
+            symbol += bs[rows] * w[k]
+            symbol += c
+            hit = np.flatnonzero(np.abs(symbol) <= cutoff[rows])
+            rows, k = rows[hit], k[hit]
+            rotation = 2 * k % N != 0  # a conjugate pair k, N - k
+            dim += np.bincount(rows, minlength=bs.size)
+            dim += np.bincount(rows[rotation], minlength=bs.size)
+            np.maximum.at(r_int, rows[rotation], k[rotation])
+            s = e
     return dim, r_int
 
 
@@ -268,11 +346,11 @@ def _build(b: float, c: float, N: int) -> LinearData:
     pair = 2 * modes % N != 0  # a conjugate pair k, N - k: a rotation by 2*pi*k/N
     dim = int(modes.size + np.count_nonzero(pair))
     if dim > 2:
-        cutoff = RESONANT_RTOL * (1.0 + abs(b) + abs(c))
-        raise ModeLimitError(f"{dim} resonant modes (|lambda_k| <= {cutoff:.3g}) at N = {N}; "
-                             "at most 2 are supported")
+        raise ModeLimitError(f"{dim} resonant modes (|lambda_k| <= {float(_cutoff(b, c)):.3g}) "
+                             f"at N = {N}; at most 2 are supported")
     symbol_inv = np.zeros_like(symbol)
-    symbol_inv[~resonant] = 1.0 / symbol[~resonant]
+    with _overflow_raised(b, c, N):
+        symbol_inv[~resonant] = 1.0 / symbol[~resonant]
 
     # mu^t (1, mu) and mu^t (-c, 1/mu) per mode mu = w^k, t = -1..N; for a
     # pair, real then imaginary parts, which with dim <= 2 keeps mode order
@@ -289,11 +367,24 @@ def _build(b: float, c: float, N: int) -> LinearData:
 
     adj_shift = np.roll(adjoint_basis, -1, axis=1)
     W = adj_shift.reshape(dim, 2 * N)
-    adj_dual = np.linalg.solve(W @ W.T, W).reshape(dim, N, 2)
+    with _overflow_raised(b, c, N):
+        gram = W @ W.T
+    adj_dual = np.linalg.solve(gram, W).reshape(dim, N, 2)
 
     resonance = ResonanceClass(dim, kernel_basis, adjoint_basis, theta, r_int)
     return LinearData(b, c, N, companion_matrix(b, c), symbol, symbol_inv, resonance,
                       np.linalg.pinv(kernel_basis[:, 0, :]), adj_shift, adj_dual)
+
+
+@contextlib.contextmanager
+def _overflow_raised(b: float, c: float, N: int):
+    # past the double range, the symbol's inverse and the adjoint Gram matrix overflow
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as e:
+        raise LinearOverflowError(f"the linear data of (b, c, N) = ({b!r}, {c!r}, {N}) "
+                                  f"leaves the double range: {e}") from None
 
 
 def classify(problem: Problem) -> ResonanceClass:

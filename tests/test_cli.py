@@ -385,6 +385,10 @@ _SCAN_GRIDS = [
     for k, N in [(1, 3), (1, 5), (2, 5), (1, 4), (5, 12), (1, 1024), (7, 1025), (512, 1025)]
     for b in [_rotation_b(k, N)]
     for d in (-1e-10, 0.0, 1e-10)
+] + [
+    # past N = 99400 the lower bound leaves several modes per b; b = +-2
+    # would pass three, which classify refuses
+    (-1.99, 1.99, 21, 1.0, [99400, 100001]),
 ]
 
 
@@ -408,6 +412,52 @@ def test_scan_memory_does_not_grow_with_the_b_column(capsys):
     assert code == cli.EXIT_OK
     assert len(capsys.readouterr().out.splitlines()) == 402
     assert peak < 8 * 16 * linear._CHUNK_ENTRIES
+
+
+def test_scan_memory_stays_chunked_when_every_mode_is_tested(capsys):
+    # at c = -1 the lower bound |(1 + c) Re w_k + b| is |b|, so near b = 0
+    # no mode is left out: each b gathers all N/2 + 1 modes, in chunks
+    tracemalloc.start()
+    try:
+        code = cli.main(["scan", "--b-range=-1e-10:1e-10:401", "--c", "-1", "--N-list", "65536"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_OK
+    dims = [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(dims) == 401 and set(dims) == {"2"}  # the multipliers 1 and -1
+    assert peak < 8 * 16 * linear._CHUNK_ENTRIES
+
+
+@pytest.mark.parametrize("b, c, N, dim", [(1e308, 1.7e308, 3, 0), (9e307, 9e307, 3, 0),
+                                          (1e308, 1e308, 4, 1), (-1.7e308, 1.7e308, 3, 1)])
+def test_scan_near_the_double_range_counts_by_a_finite_cutoff(b, c, N, dim, capsys):
+    # 1 + |b| + |c| overflows; an infinite cutoff passed every mode. The
+    # multipliers 1 (1 + b + c = 1) and -1 (1 - b + c = 1) are relative zeros
+    assert cli.main(["scan", f"--b-range={b!r}:{b!r}:1", "--c", repr(c),
+                     "--N-list", str(N)]) == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].split(",")[3] == str(dim)
+    assert err == ""
+
+
+@pytest.mark.parametrize("command", ["classify", "solve"])
+@pytest.mark.parametrize("b, c, N", [(1e308, 1.7e308, 3), (1e308, 1e308, 4),
+                                     (-1.7e308, 1.7e308, 3), (-1e300, 1e300, 5)])
+def test_linear_data_that_overflows_exits_3(command, b, c, N, tmp_path, capsys):
+    # one line naming the overflow, in place of a RuntimeWarning
+    path = write_problem(tmp_path / "big.json", b, c, N, "tanh(x)")
+    code = cli.main([command, path])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_SOLVER
+    assert out == ""
+    assert err.count("\n") == 1 and "leaves the double range: overflow" in err
+
+
+def test_classify_near_the_double_range_counts_by_a_finite_cutoff(tmp_path, capsys):
+    path = write_problem(tmp_path / "big.json", 9e307, 9e307, 3, "tanh(x)")
+    assert cli.main(["classify", path]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["dim"] == 0
 
 
 def test_parse_error_exits(tmp_path, capsys):

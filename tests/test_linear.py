@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from perdiff import (
+    LinearOverflowError,
     ModeLimitError,
     NotInImageError,
     Problem,
@@ -178,6 +179,82 @@ def test_more_than_two_resonant_modes_are_refused_on_every_call(cold_linear_data
         with pytest.raises(ModeLimitError, match="^3 resonant modes"):
             build_linear_data(p)
     assert not linear._kept and linear._kept_periods == 0
+
+
+def _full_symbol_rule(bs, c, N):
+    # dim and r_int from the resonant mask of the whole symbol, 8 rows at a time
+    k = np.arange(N // 2 + 1)
+    pair = 2 * k % N != 0
+    dim, r_int = [], []
+    for s in range(0, len(bs), 8):
+        resonant = linear.resonant_modes(bs[s:s + 8, None], c, N)[1]
+        rotation = resonant & pair
+        dim += (np.sum(resonant, axis=1) + np.sum(rotation, axis=1)).tolist()
+        r_int += [int(k[r][-1]) if r.any() else -1 for r in rotation]
+    return dim, r_int
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 9, 12, 27, 243, 1025, 99_400, 100_001])
+@pytest.mark.parametrize("c", [1.0, 2.0, -1.0, 0.5, -3.0, 1.0000001])
+def test_kernel_dims_equal_the_full_symbol_rule(c, N):
+    # kernel_dims tests only the modes its lower bound leaves; it must count
+    # exactly the modes that pass on the whole symbol
+    rng = np.random.default_rng(N)
+    ks = np.unique([0, 1, 2, N // 3, N // 2])
+    rot = -2.0 * np.cos(2.0 * np.pi * ks / N)  # lambda_k = 0 at c = 1
+    # b where some lambda_k vanishes: the multipliers 1 and (at even N) -1,
+    # and at c = 1 the rotations; each moved to just inside and just outside
+    # the cutoff of that mode
+    roots = np.unique(np.concatenate([[-(1.0 + c)], [1.0 + c] if N % 2 == 0 else [],
+                                      rot if c == 1.0 else []]))
+    cut = linear.RESONANT_RTOL * (1.0 + np.abs(roots) + abs(c))
+    inside = np.concatenate([roots + cut * (1 - 1e-6), roots - cut * (1 - 1e-6)])
+    outside = np.concatenate([roots + cut * (1 + 1e-6), roots - cut * (1 + 1e-6)])
+    bs = np.concatenate([np.linspace(-4.0, 4.0, 41), rot, rot + 1e-10, rot - 1e-10,
+                         [1.0 + c, -(1.0 + c)], rng.uniform(-5.0, 5.0, 10), inside, outside])
+    dim, r_int = linear.kernel_dims(bs, c, N)
+    want_dim, want_r_int = _full_symbol_rule(bs, c, N)
+    assert dim.tolist() == want_dim
+    assert r_int.tolist() == want_r_int
+    n = len(inside)
+    assert np.all(dim[-2 * n:-n] > dim[-n:])  # the straddlers straddle
+
+
+@pytest.mark.parametrize("b, c, N, dim", [(1e308, 1.7e308, 3, 0), (9e307, 9e307, 3, 0),
+                                          (1e308, 1e308, 4, 1), (-1.7e308, 1.7e308, 3, 1)])
+def test_resonance_cutoff_stays_finite_near_the_double_range(b, c, N, dim):
+    # 1 + |b| + |c| overflows; the cutoff must not, or every mode passes.
+    # 1 + b + c = 1 and 1 - b + c = 1 are relative zeros, the multipliers 1
+    # and -1; the other modes are far above the cutoff, or overflow
+    cutoff = float(linear._cutoff(b, c))
+    assert math.isclose(cutoff, 1e-9 * abs(b) + 1e-9 * abs(c))
+    assert linear.kernel_dims([b], c, N)[0].tolist() == [dim]
+    assert int(np.sum(linear.resonant_modes(b, c, N)[1])) == dim
+
+
+def test_resonance_cutoff_keeps_its_bits_where_it_is_finite():
+    rng = np.random.default_rng(0)
+    b = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-320.0, 308.0, 4000)
+    c = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-320.0, 308.0, 4000)
+    b[:10] = [0.0, 5e-324, 1.0, -2.0, 1e308, 1.7e308, -8e307, 3.0, 2.0 ** -1074, 1e-9]
+    with np.errstate(over="ignore"):
+        plain = linear.RESONANT_RTOL * (1.0 + np.abs(b) + np.abs(c))
+    finite = np.isfinite(plain)
+    assert np.array_equal(linear._cutoff(b, c)[finite], plain[finite])
+    assert [float(linear._cutoff(x, y)) for x, y in zip(b[:50], c[:50])] == \
+        linear._cutoff(b[:50], c[:50]).tolist()
+
+
+@pytest.mark.parametrize("b, c, N, where", [(1e308, 1.7e308, 3, "divide"),
+                                            (1e308, 1e308, 4, "divide"),
+                                            (-1.7e308, 1.7e308, 3, "matmul"),
+                                            (-1e300, 1e300, 5, "matmul")])
+def test_linear_data_that_overflows_raises_a_typed_error(b, c, N, where, cold_linear_data):
+    # the symbol's inverse (|b| + |c| near the double range) or the adjoint
+    # Gram matrix (|c| above about 1e154) leaves the double range
+    with pytest.raises(LinearOverflowError, match=f"leaves the double range: overflow .* {where}"):
+        build_linear_data(make_problem(b, c, N, "0"))
+    assert not linear._kept
 
 
 def test_problem_stores_one_type_per_field():
