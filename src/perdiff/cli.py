@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -256,6 +257,36 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.overall else EXIT_HYPOTHESIS
 
 
+def _scan_csv(bs: np.ndarray, c: float, n_list: list) -> str:
+    """The scan's CSV text, assembled a column at a time: each b's "b,c,"
+    head and ",theta,in_U," tail are formatted once, each N column has one
+    "N,dim" text per dim present (which can exceed 2) and an "r_int,gcd"
+    text per row that ends the line, and a line is those four pieces joined."""
+    # one continued-fraction pass for the in_U column
+    inside = np.abs(bs) < 2.0
+    in_u = np.zeros(bs.size, dtype=bool)
+    in_u[inside] = hypotheses._resonant_angles(bs[inside], hypotheses.DEFAULT_MAX_DENOMINATOR)[0]
+    c_text = _fmt_float(c)
+    heads = [f"{_fmt_float(b)},{c_text}," for b in bs.tolist()]
+    # theta keeps math.acos's bits, which np.arccos may miss in the last place
+    tails = [f",{_fmt_float(math.acos(-b / 2.0)) if abs(b) <= 2.0 else ''},"
+             f"{('true,' if b_in_u else 'false,') if b_inside else ','}"
+             for b, b_inside, b_in_u in zip(bs.tolist(), inside.tolist(), in_u.tolist())]
+    columns = []
+    for N in n_list:
+        # one symbol evaluation per N column, by the same rule as classify
+        dim, r_int = kernel_dims(bs, c, N)
+        dim = dim.tolist()
+        n_dim = {d: f"{N},{d}" for d in set(dim)}
+        rot = [",\n"] * bs.size
+        for row in np.flatnonzero(r_int >= 0).tolist():
+            r = int(r_int[row])
+            rot[row] = f"{r},{math.gcd(r, N)}\n"
+        columns.append(map("".join, zip(heads, map(n_dim.__getitem__, dim), tails, rot)))
+    return "".join(itertools.chain(["b,c,N,dim,theta,in_U,r_int,gcd\n"],
+                                   itertools.chain.from_iterable(zip(*columns))))
+
+
 def _cmd_scan(args) -> int:
     try:
         lo, hi, steps = args.b_range.split(":")
@@ -279,25 +310,7 @@ def _cmd_scan(args) -> int:
         bs = np.linspace(lo, hi, steps)
     if not np.all(np.isfinite(bs)):
         raise _CliError("--b-range values must be finite", EXIT_USAGE)
-    # one symbol evaluation per N column, by the same rule as classify, and
-    # one continued-fraction pass for the in_U column
-    columns = []
-    for N in n_list:
-        dim, r_int = kernel_dims(bs, args.c, N)
-        rot = ["," if r < 0 else f"{r},{d}"
-               for r, d in zip(r_int.tolist(), np.gcd(r_int, N).tolist())]
-        columns.append((N, dim.tolist(), rot))
-    inside = np.abs(bs) < 2.0
-    in_u = np.zeros(bs.size, dtype=bool)
-    in_u[inside] = hypotheses._resonant_angles(bs[inside], hypotheses.DEFAULT_MAX_DENOMINATOR)[0]
-    c_text = _fmt_float(args.c)
-    lines = ["b,c,N,dim,theta,in_U,r_int,gcd"]
-    for row, (b, b_inside, b_in_u) in enumerate(zip(bs.tolist(), inside.tolist(), in_u.tolist())):
-        theta_text = _fmt_float(math.acos(max(-1.0, min(1.0, -b / 2.0)))) if abs(b) <= 2.0 else ""
-        in_u_text = ("true" if b_in_u else "false") if b_inside else ""
-        head, tail = f"{_fmt_float(b)},{c_text}", f"{theta_text},{in_u_text}"
-        lines += [f"{head},{N},{dim[row]},{tail},{rot[row]}" for N, dim, rot in columns]
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _scan_csv(bs, args.c, n_list)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(csv_text)

@@ -29,6 +29,7 @@ is evaluated at every t as before.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -111,9 +112,20 @@ def _check_args(grid: int, N: int | None = None, **positive) -> None:
         raise NotApplicableError("this check requires an odd period N")
 
 
+def _check_spans(*spans) -> None:
+    # each (name, start, stop) is a range a checker samples; np.linspace forms
+    # stop - start, and where that overflows it samples inf and nan, so the
+    # argument name leads the error and the CLI reports it as --name
+    for name, start, stop in spans:
+        if not math.isfinite(stop - start):
+            raise ValueError(f"{name} is too large: its sampled range [{start:g}, {stop:g}] "
+                             "overflows the double range")
+
+
 def _split(values: np.ndarray, grids: list) -> list:
-    # the columns of values, one block per grid
-    return np.split(values, np.cumsum([len(x) for x in grids[:-1]]), axis=-1)
+    # the columns of values, one view per grid: np.split's blocks, sliced directly
+    bounds = [0, *itertools.accumulate(len(x) for x in grids[:-1]), None]
+    return [values[..., start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 def _on_grids(g: expr.Node, t, grids: list) -> list:
@@ -223,6 +235,7 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201) -> Chec
         rotation one: c = 1, |b| < 2 and N*arccos(-b/2) a multiple of 2*pi).
     """
     _check_args(grid, problem.N, r=r, zhat=zhat)
+    _check_spans(("r", -2.0 * r, 2.0 * r))  # then [zhat, 4r] spans less
     ld = build_linear_data(problem)
 
     xs = np.linspace(zhat, 4.0 * r, grid)[1:]  # strictly beyond zhat
@@ -355,9 +368,14 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
     if not r_schedule or not all(map(_positive, r_schedule)):
         raise ValueError("r_schedule entries must be finite and positive")
     range_hi = max(4.0 * R, R + 10.0)
+    _check_spans(("R", R, range_hi), *(("r_schedule", -2.0 * r, 2.0 * r) for r in r_schedule))
     xs = np.linspace(R, range_hi, grid)[1:]  # strictly beyond R
+    # one window per radius, each row bitwise the radius's own np.linspace
+    # (unless some step 4r / (grid - 1) underflows to 0: numpy then forms
+    # every row by its subnormal branch, a radius below about 1e-322 at grid 201)
+    rs = np.array(r_schedule)
     windows, (g_pos, g_neg) = _sample_t_free(
-        problem, [np.linspace(-2.0 * r, 2.0 * r, grid) for r in r_schedule], [xs, -xs])
+        problem, list(np.linspace(-2.0 * rs, 2.0 * rs, grid, axis=-1)), [xs, -xs])
     ratios = [float(np.max(np.abs(w))) / (2.0 * r) for w, r in zip(windows, r_schedule)]
     decreasing = all(ratios[k + 1] < ratios[k] for k in range(len(ratios) - 1))
     c1 = Condition(
@@ -409,11 +427,13 @@ def check_thm2(problem: Problem, zhat: float, grid: int = 201,
         N / gcd(r, N) >= max(3, K/J + 1).
     """
     _check_args(grid, problem.N, zhat=zhat, xmax=xmax)
+    name = "xmax"
+    if xmax is None:
+        name, xmax = "zhat", max(100.0, 100.0 * zhat)
+    _check_spans((name, -xmax, xmax))
     ld = build_linear_data(problem)
     if ld.resonance.dim != 2:
         raise NotApplicableError("kernel dimension is not 2; this theorem does not apply")
-    if xmax is None:
-        xmax = max(100.0, 100.0 * zhat)
 
     xs_pos = np.linspace(zhat, xmax, grid)
     periodic_ok, (window, g_pos, g_neg) = _sample_period(

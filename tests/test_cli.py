@@ -372,6 +372,8 @@ def _rotation_b(k, N):
     return -2.0 * math.cos(2.0 * math.pi * k / N)
 
 
+_BENCHMARK_GRID = (-2.0, 2.0, 401, 1.0, [3, 9, 27, 81, 243])
+_EDGE_GRID = (-3.0, 3.0, 7, 1.0, [2, 3, 4, 6])  # b exactly +-2 next to |b| > 2
 _SCAN_GRIDS = [
     # dims 0, 1 and 2; the Jordan row (-2, 1) and (2, 1) at even N
     (-2.0, 2.0, 41, 1.0, list(range(2, 65)) + [243, 1000, 1024, 1025]),
@@ -389,15 +391,46 @@ _SCAN_GRIDS = [
     # past N = 99400 the lower bound leaves several modes per b; b = +-2
     # would pass three, which classify refuses
     (-1.99, 1.99, 21, 1.0, [99400, 100001]),
+    _BENCHMARK_GRID,  # the perfbench scan
+    _EDGE_GRID,
+    # b = -0.0; a repeated N; one step
+    (-0.0, -0.0, 1, 1.0, [3, 4]),
+    (-1.0, 1.0, 5, 1.0, [3, 4, 3, 3]),
+    (1.0, 1.0, 1, 1.0, [3, 6, 9]),
 ]
+
+
+def _scan_argv(lo, hi, steps, c, n_list):
+    return ["scan", f"--b-range={lo!r}:{hi!r}:{steps}", "--c", repr(c),
+            "--N-list", ",".join(map(str, n_list))]
 
 
 @pytest.mark.parametrize("lo, hi, steps, c, n_list", _SCAN_GRIDS)
 def test_scan_matches_a_classify_per_row(lo, hi, steps, c, n_list, capsys):
-    argv = ["scan", f"--b-range={lo!r}:{hi!r}:{steps}", "--c", repr(c),
-            "--N-list", ",".join(map(str, n_list))]
-    assert cli.main(argv) == cli.EXIT_OK
+    assert cli.main(_scan_argv(lo, hi, steps, c, n_list)) == cli.EXIT_OK
     assert capsys.readouterr().out == _reference_scan(lo, hi, steps, c, n_list)
+
+
+@pytest.mark.parametrize("grid", [_BENCHMARK_GRID, _EDGE_GRID])
+def test_scan_out_writes_the_bytes_it_prints(grid, tmp_path, capsys):
+    argv = _scan_argv(*grid)
+    assert cli.main(argv) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    out_file = tmp_path / "scan.csv"
+    assert cli.main([*argv, "--out", str(out_file)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert out_file.read_bytes() == printed.encode("utf-8")
+
+
+def test_scan_formats_each_b_and_theta_once(monkeypatch, capsys):
+    # the CSV is assembled a column at a time: b, c and theta are formatted
+    # once per b, not once per (b, N) line
+    calls = []
+    fmt = cli._fmt_float
+    monkeypatch.setattr(cli, "_fmt_float", lambda v: calls.append(v) or fmt(v))
+    assert cli.main(_scan_argv(*_BENCHMARK_GRID)) == cli.EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 401 * 5
+    assert len(calls) <= 2 * 401 + 1
 
 
 def test_scan_memory_does_not_grow_with_the_b_column(capsys):
@@ -537,6 +570,10 @@ def test_solve_rejects_invalid_options(argv, dim1_file, dim2_file, capsys):
     ("thm1", ["--grid", "1"]),
     ("thm1", ["--grid", "0"]),
     ("thm2", ["--grid", "1"]),
+    # finite and positive, but 4r, 4R or 2 * xmax overflows
+    ("thm1", ["--r", "1e308"]),
+    ("cor", ["--R", "1e308"]),
+    ("thm2", ["--zhat", "1e308"]),
 ])
 def test_check_rejects_invalid_options(theorem, argv, tmp_path, capsys):
     # a usage error, not a traceback, a parse error or a pass from one sample
@@ -546,6 +583,15 @@ def test_check_rejects_invalid_options(theorem, argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert argv[0] in captured.err
+
+
+def test_check_refuses_an_R_whose_sampled_range_overflows(tmp_path, capsys):
+    # 4R overflows: every x sampled beyond R was inf, and C2* passed on them
+    path = write_problem(tmp_path / "p.json", -1.2, 1, 5, "tanh(x)")
+    assert cli.main(["check", path, "--theorem", "cor", "--R", "1e308"]) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("--R is too large: its sampled range [1e+308, inf]")
 
 
 def test_float_serialization_17_digits(dim1_file):

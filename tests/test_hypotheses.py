@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from perdiff import check_corollary, check_thm1, check_thm2, classify, expr, membership_U
+from perdiff import (check_corollary, check_thm1, check_thm2, classify, expr, hypotheses,
+                     membership_U)
 from perdiff.hypotheses import RATIONAL_ANGLE_TOL, NotApplicableError, _resonant_angles
 
 from conftest import CANONICAL_G, exact_membership, make_problem
@@ -270,6 +271,73 @@ def test_checks_reject_a_non_finite_argument(arg, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
             _CHECK_CALLS[arg](value)
+
+
+_ROTATION_5 = (-2.0 * math.cos(2.0 * math.pi / 5), 1, 5)
+# each call's argument is finite and positive, but a range it samples spans
+# more than the double range: np.linspace would sample inf and nan there
+_OVERFLOWING_CALLS = {
+    "thm1 r": ("r", lambda: check_thm1(make_problem(0, 2, 3, "tanh(x)"), r=1e308, zhat=1.0)),
+    "thm2 zhat": ("zhat", lambda: check_thm2(make_problem(*_ROTATION_5, "tanh(x)"), zhat=1e308)),
+    "thm2 xmax": ("xmax", lambda: check_thm2(make_problem(*_ROTATION_5, "tanh(x)"), zhat=1.0,
+                                             xmax=1e308)),
+    "cor R": ("R", lambda: check_corollary(make_problem(-1.2, 1, 5, "tanh(x)"), R=1e308)),
+    "cor r_schedule": ("r_schedule", lambda: check_corollary(
+        make_problem(-1.2, 1, 5, "tanh(x)"), R=1.0, r_schedule=[10.0, 1e308])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_CALLS))
+def test_checks_reject_an_argument_whose_sampled_range_overflows(case):
+    name, call = _OVERFLOWING_CALLS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call()
+    assert type(err.value) is ValueError
+    assert str(err.value).startswith(f"{name} is too large: its sampled range")
+
+
+def test_checks_sample_a_range_just_inside_the_double_range():
+    # 4r, 4R and 2 * xmax stay finite here, so each check samples and reports
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = [check_thm1(make_problem(0, 2, 3, "tanh(x)"), r=4e307, zhat=1.0),
+                   check_thm2(make_problem(*_ROTATION_5, "tanh(x)"), zhat=8e305),
+                   check_corollary(make_problem(-1.2, 1, 5, "tanh(x)"), R=4e307,
+                                   r_schedule=[10.0, 4e307])]
+    assert [rep.condition(c).passed for rep, c in zip(reports, ["C2", "C2", "C2*"])] == [True] * 3
+
+
+def test_split_gives_the_blocks_of_np_split():
+    values = np.arange(24.0).reshape(2, 12)
+    for grids in ([np.zeros(5), np.zeros(0), np.zeros(7)], [np.zeros(0), np.zeros(12)],
+                  [np.zeros(12), np.zeros(0)], [np.zeros(3)] * 4):
+        for v in (values, values[0]):
+            got = hypotheses._split(v, grids)
+            want = np.split(v, np.cumsum([len(x) for x in grids[:-1]]), axis=-1)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.strides == b.strides
+                assert np.shares_memory(a, v) or a.size == 0
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("grid", [2, 3, 201])
+def test_corollary_windows_are_each_radius_own_linspace(grid, monkeypatch):
+    # the windows come from one np.linspace over the schedule; each must be
+    # bitwise the radius's own grid, from 1e-300 to 1e300
+    schedule = [float(r) for r in np.logspace(-300, 300, 25)] + [0.3, 7.77e12]
+    seen = []
+    sample = hypotheses._sample_t_free
+    monkeypatch.setattr(hypotheses, "_sample_t_free",
+                        lambda p, windows, grids: seen.append(windows) or sample(p, windows, grids))
+    check_corollary(make_problem(-1.2, 1, 5, "tanh(x)"), R=1.0, r_schedule=schedule, grid=grid)
+    (windows,) = seen
+    assert len(windows) == len(schedule)
+    for window, r in zip(windows, schedule):
+        assert np.array_equal(window.view(np.int64),
+                              np.linspace(-2.0 * r, 2.0 * r, grid).view(np.int64))
 
 
 def test_corollary_rejects_time_dependent_g():
