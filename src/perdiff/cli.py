@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
-    except (ModeLimitError, LinearOverflowError) as e:
+    except (ModeLimitError, LinearOverflowError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
 

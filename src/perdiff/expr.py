@@ -53,6 +53,11 @@ LOGFADE_M1 = 0.1
 LOGFADE_M2 = 0.1
 LOGFADE_BETA = 0.5
 
+# samples per chunk of an evaluation at every t (``envelope``); also the
+# symbol entries per chunk in kernel_dims and the 2x2 blocks per chunk in
+# norm_bound_mp_iq (linear)
+_CHUNK_ENTRIES = 1 << 16
+
 
 class ExprError(ValueError):
     """Problem with the expression text; carries the byte offset."""
@@ -390,29 +395,21 @@ def _forcing_split(node: Node):
     return None
 
 
-def evaluate_at_extremes(node: Node, t, x, every: int = 0, rows: int | None = None):
-    """(g over x[:every] at every t, g over x[every:] at two t) for a g of the
-    form h(x) + p(t), h(x) - p(t), p(t) + h(x) or p(t) - h(x), where h reads
-    no t and p no x: the two t are those of t[:rows] where p is least and
-    greatest. A g that reads no t is the case with no p; its second part has
-    one row. t is a column of times, x one grid.
+def envelope(node: Node, t, x, every: int = 0, rows: int | None = None):
+    """(g over x[:every] at every t, bounds): at each x of x[every:], the rows
+    of bounds hold the least and the greatest g over t[:rows]. t is a column
+    of times, x one grid, and each value is bitwise one of
+    ``evaluate(node, t, x)``.
 
-    h is evaluated once over x and p once over t, the arrays that
-    ``evaluate(node, t, x)`` evaluates them on, and g is formed from them by
-    the same operation, so each value is bitwise that evaluation's. Rounding
-    is monotone, so at each x g, |g| and x*g are monotone in p: every
-    extreme over t[:rows] of them, and every overflow, is met at one of the
-    two t.
-
-    None where g is not of that form, where h or p raises DomainError, or
-    where a value formed is not finite: the caller then evaluates g at every
-    t, and meets any error there.
+    For g = h(x) + p(t), h(x) - p(t), p(t) + h(x) or p(t) - h(x), where h
+    reads no t and p no x, h is evaluated once over x and p once over t, and
+    bounds is g at the two t of t[:rows] where p is least and greatest.
+    Rounding is monotone, so at each x they give g's extremes over t[:rows],
+    and every overflow. A g that reads no t gives one row. Any other g, and
+    one whose h or p leaves its domain or is not finite at some x or t, is
+    evaluated at every t, about _CHUNK_ENTRIES samples at a time, and bounds
+    is its [min; max] over t[:rows]; a DomainError there is raised.
     """
-    split = _forcing_split(node)
-    if split is None:
-        return None
-    h_node, p_node, p_right = split
-
     def form(h_values, p_values):
         a, b = (h_values, p_values) if p_right else (p_values, h_values)
         return a + b if node.op == "+" else a - b
@@ -421,8 +418,10 @@ def evaluate_at_extremes(node: Node, t, x, every: int = 0, rows: int | None = No
         return value if np.shape(value) == shape else np.broadcast_to(value, shape)
 
     tv, xv = _operands(t, x)
-    with np.errstate(all="ignore"):
-        try:
+    split = _forcing_split(node)
+    with np.errstate(all="ignore"), contextlib.suppress(DomainError):
+        if split is not None:
+            h_node, p_node, p_right = split
             h = shaped(_ev(h_node, tv, xv), xv.shape)
             if p_node is None:
                 parts = [np.broadcast_to(h[:every], (len(tv), every)), h[None, every:]]
@@ -430,11 +429,18 @@ def evaluate_at_extremes(node: Node, t, x, every: int = 0, rows: int | None = No
                 p = shaped(_ev(p_node, tv, xv), tv.shape)
                 ends = np.array([p[:rows].min(), p[:rows].max()])[:, None]
                 parts = [form(h[:every], p), form(h[every:], ends), p]
-        except DomainError:
-            return None
-    if not all(np.isfinite(v).all() for v in parts):
-        return None
-    return parts[0], parts[1]
+            if all(np.isfinite(v).all() for v in parts):
+                return parts[0], parts[1]
+    on_every_t = np.empty((len(tv), every))
+    bounds = np.repeat([[np.inf], [-np.inf]], xv.size - every, axis=1)
+    read, step = len(tv[:rows]), max(1, _CHUNK_ENTRIES // xv.size)
+    for lo in range(0, len(tv), step):
+        values = evaluate(node, tv[lo:lo + step], xv)
+        on_every_t[lo:lo + step] = values[:, :every]
+        if lo < read:
+            np.minimum(bounds[0], values[:read - lo, every:].min(axis=0), out=bounds[0])
+            np.maximum(bounds[1], values[:read - lo, every:].max(axis=0), out=bounds[1])
+    return on_every_t, bounds
 
 
 def evaluate(node: Node, t, x) -> float | np.ndarray:

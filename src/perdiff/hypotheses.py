@@ -16,15 +16,14 @@ reproducible. Each checker samples g in two passes, each over several x
 grids joined together; if g leaves its domain there, the grids are
 evaluated one at a time so the error is that of the first grid to fail.
 
-The hypotheses quantify over every t, yet a grid is not always sampled at
-every t. For the forced form g = h(x) +- p(t), h is evaluated once over
-the joined grids and p once over the period, and g is formed only at the
-two t where p is least and greatest (``expr.evaluate_at_extremes``).
-Rounding is monotone, so at each x the sup, the inf, the signs and any
-overflow over the period are met at one of those two t, and every value
-read is bitwise one of the full evaluation. A g that reads no t is formed
-at one t. Any other g, and a g that leaves its domain or overflows there,
-is evaluated at every t as before.
+The hypotheses quantify over every t, and each reads g over the period
+only through its least and greatest value at each x: a sup of |g|, an inf
+of g, the sign of x*g. So the grids are sampled by ``expr.envelope``, which
+keeps those two rows. For the forced form g = h(x) +- p(t) they are g at
+the two t where p is least and greatest, for a g that reads no t one row;
+any other g is evaluated at every t a chunk at a time. Every value read is
+bitwise one of the full evaluation, and memory does not grow with N beyond
+the probe's N rows.
 """
 
 from __future__ import annotations
@@ -128,35 +127,23 @@ def _split(values: np.ndarray, grids: list) -> list:
     return [values[..., start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
-def _on_grids(g: expr.Node, t, grids: list) -> list:
-    """g at t over each x grid, from one evaluation over their concatenation."""
-    return _split(expr.evaluate(g, t, np.concatenate(grids)), grids)
-
-
 # x values at which g is compared across t
 _PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
 
 
 def _on_probe_and_grids(g: expr.Node, ts: np.ndarray, grids: list, rows: int | None = None):
-    """g on the probe at every t of the column ts, and g on each x grid at
-    enough of the t of ts[:rows] to give each of its extremes over them: for
-    g = h(x) +- p(t), the two where p is least and greatest
-    (``expr.evaluate_at_extremes``), one for a g that reads no t, else all.
-    The probe and the grids are joined in one evaluation.
-    """
-    sampled = expr.evaluate_at_extremes(g, ts, np.concatenate([_PROBE, *grids]),
-                                        _PROBE.size, rows)
-    if sampled is None:
-        probe, *values = _on_grids(g, ts, [_PROBE, *grids])
-        return probe, [v[:rows] for v in values]
-    return sampled[0], _split(sampled[1], grids)
+    """g on the probe at every t of the column ts, and on each x grid the
+    least and the greatest g over ts[:rows] (rows of ``expr.envelope``), from
+    one envelope of the probe and the grids joined."""
+    probe, bounds = expr.envelope(g, ts, np.concatenate([_PROBE, *grids]), _PROBE.size, rows)
+    return probe, _split(bounds, grids)
 
 
 def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
-    """Whether g is N-periodic in t at the probe x values, and g on each x
-    grid at the t of one period t = 0..N-1 that give its extremes there
-    (``_on_probe_and_grids``): one evaluation of g over the probe and the
-    grids together, one over the probe at t + N.
+    """Whether g is N-periodic in t at the probe x values, and on each x grid
+    g's least and greatest value over one period t = 0..N-1
+    (``_on_probe_and_grids``), with one evaluation of g over the probe at
+    t + N.
 
     If either raises DomainError, the probe at t, the probe at t + N and each
     grid are evaluated one at a time, at every t, in that order, so the
@@ -176,12 +163,12 @@ def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
 
 
 def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e-12):
-    """g at t = 0 on each window, and on each grid at the t of one period
-    t = 0..N-1 that give its extremes there (``_on_probe_and_grids``; one row
-    for a g that reads no t), once g is seen independent of t at the probe x
-    values (NotApplicableError if not): one evaluation of g at t = 0 over the
-    probe and the windows, one at t = 0..N over the probe and the grids
-    (their row t = N unused).
+    """g at t = 0 on each window, and on each grid g's least and greatest
+    value over one period t = 0..N-1 (``_on_probe_and_grids``; one row for a
+    g that reads no t), once g is seen independent of t at the probe x values
+    (NotApplicableError if not): one evaluation of g at t = 0 over the probe
+    and the windows, one envelope at t = 0..N over the probe and the grids
+    (the grids' row t = N unread).
 
     If either raises DomainError, g is evaluated one piece at a time, in this
     order: the probe at t = 0, at t = 1..N (then the independence check),
@@ -190,7 +177,8 @@ def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e
     """
     g, ts = problem.g, np.arange(problem.N + 1)[:, None]
     try:
-        base, *on_windows = _on_grids(g, 0, [_PROBE, *windows])
+        base, *on_windows = _split(expr.evaluate(g, 0, np.concatenate([_PROBE, *windows])),
+                                   [_PROBE, *windows])
         probe, on_grids = _on_probe_and_grids(g, ts, grids, problem.N)
         later = probe[1:]
     except expr.DomainError:

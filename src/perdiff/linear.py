@@ -60,6 +60,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr
+from .expr import _CHUNK_ENTRIES
 from .mat2 import svals2
 
 # A mode k is resonant iff |lambda_k| <= RESONANT_RTOL * (1 + |b| + |c|).
@@ -76,8 +77,6 @@ RESONANT_RTOL = 1e-9
 # times that
 _BOUND_SLACK = 2.0 + 1e-12 / RESONANT_RTOL
 
-# symbol entries per chunk in kernel_dims, 2x2 blocks per chunk in norm_bound_mp_iq
-_CHUNK_ENTRIES = 1 << 16
 _HALF_SQRT2 = math.sqrt(0.5)
 # build_linear_data keeps operators while their periods sum to at most this;
 # at about 210 bytes per period (dim 2, column of M_p (I - Q) included) that

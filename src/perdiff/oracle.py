@@ -23,14 +23,16 @@ DEDUPE_TOL = 1e-6
 
 
 def residual(problem: Problem, y: np.ndarray) -> np.ndarray:
-    """Cyclic recurrence residual, one entry per t."""
+    """Cyclic recurrence residual, one entry per t. An entry that overflows is
+    +-inf (nan where two overflows cancel), and fails every tolerance."""
     y = np.asarray(y, dtype=float)
     if y.shape != (problem.N,):
         raise ValueError(f"expected {problem.N} values, got shape {y.shape}")
     ts = np.arange(problem.N)
     g_vals = np.asarray(expr.evaluate(problem.g, ts, y), dtype=float)
-    return (np.concatenate([y[2:], y[:2]]) + problem.b * np.concatenate([y[1:], y[:1]])
-            + problem.c * y - g_vals)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.concatenate([y[2:], y[:2]]) + problem.b * np.concatenate([y[1:], y[:1]])
+                + problem.c * y - g_vals)
 
 
 def _jacobian(problem: Problem, y: np.ndarray) -> np.ndarray:
@@ -53,40 +55,45 @@ def newton_solve(problem: Problem, y0: np.ndarray, tol: float = 1e-11,
     """Damped Newton from y0; returns the solution or None on failure.
 
     Success means sup-norm residual <= tol. The damping is Armijo
-    backtracking on the squared residual norm.
+    backtracking on the squared residual norm. A residual that overflows
+    fails: no Newton step is taken from it.
     """
-    y = np.array(y0, dtype=float)
-    for _ in range(max_iter):
+    # near the double range the norms, differences and steps overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.array(y0, dtype=float)
+        for _ in range(max_iter):
+            try:
+                r = residual(problem, y)
+            except expr.DomainError:
+                return None
+            rn = float(np.max(np.abs(r)))
+            if rn <= tol:
+                return y
+            if not np.isfinite(rn):
+                return None
+            f0 = float(r @ r)
+            try:
+                d = np.linalg.solve(_jacobian(problem, y), -r)
+            except (np.linalg.LinAlgError, expr.DomainError):
+                return None
+            s = 1.0
+            while True:
+                try:
+                    r_new = residual(problem, y + s * d)
+                    f_new = float(r_new @ r_new)
+                except expr.DomainError:
+                    f_new = np.inf
+                if f_new <= (1.0 - 1e-4 * s) * f0:
+                    break
+                s *= 0.5
+                if s < 1e-12:
+                    return None
+            y = y + s * d
         try:
             r = residual(problem, y)
         except expr.DomainError:
             return None
-        rn = float(np.max(np.abs(r)))
-        if rn <= tol:
-            return y
-        f0 = float(r @ r)
-        try:
-            d = np.linalg.solve(_jacobian(problem, y), -r)
-        except (np.linalg.LinAlgError, expr.DomainError):
-            return None
-        s = 1.0
-        while True:
-            try:
-                r_new = residual(problem, y + s * d)
-                f_new = float(r_new @ r_new)
-            except expr.DomainError:
-                f_new = np.inf
-            if f_new <= (1.0 - 1e-4 * s) * f0:
-                break
-            s *= 0.5
-            if s < 1e-12:
-                return None
-        y = y + s * d
-    try:
-        r = residual(problem, y)
-    except expr.DomainError:
-        return None
-    return y if float(np.max(np.abs(r))) <= tol else None
+        return y if float(np.max(np.abs(r))) <= tol else None
 
 
 def multistart_search(problem: Problem, n_starts: int, box: float,

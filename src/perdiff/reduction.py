@@ -59,7 +59,6 @@ from .linear import (
     sup_norm,
     _mpiq_g1,
     _read_only,
-    _CHUNK_ENTRIES,
 )
 
 # tolerance and Newton step budget of one auxiliary solve; the bordered
@@ -371,7 +370,7 @@ def _aux_fixed_points(bm: BifurcationMap, x0: np.ndarray) -> tuple[np.ndarray, n
     """Solve the first component of w = M_p (I - Q) F(lift + w) to _AUX_TOL for a stack of lifts.
 
     x0 (m, N) holds the lifts' first components; ``_newton`` solves them
-    unbordered, in chunks of at most linear._CHUNK_ENTRIES Jacobian entries.
+    unbordered, in chunks of at most expr._CHUNK_ENTRIES Jacobian entries.
     Returns (w1, g(x0 + w1)), both (m, N). When a row fails, its error is
     raised once the rows before it are solved; the map counts their steps,
     and the failing row's own when it stalled or ran out of steps, and
@@ -384,7 +383,7 @@ def _aux_fixed_points(bm: BifurcationMap, x0: np.ndarray) -> tuple[np.ndarray, n
     if m == 1 and last is not None and last[0] == x0.tobytes():
         return last[1][None].copy(), last[2][None].copy()
     w1, gv = np.zeros((m, N)), np.empty((m, N))
-    rows = max(1, _CHUNK_ENTRIES // N**2)
+    rows = max(1, expr._CHUNK_ENTRIES // N**2)
     for lo in range(0, m, rows):
         steps, fails = _newton(bm, x0[lo:lo + rows], w1[lo:lo + rows], gv[lo:lo + rows])
         solved = lo + min(fails, default=len(steps))
@@ -708,39 +707,23 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
 # -- regime 2: two-dimensional kernel ----------------------------------------
 
 
-def _over_period(problem: Problem, xs: np.ndarray, radius: float):
-    """g over xs at the t of one period that give its extremes there: for
-    g = h(x) +- p(t) the two where p is least and greatest, for a g that reads
-    no t one (expr.evaluate_at_extremes); else every t, about _CHUNK_ENTRIES
-    samples at a time."""
-    ts = np.arange(problem.N)[:, None]
-    sampled = expr.evaluate_at_extremes(problem.g, ts, xs)
-    if sampled is not None:
-        yield sampled[1]
-        return
-    rows = max(1, _CHUNK_ENTRIES // xs.size)
-    for lo in range(0, problem.N, rows):
-        try:
-            vals = expr.evaluate(problem.g, ts[lo:lo + rows], xs)
-        except expr.DomainError as e:
-            e = _located(problem, np.broadcast_to(xs[:, None], (xs.size, problem.N)), e)
-            raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
-                              diagnostics={"radius": radius}) from None
-        yield vals
-
-
 def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
-    """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup of |g|
-    over every t, from g at the t that give its extremes (_over_period)."""
+    """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup
+    of |g| over every t, from g's least and greatest value over the period
+    at each x (``expr.envelope``). x g(t, x) is monotone in g at each x, so
+    its sign over every t is that of both rows."""
     xs = np.linspace(-100.0, 100.0, 401)
-    K_est, signed = 0.0, np.ones(xs.size, dtype=bool)  # signed: x g(t, x) > 0 at every t
-    for vals in _over_period(problem, xs, radius):
-        K_est = max(K_est, float(np.max(np.abs(vals))))
-        with np.errstate(over="ignore"):  # a product that overflows is +-inf, signed alike
-            signed &= np.all(xs * vals > 0.0, axis=0)
+    try:
+        _, bounds = expr.envelope(problem.g, np.arange(problem.N)[:, None], xs)
+    except expr.DomainError as e:
+        e = _located(problem, np.broadcast_to(xs[:, None], (xs.size, problem.N)), e)
+        raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
+                          diagnostics={"radius": radius}) from None
+    with np.errstate(over="ignore"):  # a product that overflows is +-inf, signed alike
+        signed = np.all(xs * bounds > 0.0, axis=0)
     zhat_est = next((cand for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
                      if signed[np.abs(xs) >= cand].all()), 1.0)
-    return zhat_est, K_est
+    return zhat_est, float(np.max(np.abs(bounds)))
 
 
 def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> SolveReport:

@@ -487,6 +487,37 @@ def test_linear_data_that_overflows_exits_3(command, b, c, N, tmp_path, capsys):
     assert err.count("\n") == 1 and "leaves the double range: overflow" in err
 
 
+# a period or grid of 1e15: its arrays take petabytes, beyond any address
+# space, so numpy refuses them before anything is allocated
+_HUGE = "1000000000000000"
+
+
+@pytest.mark.parametrize("argv", [["classify", "big"], ["solve", "big"],
+                                  ["scan", "--b-range=-2:2:3", "--c", "1", "--N-list", _HUGE],
+                                  ["check", "small", "--theorem", "thm1", "--grid", _HUGE]])
+def test_a_period_or_grid_too_large_to_allocate_exits_3(argv, tmp_path, capsys):
+    # one line naming the allocation, in place of a numpy traceback with exit 1
+    files = {"big": write_problem(tmp_path / "big.json", 0, 2, int(_HUGE), "tanh(x)"),
+             "small": write_problem(tmp_path / "small.json", 0, 2, 3, "tanh(x)")}
+    code = cli.main([files.get(a, a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_SOLVER
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+
+
+def test_verify_of_a_y_whose_residual_overflows_fails_without_a_warning(tmp_path):
+    # the residual at y = 1e308 overflows: it is inf, and fails the check
+    path = write_problem(tmp_path / "p.json", 0, 2, 3, "tanh(x)")
+    sol = tmp_path / "y.json"
+    sol.write_text(json.dumps({"y": [1e308, 1e308, 1e308]}))
+    code, out, err = run_cli("verify", path, str(sol))
+    assert code == cli.EXIT_SOLVER
+    assert err == ""
+    data = json.loads(out)
+    assert data["passed"] is False and data["residual_sup"] == "inf"
+
+
 def test_classify_near_the_double_range_counts_by_a_finite_cutoff(tmp_path, capsys):
     path = write_problem(tmp_path / "big.json", 9e307, 9e307, 3, "tanh(x)")
     assert cli.main(["classify", path]) == cli.EXIT_OK

@@ -1,14 +1,17 @@
-"""The checks and the default dim-2 radius sample a forced g = h(x) +- p(t)
-only at the two t where p is least and greatest (``expr.evaluate_at_extremes``).
+"""The checks and the default dim-2 radius sample g over the period through
+``expr.envelope``, which forms a forced g = h(x) +- p(t) only at the two t
+where p is least and greatest.
 
 Each test compares that path with the evaluation at every t, forced by making
-the helper return None: reports, estimates and error texts must be identical.
+``expr._forcing_split`` return None: reports, estimates and error texts must
+be identical.
 These tests are also run with numpy's SIMD dispatch turned off (see the CI
 workflow), so the bit-identity holds on the baseline kernels too.
 """
 
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -61,7 +64,7 @@ def _outcomes(g, N):
 
 
 def _every_t(monkeypatch):
-    monkeypatch.setattr(expr, "evaluate_at_extremes", lambda *args: None)
+    monkeypatch.setattr(expr, "_forcing_split", lambda node: None)
 
 
 @pytest.mark.parametrize("N", [3, 9, 27])
@@ -111,7 +114,7 @@ def test_the_extremes_raise_the_domain_error_of_every_t(g, message, monkeypatch)
 def shapes(monkeypatch):
     """Shapes of every value of g or of its subtrees that evaluation forms."""
     seen = []
-    ev, evaluate, at_extremes = expr._ev, expr.evaluate, expr.evaluate_at_extremes
+    ev, evaluate, envelope = expr._ev, expr.evaluate, expr.envelope
 
     def recorded_ev(node, t, x):
         out = ev(node, t, x)
@@ -122,14 +125,14 @@ def shapes(monkeypatch):
         seen.append(np.broadcast_shapes(np.shape(t), np.shape(x)))
         return evaluate(node, t, x)
 
-    def recorded_at_extremes(*args):
-        out = at_extremes(*args)
-        seen.extend([] if out is None else [np.shape(v) for v in out])
+    def recorded_envelope(*args):
+        out = envelope(*args)
+        seen.extend(np.shape(v) for v in out)
         return out
 
     monkeypatch.setattr(expr, "_ev", recorded_ev)
     monkeypatch.setattr(expr, "evaluate", recorded_evaluate)
-    monkeypatch.setattr(expr, "evaluate_at_extremes", recorded_at_extremes)
+    monkeypatch.setattr(expr, "envelope", recorded_envelope)
     return seen
 
 
@@ -155,7 +158,7 @@ def test_a_forced_g_is_formed_at_two_t_beyond_the_probe(g, shapes, monkeypatch):
     # the record sees a sample at every t
     shapes.clear()
     with monkeypatch.context() as m:
-        m.setattr(expr, "evaluate_at_extremes", lambda *args: None)
+        _every_t(m)
         _sample_all(g)
     assert _beyond_the_probe(shapes)
 
@@ -165,7 +168,7 @@ def test_a_forced_g_is_formed_at_two_t_beyond_the_probe(g, shapes, monkeypatch):
                                "x*sin(t)-atan(x)"])
 def test_a_g_that_is_not_h_plus_p_is_sampled_at_every_t(g, shapes):
     node = expr.parse(g)
-    assert expr.evaluate_at_extremes(node, np.arange(9.0)[:, None], np.linspace(-1, 1, 11)) is None
+    assert expr._forcing_split(node) is None
     p = make_problem(*_rotation_row(9), g)
     try:
         check_thm2(p, zhat=1.0)
@@ -174,39 +177,84 @@ def test_a_g_that_is_not_h_plus_p_is_sampled_at_every_t(g, shapes):
     assert any(s[0] == 9 and s[1] > _PROBE.size for s in shapes if len(s) == 2)
 
 
-def test_the_extremes_are_rows_of_the_evaluation_at_every_t():
+def _envelope_of_every_t(full, every, rows=None):
+    # the pair envelope gives, from g evaluated at every t
+    ends = full[:rows, every:]
+    return full[:, :every], np.array([ends.min(axis=0), ends.max(axis=0)])
+
+
+def test_the_extremes_are_rows_of_the_evaluation_at_every_t(monkeypatch):
+    # on the forced path the rows of the envelope are rows of the evaluation
+    # at every t; on the every-t path each entry is a value of its column
+    for every_t in (False, True):
+        with monkeypatch.context() as m:
+            if every_t:
+                _every_t(m)
+            _check_envelopes_of_every_t(rows_of_full=not every_t)
+
+
+def _check_envelopes_of_every_t(rows_of_full):
     rng = np.random.default_rng(3)
     for g in _cases(11):
         node = expr.parse(g)
         for _ in range(3):
             ts = np.arange(int(rng.integers(2, 40)))[:, None]
             x = rng.uniform(-60.0, 60.0, int(rng.integers(1, 50)))
-            every = int(rng.integers(0, x.size + 1))
+            every, rows = int(rng.integers(0, x.size + 1)), int(rng.integers(1, ts.size + 1))
             try:
                 full = expr.evaluate(node, ts, x)
-            except expr.DomainError:
-                assert expr.evaluate_at_extremes(node, ts, x, every) is None, g
+            except expr.DomainError as e:
+                with pytest.raises(expr.DomainError, match=re.escape(str(e))):
+                    expr.envelope(node, ts, x, every, rows)
                 continue
-            on_every_t, extremes = expr.evaluate_at_extremes(node, ts, x, every)
+            on_every_t, bounds = expr.envelope(node, ts, x, every, rows)
             assert on_every_t.tobytes() == full[:, :every].tobytes(), g
-            assert all((full[:, every:] == row).all(axis=1).any() for row in extremes), g
-            for reduce in (np.min, np.max):
-                assert (reduce(extremes, axis=0) == reduce(full[:, every:], axis=0)).all(), g
+            assert all((full[:rows, every:] == row).any(axis=0).all() for row in bounds), g
+            _, want = _envelope_of_every_t(full, every, rows)
+            for reduce, k in ((np.min, 0), (np.max, 1)):
+                assert (reduce(bounds, axis=0) == want[k]).all(), g
+            if rows_of_full:
+                assert all((full[:rows, every:] == row).all(axis=1).any() for row in bounds), g
+
+
+@pytest.mark.parametrize("g", ["tanh(x*cos(t))", "x*sin(t)-atan(x)", "8e307*tanh(x)*(1+cos(t))",
+                               "tanh(x)*(1+0.1*cos(t))"])
+@pytest.mark.parametrize("entries", [1, 5, 4 * 11 + 3, 1 << 16])
+def test_the_envelope_at_every_t_does_not_depend_on_the_chunk(g, entries, monkeypatch):
+    # bitwise the [min; max] of one evaluation over every t, the rows past
+    # t[:rows] evaluated but not read
+    node, ts, x = expr.parse(g), np.arange(37.0)[:, None], np.linspace(-3.0, 3.0, 11)
+    full = expr.evaluate(node, ts, x)
+    monkeypatch.setattr(expr, "_CHUNK_ENTRIES", entries)
+    for every, rows in [(0, None), (4, 30), (11, 1), (3, 37)]:
+        got = expr.envelope(node, ts, x, every, rows)
+        want = _envelope_of_every_t(full, every, rows)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+def test_the_envelope_raises_the_domain_error_of_a_later_chunk(monkeypatch):
+    # g leaves its domain only at t = 30, a row past t[:rows] and past the first chunks
+    node, ts, x = expr.parse("ln(x+40-t)*cos(t)"), np.arange(31.0)[:, None], np.linspace(-10, 10, 9)
+    monkeypatch.setattr(expr, "_CHUNK_ENTRIES", 18)
+    with pytest.raises(expr.DomainError, match="ln of a non-positive value"):
+        expr.envelope(node, ts, x, 2, 5)
 
 
 def test_the_corollary_takes_the_extremes_over_one_period():
     # p is greatest at t = N, a row the corollary evaluates but does not read
     node, ts, x = expr.parse("tanh(x)+1e-14*t"), np.arange(6.0)[:, None], np.linspace(1, 2, 4)
-    _, extremes = expr.evaluate_at_extremes(node, ts, x, 0, 5)
+    _, extremes = expr.envelope(node, ts, x, 0, 5)
     assert (extremes == expr.evaluate(node, ts[[0, 4]], x)).all()
 
 
 def test_a_forcing_that_overflows_past_the_rows_read_takes_every_t():
     # evaluation at every t raises; the extremes of t[:1] alone would not
     node, ts, x = expr.parse("tanh(x)+exp(1000*t)"), np.arange(3.0)[:, None], np.linspace(-1, 1, 5)
-    with pytest.raises(expr.DomainError):
+    with pytest.raises(expr.DomainError) as every_t:
         expr.evaluate(node, ts, x)
-    assert expr.evaluate_at_extremes(node, ts, x, 0, 1) is None
+    with pytest.raises(expr.DomainError) as enveloped:
+        expr.envelope(node, ts, x, 0, 1)
+    assert str(enveloped.value) == str(every_t.value)
 
 
 def test_the_sign_condition_is_its_smallest_product():

@@ -434,6 +434,30 @@ def test_thm2_requires_dim2_and_odd_period():
         check_thm2(make_problem(0, 1, 4, "tanh(x)"), zhat=1.0)  # dim 2 but even N
 
 
+@pytest.mark.parametrize("theorem", ["thm1", "thm2", "cor"])
+def test_a_check_at_every_t_holds_no_sample_of_the_whole_period(theorem):
+    # a g that is not h(x) +- p(t) is sampled at every t; one (N, ~610)
+    # sample at N = 16385 would be 80 MB, and its temporaries more. Only the
+    # probe's 7 columns are kept at every t
+    N = 16385
+    g = f"tanh(x*cos(2*pi*t/{N}))"
+    rotation = (-2.0 * math.cos(2.0 * math.pi / N), 1.0, N)
+    run = {"thm1": lambda: check_thm1(make_problem(0, 2, N, g), r=10.0, zhat=1.0),
+           "thm2": lambda: check_thm2(make_problem(*rotation, g), zhat=1.0),
+           "cor": lambda: check_corollary(make_problem(*rotation, g), R=1.0)}[theorem]
+    tracemalloc.start()
+    try:
+        try:
+            overall = run().overall
+        except NotApplicableError:  # the corollary, once g is seen to read t
+            overall = None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert overall is {"thm1": False, "thm2": False, "cor": None}[theorem]
+    assert peak < 16 * 8 * expr._CHUNK_ENTRIES
+
+
 # -- report mechanics ---------------------------------------------------------------
 
 

@@ -91,3 +91,22 @@ def test_multistart_argument_validation():
         multistart_search(p, 0, 1.0)
     with pytest.raises(ValueError):
         multistart_search(p, 1, 0.0)
+
+
+@pytest.mark.parametrize("y", [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308], [-1.7e308, 0.0, 1e308]])
+def test_a_y_whose_residual_overflows_fails_the_oracle(y):
+    # under the error filter for RuntimeWarning an overflow raised; the
+    # residual overflows to inf, which fails every tolerance
+    p = make_problem(0, 2, 3, "tanh(x)")
+    y = np.array(y)
+    assert not np.isfinite(residual(p, y)).all()
+    assert check_solution(p, y) is False
+    assert newton_solve(p, y) is None
+
+
+def test_newton_runs_on_when_the_squared_residual_overflows():
+    # |r| near 1e154: r @ r overflows to inf, the full step is taken, and
+    # Newton finds the zero solution of the linear problem
+    p = make_problem(2.0, 0.5, 3, "x")
+    y = newton_solve(p, np.array([9.66029843e153, 5.57466317e153, 8.64507559e153]))
+    assert y is not None and check_solution(p, y)

@@ -1065,19 +1065,42 @@ def _unchunked_bounds(problem):
 
 
 @pytest.mark.parametrize("g", ["tanh(x)+0.1*cos(2*pi*t/9)", "atan(x)+3*cos(2*pi*t/9+0.4)",
-                               "tanh(x-3)", "0.5", "x/(1+abs(x))+0.9*sin(t)"])
+                               "tanh(x-3)", "0.5", "x/(1+abs(x))+0.9*sin(t)",
+                               "tanh(x)*(1+0.5*cos(2*pi*t/9))"])
 @pytest.mark.parametrize("entries", [1, 2 * 401, 4 * 401 + 7, 1 << 16])
 def test_default_radius_estimates_do_not_depend_on_the_chunk(g, entries, monkeypatch):
     p = make_problem(*_rotation_row(9), g)
-    monkeypatch.setattr(reduction, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(expr, "_CHUNK_ENTRIES", entries)
     assert reduction._estimate_bounds(p, 0.0) == _unchunked_bounds(p)
+
+
+def _check_outcome(run):
+    try:
+        return repr(run().as_dict())
+    except Exception as e:  # the error text is part of the outcome
+        return f"{type(e).__name__}: {e}"
+
+
+@pytest.mark.parametrize("g", ["tanh(x*cos(2*pi*t/9))", "x*sin(t)-atan(x)", "ln(x+200-30*t)",
+                               "atan(x)*(1+0*cos(t))", "8e307*tanh(x)*(1+cos(t))"])
+def test_check_outcomes_do_not_depend_on_the_chunk(g, monkeypatch):
+    # a g that is not h(x) +- p(t) is sampled at every t, in chunks of about
+    # _CHUNK_ENTRIES samples; the reports and error texts do not depend on it
+    dim0, rot = make_problem(0, 2, 9, g), make_problem(*_rotation_row(9), g)
+    runs = [lambda: check_thm1(dim0, r=10.0, zhat=1.0), lambda: check_thm2(rot, zhat=1.0),
+            lambda: check_corollary(rot, R=1.0)]
+    outcomes = []
+    for entries in (1, 2 * 401, 1 << 16):
+        monkeypatch.setattr(expr, "_CHUNK_ENTRIES", entries)
+        outcomes.append([_check_outcome(run) for run in runs])
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 @pytest.mark.parametrize("entries", [1, 3 * 401, 1 << 16])
 def test_default_radius_estimates_name_the_same_domain_error_in_chunks(entries, monkeypatch):
     # ln(x + 200 - 30 t) first leaves its domain at t = 4, in a later chunk
     p = make_problem(*_rotation_row(9), "ln(x+200-30*t)")
-    monkeypatch.setattr(reduction, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(expr, "_CHUNK_ENTRIES", entries)
     with pytest.raises(SolverError) as info:
         reduction._estimate_bounds(p, 0.0)
     assert str(info.value) == ("the default radius samples g on [-100, 100] at every t: "
