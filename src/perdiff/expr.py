@@ -395,52 +395,44 @@ def _forcing_split(node: Node):
     return None
 
 
-def envelope(node: Node, t, x, every: int = 0, rows: int | None = None):
-    """(g over x[:every] at every t, bounds): at each x of x[every:], the rows
-    of bounds hold the least and the greatest g over t[:rows]. t is a column
-    of times, x one grid, and each value is bitwise one of
+def envelope(node: Node, t, x) -> np.ndarray:
+    """At each x of the grid x, the least and the greatest g over the column
+    of times t, as the rows of one array; each value is bitwise one of
     ``evaluate(node, t, x)``.
 
     For g = h(x) + p(t), h(x) - p(t), p(t) + h(x) or p(t) - h(x), where h
     reads no t and p no x, h is evaluated once over x and p once over t, and
-    bounds is g at the two t of t[:rows] where p is least and greatest.
-    Rounding is monotone, so at each x they give g's extremes over t[:rows],
-    and every overflow. A g that reads no t gives one row. Any other g, and
-    one whose h or p leaves its domain or is not finite at some x or t, is
-    evaluated at every t, about _CHUNK_ENTRIES samples at a time, and bounds
-    is its [min; max] over t[:rows]; a DomainError there is raised.
+    the rows are g at the two t where p is least and greatest. Rounding is
+    monotone, so at each x they give g's extremes over t, and every
+    overflow. A g that reads no t gives one row. Any other g, and one whose
+    h or p leaves its domain or is not finite at some x or t, is evaluated
+    at every t, about _CHUNK_ENTRIES samples at a time, and the rows are its
+    [min; max] over t; a DomainError there is raised.
     """
-    def form(h_values, p_values):
-        a, b = (h_values, p_values) if p_right else (p_values, h_values)
-        return a + b if node.op == "+" else a - b
-
-    def shaped(value, shape):
-        return value if np.shape(value) == shape else np.broadcast_to(value, shape)
-
     tv, xv = _operands(t, x)
     split = _forcing_split(node)
     with np.errstate(all="ignore"), contextlib.suppress(DomainError):
         if split is not None:
             h_node, p_node, p_right = split
-            h = shaped(_ev(h_node, tv, xv), xv.shape)
+            h = _ev(h_node, tv, xv)
+            if np.shape(h) != xv.shape:  # h reads no x
+                h = np.broadcast_to(h, xv.shape)
             if p_node is None:
-                parts = [np.broadcast_to(h[:every], (len(tv), every)), h[None, every:]]
+                bounds = h[None]
             else:
-                p = shaped(_ev(p_node, tv, xv), tv.shape)
-                ends = np.array([p[:rows].min(), p[:rows].max()])[:, None]
-                parts = [form(h[:every], p), form(h[every:], ends), p]
-            if all(np.isfinite(v).all() for v in parts):
-                return parts[0], parts[1]
-    on_every_t = np.empty((len(tv), every))
-    bounds = np.repeat([[np.inf], [-np.inf]], xv.size - every, axis=1)
-    read, step = len(tv[:rows]), max(1, _CHUNK_ENTRIES // xv.size)
+                p = _ev(p_node, tv, xv)
+                ends = np.array([p.min(), p.max()])[:, None]
+                a, b = (h, ends) if p_right else (ends, h)
+                bounds = a + b if node.op == "+" else a - b
+            if np.isfinite(bounds).all():
+                return bounds
+    bounds = np.repeat([[np.inf], [-np.inf]], xv.size, axis=1)
+    step = max(1, _CHUNK_ENTRIES // xv.size)
     for lo in range(0, len(tv), step):
         values = evaluate(node, tv[lo:lo + step], xv)
-        on_every_t[lo:lo + step] = values[:, :every]
-        if lo < read:
-            np.minimum(bounds[0], values[:read - lo, every:].min(axis=0), out=bounds[0])
-            np.maximum(bounds[1], values[:read - lo, every:].max(axis=0), out=bounds[1])
-    return on_every_t, bounds
+        np.minimum(bounds[0], values.min(axis=0), out=bounds[0])
+        np.maximum(bounds[1], values.max(axis=0), out=bounds[1])
+    return bounds
 
 
 def evaluate(node: Node, t, x) -> float | np.ndarray:

@@ -12,9 +12,10 @@ verdicts are flagged as such in the report, and the 5% inflation of
 suprema / deflation of infima only ever pushes a verdict toward "fail",
 so a reported pass under-claims relative to the true bounds. Reports are
 pure functions of their inputs, with no random sampling, hence bit-for-bit
-reproducible. Each checker samples g in two passes, each over several x
-grids joined together; if g leaves its domain there, the grids are
-evaluated one at a time so the error is that of the first grid to fail.
+reproducible. Each checker samples g in one fixed order: a small probe of
+x values over t, for the periodicity (or t-independence) test, then the
+corollary's growth windows at t = 0, then the x grids joined together. If
+g leaves its domain, the error is that of the first of these to fail.
 
 The hypotheses quantify over every t, and each reads g over the period
 only through its least and greatest value at each x: a sup of |g|, an inf
@@ -23,7 +24,7 @@ keeps those two rows. For the forced form g = h(x) +- p(t) they are g at
 the two t where p is least and greatest, for a g that reads no t one row;
 any other g is evaluated at every t a chunk at a time. Every value read is
 bitwise one of the full evaluation, and memory does not grow with N beyond
-the probe's N rows.
+the probe's few values per t.
 """
 
 from __future__ import annotations
@@ -131,70 +132,40 @@ def _split(values: np.ndarray, grids: list) -> list:
 _PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
 
 
-def _on_probe_and_grids(g: expr.Node, ts: np.ndarray, grids: list, rows: int | None = None):
-    """g on the probe at every t of the column ts, and on each x grid the
-    least and the greatest g over ts[:rows] (rows of ``expr.envelope``), from
-    one envelope of the probe and the grids joined."""
-    probe, bounds = expr.envelope(g, ts, np.concatenate([_PROBE, *grids]), _PROBE.size, rows)
-    return probe, _split(bounds, grids)
-
-
 def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
-    """Whether g is N-periodic in t at the probe x values, and on each x grid
-    g's least and greatest value over one period t = 0..N-1
-    (``_on_probe_and_grids``), with one evaluation of g over the probe at
-    t + N.
-
-    If either raises DomainError, the probe at t, the probe at t + N and each
-    grid are evaluated one at a time, at every t, in that order, so the
-    error raised is the first that evaluating them separately meets.
-    """
-    g, ts = problem.g, np.arange(problem.N)[:, None]
-    try:
-        probe, values = _on_probe_and_grids(g, ts, grids)
-        shifted = expr.evaluate(g, ts + problem.N, _PROBE)
-    except expr.DomainError:
-        probe, shifted, *values = (expr.evaluate(g, t, x) for t, x in
-                                   [(ts, _PROBE), (ts + problem.N, _PROBE)]
-                                   + [(ts, x) for x in grids])
-    periodic = np.all(np.max(np.abs(probe - shifted), axis=1)
-                      <= tol * (1.0 + np.max(np.abs(probe), axis=1)))
-    return bool(periodic), values
+    """Whether g is N-periodic in t at the probe x values, from one
+    evaluation of g over the probe at t = 0..2N-1, then on each x grid g's
+    least and greatest value over one period t = 0..N-1, from one
+    ``expr.envelope`` of the grids joined. The probe is evaluated first, so
+    its DomainError comes before any grid's."""
+    g, N = problem.g, problem.N
+    probe = expr.evaluate(g, np.arange(2 * N)[:, None], _PROBE)
+    with np.errstate(over="ignore"):  # a difference that overflows is inf
+        periodic = np.all(np.max(np.abs(probe[:N] - probe[N:]), axis=1)
+                          <= tol * (1.0 + np.max(np.abs(probe[:N]), axis=1)))
+    bounds = expr.envelope(g, np.arange(N)[:, None], np.concatenate(grids))
+    return bool(periodic), _split(bounds, grids)
 
 
 def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e-12):
     """g at t = 0 on each window, and on each grid g's least and greatest
-    value over one period t = 0..N-1 (``_on_probe_and_grids``; one row for a
-    g that reads no t), once g is seen independent of t at the probe x values
-    (NotApplicableError if not): one evaluation of g at t = 0 over the probe
-    and the windows, one envelope at t = 0..N over the probe and the grids
-    (the grids' row t = N unread).
-
-    If either raises DomainError, g is evaluated one piece at a time, in this
-    order: the probe at t = 0, at t = 1..N (then the independence check),
-    each window, each grid at every t. So the error raised is the first that
-    evaluating them separately meets.
+    value over one period t = 0..N-1 (one row for a g that reads no t), once
+    g is seen independent of t at the probe x values (NotApplicableError if
+    not). g is evaluated in this order: the probe at t = 0..N (then the
+    independence check), the windows joined at t = 0, one ``expr.envelope``
+    of the grids joined. So a DomainError comes from the first of these to
+    fail, and a g that depends on t is found before any window is sampled.
     """
-    g, ts = problem.g, np.arange(problem.N + 1)[:, None]
-    try:
-        base, *on_windows = _split(expr.evaluate(g, 0, np.concatenate([_PROBE, *windows])),
-                                   [_PROBE, *windows])
-        probe, on_grids = _on_probe_and_grids(g, ts, grids, problem.N)
-        later = probe[1:]
-    except expr.DomainError:
-        base, later = expr.evaluate(g, 0, _PROBE), expr.evaluate(g, ts[1:], _PROBE)
-        _require_t_free(base, later, tol)
-        on_windows = [expr.evaluate(g, 0, x) for x in windows]
-        on_grids = [expr.evaluate(g, ts[:-1], x) for x in grids]
-    _require_t_free(base, later, tol)
-    return on_windows, on_grids
-
-
-def _require_t_free(base: np.ndarray, later: np.ndarray, tol: float) -> None:
-    # g at t = 1..N against g at t = 0, on the probe; a difference that overflows is inf
+    g, N = problem.g, problem.N
+    probe = expr.evaluate(g, np.arange(N + 1)[:, None], _PROBE)
+    # g at t = 1..N against g at t = 0; a difference that overflows is inf
     with np.errstate(over="ignore"):
-        if not np.all(np.max(np.abs(later - base), axis=1) <= tol * (1.0 + np.max(np.abs(base)))):
+        if not np.all(np.max(np.abs(probe[1:] - probe[0]), axis=1)
+                      <= tol * (1.0 + np.max(np.abs(probe[0])))):
             raise NotApplicableError("the corollary requires g independent of t")
+    on_windows = _split(expr.evaluate(g, 0, np.concatenate(windows)), windows)
+    bounds = expr.envelope(g, np.arange(N)[:, None], np.concatenate(grids))
+    return on_windows, _split(bounds, grids)
 
 
 def _sign_condition(xs: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray) -> tuple[bool, float]:
@@ -413,11 +384,16 @@ def check_thm2(problem: Problem, zhat: float, grid: int = 201,
         sampled infimum, deflated 5%);
     C3: the rotation count r of the kernel satisfies
         N / gcd(r, N) >= max(3, K/J + 1).
+
+    K and J are sampled on [-xmax, xmax] and [zhat, xmax]; an xmax below
+    zhat is a ValueError.
     """
     _check_args(grid, problem.N, zhat=zhat, xmax=xmax)
     name = "xmax"
     if xmax is None:
         name, xmax = "zhat", max(100.0, 100.0 * zhat)
+    elif xmax < zhat:  # C2 would sample only below zhat
+        raise ValueError(f"xmax must be at least zhat, got {xmax:g} < {zhat:g}")
     _check_spans((name, -xmax, xmax))
     ld = build_linear_data(problem)
     if ld.resonance.dim != 2:

@@ -460,9 +460,11 @@ def winding_of_map(fn, radius: float, samples: int = 8) -> int:
     round's new circle points, and returns their (k, 2) images. Raises
     BoundaryZeroError if an image point (relative to the largest) is
     numerically zero, and ConvergenceError if refinement never settles.
+    The image points are scaled by one power of two, which is exact, so
+    their cross and dot products neither overflow nor underflow.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be finite and positive")
     m = max(8, int(samples))
     vals = np.empty((0, 2))
     while m <= _WINDING_MAX_SAMPLES:
@@ -474,15 +476,16 @@ def winding_of_map(fn, radius: float, samples: int = 8) -> int:
         if new.shape != points.shape:
             raise ValueError(f"fn returned shape {new.shape} for {points.shape} points")
         vals = np.stack([vals, new], axis=1).reshape(m, 2) if len(vals) else new
-        mags = np.linalg.norm(vals, axis=1)
+        unit = np.ldexp(vals, -math.frexp(float(np.abs(vals).max()))[1])  # entries below 1
+        mags = np.hypot(unit[:, 0], unit[:, 1])
         scale = float(np.max(mags))
         if scale == 0.0 or np.any(mags < 1e-8 * scale):
             raise BoundaryZeroError(
                 f"map vanishes on the circle of radius {radius}; degree undefined"
             )
-        nxt = np.concatenate([vals[1:], vals[:1]])
-        cross = vals[:, 0] * nxt[:, 1] - vals[:, 1] * nxt[:, 0]
-        dot = np.sum(vals * nxt, axis=1)
+        nxt = np.concatenate([unit[1:], unit[:1]])
+        cross = unit[:, 0] * nxt[:, 1] - unit[:, 1] * nxt[:, 0]
+        dot = np.sum(unit * nxt, axis=1)
         dang = np.arctan2(cross, dot)
         if float(np.max(np.abs(dang))) < 0.5 * math.pi:
             turns = float(np.sum(dang)) / (2.0 * math.pi)
@@ -714,7 +717,7 @@ def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
     its sign over every t is that of both rows."""
     xs = np.linspace(-100.0, 100.0, 401)
     try:
-        _, bounds = expr.envelope(problem.g, np.arange(problem.N)[:, None], xs)
+        bounds = expr.envelope(problem.g, np.arange(problem.N)[:, None], xs)
     except expr.DomainError as e:
         e = _located(problem, np.broadcast_to(xs[:, None], (xs.size, problem.N)), e)
         raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
@@ -732,6 +735,12 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
     if radius <= 0.0:
         zhat_est, K_est = _estimate_bounds(problem, radius)
         radius = 10.0 * (zhat_est + bm.norm_upper * K_est)
+        if not math.isfinite(radius):
+            raise SolverError(
+                "the default radius 10 * (zhat_est + norm_upper * K_est) overflows "
+                "the double range; pass a finite radius",
+                diagnostics={"zhat_est": zhat_est, "K_est": K_est,
+                             "norm_upper": bm.norm_upper})
 
     sweep = 0  # circle points the winding sweep evaluated the map at
 
@@ -799,10 +808,10 @@ def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
       method keeps the sign-change bracket down to width 1e-12 * r.
     * dim 2: winding-number evidence plus the bordered Newton from seeds.
       With radius <= 0 a heuristic default 10 * (zhat_est + ||M_p(I-Q)|| *
-      K_est) is used, both estimates sampled from g. Seeds are the grid x
-      grid points of the square inscribed in the search disk, tried
-      closest to the origin first; the first root that reproduces the
-      recurrence to tol wins.
+      K_est) is used, both estimates sampled from g (SolverError where it
+      overflows the double range). Seeds are the grid x grid points of
+      the square inscribed in the search disk, tried closest to the origin
+      first; the first root that reproduces the recurrence to tol wins.
 
     ``iterations`` counts the work: ``newton`` the bordered Newton steps
     (dims 1 and 2, every seed's), ``bisection`` the bifurcation function

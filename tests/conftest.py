@@ -13,14 +13,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def subprocess_env():
-    """The environment with this checkout's src first on PYTHONPATH.
+    """The environment with this checkout's src first on PYTHONPATH, and
+    RuntimeWarnings turned into errors.
 
-    pytest's ``pythonpath`` setting reaches only its own process; child
-    interpreters (``python -m perdiff``, the demos) need it here.
+    pytest's ``pythonpath`` and ``filterwarnings`` settings reach only its
+    own process; child interpreters (``python -m perdiff``, the demos) need
+    them here.
     """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
 
 

@@ -127,7 +127,7 @@ def shapes(monkeypatch):
 
     def recorded_envelope(*args):
         out = envelope(*args)
-        seen.extend(np.shape(v) for v in out)
+        seen.append(np.shape(out))
         return out
 
     monkeypatch.setattr(expr, "_ev", recorded_ev)
@@ -163,10 +163,12 @@ def test_a_forced_g_is_formed_at_two_t_beyond_the_probe(g, shapes, monkeypatch):
     assert _beyond_the_probe(shapes)
 
 
-@pytest.mark.parametrize("g", ["tanh(x*cos(t))", "ln(x+200-30*t)", "tanh(x)+0.1*cos(t)+0.5",
+@pytest.mark.parametrize("g", ["tanh(x*cos(t))", "ln(x+110-2*t)", "tanh(x)+0.1*cos(t)+0.5",
                                "tanh(x)*(1+0.1*cos(t))", "tanh(x)+0.1*x*cos(t)",
                                "x*sin(t)-atan(x)"])
 def test_a_g_that_is_not_h_plus_p_is_sampled_at_every_t(g, shapes):
+    # ln(x+110-2*t) is defined on the probe at t = 0..17 and leaves its
+    # domain on the grids, which are still sampled at every t
     node = expr.parse(g)
     assert expr._forcing_split(node) is None
     p = make_problem(*_rotation_row(9), g)
@@ -177,10 +179,9 @@ def test_a_g_that_is_not_h_plus_p_is_sampled_at_every_t(g, shapes):
     assert any(s[0] == 9 and s[1] > _PROBE.size for s in shapes if len(s) == 2)
 
 
-def _envelope_of_every_t(full, every, rows=None):
-    # the pair envelope gives, from g evaluated at every t
-    ends = full[:rows, every:]
-    return full[:, :every], np.array([ends.min(axis=0), ends.max(axis=0)])
+def _envelope_of_every_t(full):
+    # the rows envelope gives, from g evaluated at every t
+    return np.array([full.min(axis=0), full.max(axis=0)])
 
 
 def test_the_extremes_are_rows_of_the_evaluation_at_every_t(monkeypatch):
@@ -200,60 +201,65 @@ def _check_envelopes_of_every_t(rows_of_full):
         for _ in range(3):
             ts = np.arange(int(rng.integers(2, 40)))[:, None]
             x = rng.uniform(-60.0, 60.0, int(rng.integers(1, 50)))
-            every, rows = int(rng.integers(0, x.size + 1)), int(rng.integers(1, ts.size + 1))
             try:
                 full = expr.evaluate(node, ts, x)
             except expr.DomainError as e:
                 with pytest.raises(expr.DomainError, match=re.escape(str(e))):
-                    expr.envelope(node, ts, x, every, rows)
+                    expr.envelope(node, ts, x)
                 continue
-            on_every_t, bounds = expr.envelope(node, ts, x, every, rows)
-            assert on_every_t.tobytes() == full[:, :every].tobytes(), g
-            assert all((full[:rows, every:] == row).any(axis=0).all() for row in bounds), g
-            _, want = _envelope_of_every_t(full, every, rows)
+            bounds = expr.envelope(node, ts, x)
+            assert all((full == row).any(axis=0).all() for row in bounds), g
+            want = _envelope_of_every_t(full)
             for reduce, k in ((np.min, 0), (np.max, 1)):
                 assert (reduce(bounds, axis=0) == want[k]).all(), g
             if rows_of_full:
-                assert all((full[:rows, every:] == row).all(axis=1).any() for row in bounds), g
+                assert all((full == row).all(axis=1).any() for row in bounds), g
 
 
 @pytest.mark.parametrize("g", ["tanh(x*cos(t))", "x*sin(t)-atan(x)", "8e307*tanh(x)*(1+cos(t))",
                                "tanh(x)*(1+0.1*cos(t))"])
 @pytest.mark.parametrize("entries", [1, 5, 4 * 11 + 3, 1 << 16])
 def test_the_envelope_at_every_t_does_not_depend_on_the_chunk(g, entries, monkeypatch):
-    # bitwise the [min; max] of one evaluation over every t, the rows past
-    # t[:rows] evaluated but not read
+    # bitwise the [min; max] of one evaluation over every t, for a column of
+    # one t, of a part of a chunk and of several chunks
     node, ts, x = expr.parse(g), np.arange(37.0)[:, None], np.linspace(-3.0, 3.0, 11)
     full = expr.evaluate(node, ts, x)
     monkeypatch.setattr(expr, "_CHUNK_ENTRIES", entries)
-    for every, rows in [(0, None), (4, 30), (11, 1), (3, 37)]:
-        got = expr.envelope(node, ts, x, every, rows)
-        want = _envelope_of_every_t(full, every, rows)
-        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    for rows in (37, 30, 1):
+        got = expr.envelope(node, ts[:rows], x)
+        assert got.tobytes() == _envelope_of_every_t(full[:rows]).tobytes()
 
 
 def test_the_envelope_raises_the_domain_error_of_a_later_chunk(monkeypatch):
-    # g leaves its domain only at t = 30, a row past t[:rows] and past the first chunks
+    # g leaves its domain only at t = 30, the last row, past the first chunks
     node, ts, x = expr.parse("ln(x+40-t)*cos(t)"), np.arange(31.0)[:, None], np.linspace(-10, 10, 9)
     monkeypatch.setattr(expr, "_CHUNK_ENTRIES", 18)
     with pytest.raises(expr.DomainError, match="ln of a non-positive value"):
-        expr.envelope(node, ts, x, 2, 5)
+        expr.envelope(node, ts, x)
 
 
 def test_the_corollary_takes_the_extremes_over_one_period():
-    # p is greatest at t = N, a row the corollary evaluates but does not read
-    node, ts, x = expr.parse("tanh(x)+1e-14*t"), np.arange(6.0)[:, None], np.linspace(1, 2, 4)
-    _, extremes = expr.envelope(node, ts, x, 0, 5)
-    assert (extremes == expr.evaluate(node, ts[[0, 4]], x)).all()
+    # p is greatest at t = N, a row the corollary's probe evaluates but its
+    # grids do not: C2* is the sign test over t = 0..N-1 alone
+    g, N = "tanh(x)+1e-14*t", 5
+    report = check_corollary(make_problem(-1.2, 1, N, g), R=1.0)
+    node, xs, ts = expr.parse(g), np.linspace(1.0, 11.0, 201)[1:], np.arange(N + 1)[:, None]
+
+    def worst(t):
+        return min(float(np.min(xs * expr.evaluate(node, t, xs))),
+                   float(np.min(-xs * expr.evaluate(node, t, -xs))))
+
+    assert report.condition("C2*").quantities["min_x_times_h"] == worst(ts[:N]) != worst(ts)
 
 
 def test_a_forcing_that_overflows_past_the_rows_read_takes_every_t():
-    # evaluation at every t raises; the extremes of t[:1] alone would not
+    # evaluation at every t raises from t = 1 on; g at t = 0 alone is finite
     node, ts, x = expr.parse("tanh(x)+exp(1000*t)"), np.arange(3.0)[:, None], np.linspace(-1, 1, 5)
+    assert np.isfinite(expr.envelope(node, ts[:1], x)).all()
     with pytest.raises(expr.DomainError) as every_t:
         expr.evaluate(node, ts, x)
     with pytest.raises(expr.DomainError) as enveloped:
-        expr.envelope(node, ts, x, 0, 1)
+        expr.envelope(node, ts, x)
     assert str(enveloped.value) == str(every_t.value)
 
 

@@ -309,6 +309,15 @@ def test_checks_sample_a_range_just_inside_the_double_range():
     assert [rep.condition(c).passed for rep, c in zip(reports, ["C2", "C2", "C2*"])] == [True] * 3
 
 
+@pytest.mark.parametrize("g, periodic", [("1.7e308*tanh(x)*cos(t)", False),
+                                         ("1.7e308*tanh(x)*cos(2*pi*t/3)", True)])
+def test_the_periodicity_test_of_a_g_near_the_double_range(g, periodic):
+    # g at t and at t + N may differ by more than the double range: the
+    # difference is inf, and no warning escapes
+    report = check_thm1(make_problem(0, 2, 3, g), r=10.0, zhat=1.0)
+    assert report.condition("C1").quantities["g_periodic_in_t"] is periodic
+
+
 def test_split_gives_the_blocks_of_np_split():
     values = np.arange(24.0).reshape(2, 12)
     for grids in ([np.zeros(5), np.zeros(0), np.zeros(7)], [np.zeros(0), np.zeros(12)],
@@ -353,7 +362,7 @@ _CHECKS = {
 
 
 @pytest.mark.parametrize("theorem", sorted(_CHECKS))
-def test_a_checker_raises_the_error_of_the_first_grid_that_fails(theorem):
+def test_a_checker_raises_the_error_of_the_probe_before_the_grids(theorem):
     # ln(x+30) leaves its domain on the wide x windows, 1/x at the probe
     # point x = 0, which is sampled first; one evaluation over both would
     # name ln, the node it walks first
@@ -363,6 +372,25 @@ def test_a_checker_raises_the_error_of_the_first_grid_that_fails(theorem):
     with pytest.raises(expr.DomainError) as err:
         _CHECKS[theorem](g)
     assert type(err.value) is expr.DomainError and str(err.value) == "division by zero"
+
+
+@pytest.mark.parametrize("check, g", [
+    # 1/(x-40) fails on the grid x in (1, 40], ln(x+30) on its mirror
+    # [-40, -1): evaluated one grid at a time they gave "division by zero"
+    (lambda g: check_thm1(make_problem(0, 2, 3, g), r=10.0, zhat=1.0), "ln(x+30)+1/(x-40)"),
+    # on the probe, 1/(t-5) fails at t = 5 and ln(30-t*x) only at t + N:
+    # evaluated one period at a time they gave "division by zero"
+    (lambda g: check_thm1(make_problem(0, 2, 9, g), r=10.0, zhat=1.0),
+     "tanh(x)+0*ln(30-t*x)+1/(t-5)"),
+    (lambda g: check_thm2(make_problem(-2.0 * math.cos(2.0 * math.pi / 9), 1, 9, g), zhat=1.0),
+     "tanh(x)+0*ln(30-t*x)+1/(t-5)"),
+], ids=["thm1-grids", "thm1-probe", "thm2-probe"])
+def test_a_checker_raises_the_error_of_each_joined_evaluation(check, g):
+    # the grids are evaluated together, as is the probe over both periods:
+    # the error is that of the node that evaluation walks first
+    with pytest.raises(expr.DomainError) as err:
+        check(g)
+    assert type(err.value) is expr.DomainError and str(err.value) == "ln of a non-positive value"
 
 
 def test_a_corollary_time_dependence_is_found_before_a_domain_error():
@@ -387,7 +415,7 @@ def test_a_theorem_that_does_not_apply_raises_not_applicable(check):
 
 def test_the_corollary_ignores_g_where_it_does_not_sample():
     # 0*ln(30 - t*x) is 0 wherever the corollary samples, but leaves its
-    # domain at t = N = 3 for x >= 10, a row its joined evaluation also
+    # domain at t = N = 3 for x >= 10, a row only its probe (|x| <= 3.2)
     # covers: the report is that of tanh(x)
     assert (_CHECKS["cor"]("tanh(x)+0*ln(30-t*x)").as_dict()
             == _CHECKS["cor"]("tanh(x)").as_dict())
@@ -427,6 +455,16 @@ def test_thm2_fails_for_tiny_zhat():
     assert not rep.overall
 
 
+def test_thm2_refuses_an_xmax_below_zhat():
+    # g(t, x) = -x past |x| = 3, so C2 fails there; an xmax below zhat would
+    # sample C2 only on [xmax, zhat], where it holds
+    p = make_problem(*_ROTATION_5, "x*sign(3-abs(x))")
+    assert not check_thm2(p, zhat=2.0).condition("C2").passed
+    with pytest.raises(ValueError, match=r"^xmax must be at least zhat"):
+        check_thm2(p, zhat=2.0, xmax=1.0)
+    assert check_thm2(p, zhat=2.0, xmax=2.0).condition("C2").passed  # samples x = zhat only
+
+
 def test_thm2_requires_dim2_and_odd_period():
     with pytest.raises(ValueError):
         check_thm2(make_problem(0, 2, 3, "tanh(x)"), zhat=1.0)
@@ -455,6 +493,21 @@ def test_a_check_at_every_t_holds_no_sample_of_the_whole_period(theorem):
     finally:
         tracemalloc.stop()
     assert overall is {"thm1": False, "thm2": False, "cor": None}[theorem]
+    assert peak < 16 * 8 * expr._CHUNK_ENTRIES
+
+
+def test_a_check_that_leaves_the_domain_holds_no_sample_of_the_whole_period(cold_linear_data):
+    # g leaves its domain on the x grids at t near N/2, in a later chunk of
+    # the every-t envelope: no grid is evaluated over the whole period first
+    N = 16385
+    p = make_problem(-2.0 * math.cos(2.0 * math.pi / N), 1.0, N, f"ln(x*cos(2*pi*t/{N})+99)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(expr.DomainError, match="ln of a non-positive value"):
+            check_thm2(p, zhat=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 16 * 8 * expr._CHUNK_ENTRIES
 
 

@@ -813,6 +813,41 @@ def test_winding_synthetic_maps():
         winding_of_map(lambda a: a[0], 1.0)
 
 
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0])
+def test_winding_refuses_a_radius_that_is_not_finite_and_positive(radius):
+    calls = []
+    with pytest.raises(ValueError, match="radius must be finite and positive"):
+        winding_of_map(lambda a: calls.append(a) or a, radius)
+    assert not calls
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, 2.0 ** -1074])
+def test_winding_of_large_and_tiny_finite_values(scale):
+    # the image points are scaled by a power of two before cross and dot
+    # products are formed, which would overflow (inf - inf) or underflow here
+    assert winding_of_map(lambda a: scale * a, 1.0) == 1
+    assert winding_of_map(lambda a: np.stack([a[:, 0], -a[:, 1]], axis=1) * scale, 1.0) == -1
+
+
+def test_a_solve_whose_map_reaches_1e300_finds_its_winding():
+    # the bifurcation map is about 1e300 on the default circle; the sweep
+    # settles at 16 points
+    p = make_problem(*_rotation_row(5), "1e300*tanh(x)+0.1*cos(2*pi*t/5)")
+    rep = solve(p)
+    assert rep.oracle_verified and rep.winding == 1
+    assert rep.iterations["winding_samples"] == 16
+
+
+def test_a_default_radius_that_overflows_is_a_solver_error():
+    # K_est = 1e308 times norm_upper (about 3) overflows the double range
+    p = make_problem(*_rotation_row(5), "1e308*tanh(x)+0.1*cos(2*pi*t/5)")
+    with pytest.raises(SolverError, match=r"^the default radius .* overflows the double range; "
+                                          r"pass a finite radius$") as info:
+        solve(p)
+    d = info.value.diagnostics
+    assert (d["zhat_est"], d["K_est"]) == (0.25, 1e308) and 2.9 < d["norm_upper"] < 3.0
+
+
 def test_winding_evaluates_each_point_once():
     # z -> z^5 settles at 32 points; the sweeps of 8 and 16 points are the
     # even points of the next one, so the map sees 32 points, not 56, in
