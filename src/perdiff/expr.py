@@ -333,29 +333,24 @@ def _bound(node: Node, t) -> Node:
     return node
 
 
-def _bind_x(node: Node, t) -> tuple[Node, bool]:
-    # (node with its largest x-free subtrees bound at t, does node read x?);
-    # an x-free node comes back as it is, for its parent to bind whole
-    if isinstance(node, (Num, Var)):
-        return node, isinstance(node, Var) and node.name == "x"
-    kids = [_bind_x(k, t) for k in ((node.arg,) if isinstance(node, Neg) else (
-        (node.left, node.right) if isinstance(node, Bin) else node.args))]
-    if not any([reads for _, reads in kids]):
-        return node, False
-    kids = [k if reads else _bound(k, t) for k, reads in kids]
-    return (Neg(*kids) if isinstance(node, Neg) else Bin(node.op, *kids)
-            if isinstance(node, Bin) else Call(node.fn, tuple(kids))), True
-
-
 def bind_t(node: Node, t) -> Node:
     """node with each largest subtree that does not read x replaced by a Num
     of its read-only value at t, so it evaluates at t like node, walking only
-    the part that reads x, found in one walk. A subtree that raises
-    DomainError stays as it is.
+    the part that reads x. ``_variables`` tells which subtrees read x. A
+    subtree that raises DomainError stays as it is.
     """
     t = np.asarray(t, dtype=float)
-    bound, reads = _bind_x(node, t)
-    return bound if reads else _bound(node, t)
+
+    def bind(n: Node) -> Node:  # one call of bind_t, however deep the tree
+        if "x" not in _variables(n):
+            return _bound(n, t)
+        if isinstance(n, Neg):
+            return Neg(bind(n.arg))
+        if isinstance(n, Bin):
+            return Bin(n.op, bind(n.left), bind(n.right))
+        return Call(n.fn, tuple(map(bind, n.args))) if isinstance(n, Call) else n  # n is x
+
+    return bind(node)
 
 
 def _operands(t, x):

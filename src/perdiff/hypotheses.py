@@ -101,15 +101,17 @@ def _positive(v: float) -> bool:
     return math.isfinite(v) and v > 0
 
 
-def _check_args(grid: int, N: int | None = None, **positive) -> None:
-    # the checkers' argument rules: each value given finite and positive, grid >= 2, N odd
+def _check_args(grid: int, N: int | None = None, **positive) -> int:
+    # the checkers' argument rules: each value finite and positive, grid an
+    # integer >= 2 (given back as an int), N odd
     for name, value in positive.items():
-        if value is not None and not _positive(value):
+        if not _positive(value):
             raise ValueError(f"{name} must be finite and positive")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    if not (float(grid).is_integer() and grid >= 2):
+        raise ValueError("grid must be an integer >= 2")
     if N is not None and N % 2 == 0:
         raise NotApplicableError("this check requires an odd period N")
+    return int(grid)
 
 
 def _check_spans(*spans) -> None:
@@ -128,11 +130,13 @@ def _split(values: np.ndarray, grids: list) -> list:
     return [values[..., start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
-# x values at which g is compared across t
+# x values at which g is compared across t, and the relative tolerance of
+# that comparison
 _PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
+_PROBE_TOL = 1e-12
 
 
-def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
+def _sample_period(problem: Problem, grids: list):
     """Whether g is N-periodic in t at the probe x values, from one
     evaluation of g over the probe at t = 0..2N-1, then on each x grid g's
     least and greatest value over one period t = 0..N-1, from one
@@ -142,12 +146,12 @@ def _sample_period(problem: Problem, grids: list, tol: float = 1e-12):
     probe = expr.evaluate(g, np.arange(2 * N)[:, None], _PROBE)
     with np.errstate(over="ignore"):  # a difference that overflows is inf
         periodic = np.all(np.max(np.abs(probe[:N] - probe[N:]), axis=1)
-                          <= tol * (1.0 + np.max(np.abs(probe[:N]), axis=1)))
+                          <= _PROBE_TOL * (1.0 + np.max(np.abs(probe[:N]), axis=1)))
     bounds = expr.envelope(g, np.arange(N)[:, None], np.concatenate(grids))
     return bool(periodic), _split(bounds, grids)
 
 
-def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e-12):
+def _sample_t_free(problem: Problem, windows: list, grids: list):
     """g at t = 0 on each window, and on each grid g's least and greatest
     value over one period t = 0..N-1 (one row for a g that reads no t), once
     g is seen independent of t at the probe x values (NotApplicableError if
@@ -161,7 +165,7 @@ def _sample_t_free(problem: Problem, windows: list, grids: list, tol: float = 1e
     # g at t = 1..N against g at t = 0; a difference that overflows is inf
     with np.errstate(over="ignore"):
         if not np.all(np.max(np.abs(probe[1:] - probe[0]), axis=1)
-                      <= tol * (1.0 + np.max(np.abs(probe[0])))):
+                      <= _PROBE_TOL * (1.0 + np.max(np.abs(probe[0])))):
             raise NotApplicableError("the corollary requires g independent of t")
     on_windows = _split(expr.evaluate(g, 0, np.concatenate(windows)), windows)
     bounds = expr.envelope(g, np.arange(N)[:, None], np.concatenate(grids))
@@ -193,7 +197,7 @@ def check_thm1(problem: Problem, r: float, zhat: float, grid: int = 201) -> Chec
         classifies it (at odd N the only two-dimensional kernel is the
         rotation one: c = 1, |b| < 2 and N*arccos(-b/2) a multiple of 2*pi).
     """
-    _check_args(grid, problem.N, r=r, zhat=zhat)
+    grid = _check_args(grid, problem.N, r=r, zhat=zhat)
     _check_spans(("r", -2.0 * r, 2.0 * r))  # then [zhat, 4r] spans less
     ld = build_linear_data(problem)
 
@@ -320,7 +324,7 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
 
     Requires g to be independent of t (checked; NotApplicableError otherwise).
     """
-    _check_args(grid, R=R)
+    grid = _check_args(grid, R=R)
     if r_schedule is None:
         r_schedule = [10.0**k for k in range(1, 7)]
     r_schedule = [float(r) for r in r_schedule]
@@ -375,8 +379,7 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
 # -- theorem for the two-dimensional kernel -----------------------------------
 
 
-def check_thm2(problem: Problem, zhat: float, grid: int = 201,
-               xmax: float | None = None) -> CheckReport:
+def check_thm2(problem: Problem, zhat: float, grid: int = 201) -> CheckReport:
     """Hypotheses of the two-dimensional resonance theorem.
 
     C1: g N-periodic in t and bounded (K sampled on a wide grid, +5%);
@@ -385,16 +388,12 @@ def check_thm2(problem: Problem, zhat: float, grid: int = 201,
     C3: the rotation count r of the kernel satisfies
         N / gcd(r, N) >= max(3, K/J + 1).
 
-    K and J are sampled on [-xmax, xmax] and [zhat, xmax]; an xmax below
-    zhat is a ValueError.
+    K and J are sampled on [-xmax, xmax] and [zhat, xmax], with xmax =
+    max(100, 100 * zhat).
     """
-    _check_args(grid, problem.N, zhat=zhat, xmax=xmax)
-    name = "xmax"
-    if xmax is None:
-        name, xmax = "zhat", max(100.0, 100.0 * zhat)
-    elif xmax < zhat:  # C2 would sample only below zhat
-        raise ValueError(f"xmax must be at least zhat, got {xmax:g} < {zhat:g}")
-    _check_spans((name, -xmax, xmax))
+    grid = _check_args(grid, problem.N, zhat=zhat)
+    xmax = max(100.0, 100.0 * zhat)
+    _check_spans(("zhat", -xmax, xmax))
     ld = build_linear_data(problem)
     if ld.resonance.dim != 2:
         raise NotApplicableError("kernel dimension is not 2; this theorem does not apply")

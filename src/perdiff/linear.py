@@ -116,12 +116,12 @@ class Problem:
     g_text: str = ""
 
     def __post_init__(self):
+        if not (math.isfinite(self.N) and int(self.N) == self.N and self.N >= 2):
+            raise ValueError("N must be an integer >= 2")
         if not (math.isfinite(self.b) and math.isfinite(self.c)):
             raise ValueError("coefficients must be finite")
         if self.c == 0.0:
             raise ValueError("c must be nonzero")
-        if not (math.isfinite(self.N) and int(self.N) == self.N and self.N >= 2):
-            raise ValueError("N must be an integer >= 2")
         # one type per field: N = 9.0 is the period 9, b = True the coefficient 1.0
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
@@ -129,10 +129,7 @@ class Problem:
 
     @classmethod
     def from_text(cls, b: float, c: float, N: int, g_text: str) -> "Problem":
-        # int() would truncate a period such as 3.5
-        if not float(N).is_integer():
-            raise ValueError("N must be an integer >= 2")
-        return cls(float(b), float(c), int(N), expr.parse(g_text), g_text)
+        return cls(float(b), float(c), N, expr.parse(g_text), g_text)
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,22 @@ class LinearData:
 
     @cached_property
     def _bracket(self) -> tuple[float, float]:
-        return _norm_bracket(self)
+        """(lower, upper) bracketing the norm of M_p (I - Q); see ``norm_bound_mp_iq``."""
+        D, K = self._column
+        N = len(D)
+        window = np.lib.stride_tricks.sliding_window_view(np.concatenate([D, D]), N, axis=0)
+        K = K[:N if self.resonance.dim else 1]
+        lower = upper = 0.0
+        step = max(1, _CHUNK_ENTRIES // N)
+        for s in range(0, len(K), step):
+            rows = np.tensordot(K[s:s + step], D, axes=(2, 1))  # [t, out, i, in]
+            np.subtract(window[s:s + len(rows)].transpose(0, 1, 3, 2), rows, out=rows)
+            upper = max(upper, float(np.max(np.sum(svals2(rows.transpose(0, 2, 1, 3))[0], axis=1))))
+            (a, b), (c, d) = rows.transpose(1, 3, 0, 2)  # B = [[a, b], [c, d]], each [t, i]
+            for x, y, scale in ((a, b, 1.0), (c, d, 1.0), (a + c, b + d, _HALF_SQRT2),
+                                (a - c, b - d, _HALF_SQRT2)):
+                lower = max(lower, scale * float(np.max(np.sum(np.sqrt(x * x + y * y), axis=1))))
+        return lower, upper
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -210,13 +222,6 @@ def sup_norm(x: np.ndarray) -> float:
     if x.ndim == 1:
         return float(np.max(np.abs(x))) if x.size else 0.0
     return float(np.max(np.linalg.norm(x, axis=1))) if x.size else 0.0
-
-
-def companion_matrix(b: float, c: float) -> np.ndarray:
-    """The first-order companion matrix [[0, 1], [-c, -b]]."""
-    if c == 0.0:
-        raise ValueError("c must be nonzero")
-    return np.array([[0.0, 1.0], [-float(c), -float(b)]])
 
 
 def _cutoff(b, c: float):
@@ -371,8 +376,9 @@ def _build(b: float, c: float, N: int) -> LinearData:
     adj_dual = np.linalg.solve(gram, W).reshape(dim, N, 2)
 
     resonance = ResonanceClass(dim, kernel_basis, adjoint_basis, theta, r_int)
-    return LinearData(b, c, N, companion_matrix(b, c), symbol, symbol_inv, resonance,
-                      np.linalg.pinv(kernel_basis[:, 0, :]), adj_shift, adj_dual)
+    # the companion matrix; its -b keeps b = -0.0 and b = 0.0 apart
+    return LinearData(b, c, N, np.array([[0.0, 1.0], [-c, -b]]), symbol, symbol_inv,
+                      resonance, np.linalg.pinv(kernel_basis[:, 0, :]), adj_shift, adj_dual)
 
 
 @contextlib.contextmanager
@@ -484,24 +490,6 @@ def norm_bound_mp_iq(ld: LinearData) -> tuple[float, float]:
     u . (M x)(t) equals that sum, so the norm is at least it.
     """
     return ld._bracket
-
-
-def _norm_bracket(ld: LinearData) -> tuple[float, float]:
-    D, K = ld._column
-    N = len(D)
-    window = np.lib.stride_tricks.sliding_window_view(np.concatenate([D, D]), N, axis=0)
-    K = K[:N if ld.resonance.dim else 1]
-    lower = upper = 0.0
-    step = max(1, _CHUNK_ENTRIES // N)
-    for s in range(0, len(K), step):
-        rows = np.tensordot(K[s:s + step], D, axes=(2, 1))  # [t, out, i, in]
-        np.subtract(window[s:s + len(rows)].transpose(0, 1, 3, 2), rows, out=rows)
-        upper = max(upper, float(np.max(np.sum(svals2(rows.transpose(0, 2, 1, 3))[0], axis=1))))
-        (a, b), (c, d) = rows.transpose(1, 3, 0, 2)  # B = [[a, b], [c, d]], each [t, i]
-        for x, y, scale in ((a, b, 1.0), (c, d, 1.0), (a + c, b + d, _HALF_SQRT2),
-                            (a - c, b - d, _HALF_SQRT2)):
-            lower = max(lower, scale * float(np.max(np.sum(np.sqrt(x * x + y * y), axis=1))))
-    return lower, upper
 
 
 def _mpiq_g1(ld: LinearData) -> np.ndarray:

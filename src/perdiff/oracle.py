@@ -105,10 +105,10 @@ def multistart_search(problem: Problem, n_starts: int, box: float,
     the same seed only ever adds solutions. The result is sorted by
     coordinates for a canonical order.
     """
-    if n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
-    if box <= 0:
-        raise ValueError("box must be positive")
+    if not (float(n_starts).is_integer() and n_starts >= 1):
+        raise ValueError("n_starts must be an integer >= 1")
+    if not (np.isfinite(box) and box > 0):
+        raise ValueError("box must be finite and positive")
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(int(n_starts)):

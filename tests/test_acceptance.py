@@ -34,7 +34,6 @@ from perdiff import (
     winding_of_map,
 )
 from perdiff.hypotheses import RATIONAL_ANGLE_TOL
-from perdiff.linear import companion_matrix
 from perdiff.reduction import apply_F
 
 from conftest import CANONICAL_G, instance_grid, make_problem, subprocess_env
@@ -106,7 +105,7 @@ def test_criterion_02_image_kernel_duality():
                     ld = build_linear_data(make_problem(float(b), float(c), N, "0"))
                     # independent rule: rank of I - A^N with a relative cutoff
                     M = np.eye(2) - np.linalg.matrix_power(
-                        companion_matrix(float(b), float(c)), N)
+                        np.array([[0.0, 1.0], [-c, -b]]), N)
                     smax = np.linalg.svd(M, compute_uv=False)[0]
                     rank = np.linalg.matrix_rank(M, tol=1e-9 * max(1.0, smax))
                     if ld.resonance.dim != 2 - rank:

@@ -601,7 +601,7 @@ def test_solve_rejects_invalid_options(argv, dim1_file, dim2_file, capsys):
     ("thm1", ["--grid", "1"]),
     ("thm1", ["--grid", "0"]),
     ("thm2", ["--grid", "1"]),
-    # finite and positive, but 4r, 4R or 2 * xmax overflows
+    # finite and positive, but 4r, 4R or 200 * zhat overflows
     ("thm1", ["--r", "1e308"]),
     ("cor", ["--R", "1e308"]),
     ("thm2", ["--zhat", "1e308"]),

@@ -252,11 +252,27 @@ def test_checks_reject_a_grid_below_two(grid):
         check_thm2(make_problem(1, 1, 3, "tanh(x)"), zhat=1.0, grid=grid)
 
 
+_GRID_CALLS = {
+    "thm1": lambda grid: check_thm1(make_problem(-3, 2, 3, "tanh(x)"), r=10.0, zhat=1.0, grid=grid),
+    "cor": lambda grid: check_corollary(make_problem(-3, 2, 3, "tanh(x)"), R=1.0, grid=grid),
+    "thm2": lambda grid: check_thm2(make_problem(1, 1, 3, "tanh(x)"), zhat=1.0, grid=grid),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_GRID_CALLS))
+def test_checks_take_a_grid_only_as_an_integer(check):
+    # np.linspace takes no float count: each other value is refused as solve refuses it
+    call = _GRID_CALLS[check]
+    for grid in (2.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^grid must be an integer >= 2$"):
+            call(grid)
+    assert repr(call(201.0).as_dict()) == repr(call(201).as_dict())
+
+
 _CHECK_CALLS = {
     "thm1 r": lambda v: check_thm1(make_problem(-3, 2, 3, "tanh(x)"), r=v, zhat=1.0),
     "thm1 zhat": lambda v: check_thm1(make_problem(-3, 2, 3, "tanh(x)"), r=10.0, zhat=v),
     "thm2 zhat": lambda v: check_thm2(make_problem(1, 1, 3, "tanh(x)"), zhat=v),
-    "thm2 xmax": lambda v: check_thm2(make_problem(1, 1, 3, "tanh(x)"), zhat=1.0, xmax=v),
     "cor R": lambda v: check_corollary(make_problem(1.2, 1, 3, "tanh(x)"), R=v),
     "cor r_schedule": lambda v: check_corollary(make_problem(1.2, 1, 3, "tanh(x)"), R=1.0,
                                                 r_schedule=[10.0, v, 1000.0]),
@@ -279,8 +295,6 @@ _ROTATION_5 = (-2.0 * math.cos(2.0 * math.pi / 5), 1, 5)
 _OVERFLOWING_CALLS = {
     "thm1 r": ("r", lambda: check_thm1(make_problem(0, 2, 3, "tanh(x)"), r=1e308, zhat=1.0)),
     "thm2 zhat": ("zhat", lambda: check_thm2(make_problem(*_ROTATION_5, "tanh(x)"), zhat=1e308)),
-    "thm2 xmax": ("xmax", lambda: check_thm2(make_problem(*_ROTATION_5, "tanh(x)"), zhat=1.0,
-                                             xmax=1e308)),
     "cor R": ("R", lambda: check_corollary(make_problem(-1.2, 1, 5, "tanh(x)"), R=1e308)),
     "cor r_schedule": ("r_schedule", lambda: check_corollary(
         make_problem(-1.2, 1, 5, "tanh(x)"), R=1.0, r_schedule=[10.0, 1e308])),
@@ -299,7 +313,7 @@ def test_checks_reject_an_argument_whose_sampled_range_overflows(case):
 
 
 def test_checks_sample_a_range_just_inside_the_double_range():
-    # 4r, 4R and 2 * xmax stay finite here, so each check samples and reports
+    # 4r, 4R and 200 * zhat stay finite here, so each check samples and reports
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reports = [check_thm1(make_problem(0, 2, 3, "tanh(x)"), r=4e307, zhat=1.0),
@@ -453,16 +467,6 @@ def test_thm2_fails_for_tiny_zhat():
     assert not rep.condition("C2").passed
     assert not rep.condition("C3").passed
     assert not rep.overall
-
-
-def test_thm2_refuses_an_xmax_below_zhat():
-    # g(t, x) = -x past |x| = 3, so C2 fails there; an xmax below zhat would
-    # sample C2 only on [xmax, zhat], where it holds
-    p = make_problem(*_ROTATION_5, "x*sign(3-abs(x))")
-    assert not check_thm2(p, zhat=2.0).condition("C2").passed
-    with pytest.raises(ValueError, match=r"^xmax must be at least zhat"):
-        check_thm2(p, zhat=2.0, xmax=1.0)
-    assert check_thm2(p, zhat=2.0, xmax=2.0).condition("C2").passed  # samples x = zhat only
 
 
 def test_thm2_requires_dim2_and_odd_period():

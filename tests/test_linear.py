@@ -21,7 +21,7 @@ from perdiff import (
     sup_norm,
 )
 from perdiff import linear
-from perdiff.linear import _mpiq_g1, companion_matrix
+from perdiff.linear import _mpiq_g1
 from perdiff.mat2 import svals2
 
 from conftest import dense_mpiq, forget_linear_data, g1_atol, instance_grid, make_problem
@@ -32,8 +32,8 @@ def _ld(b, c, N, g="0"):
 
 
 def _monodromy(b, c, N):
-    # A^N by repeated squaring, independent of the symbol
-    return np.linalg.matrix_power(companion_matrix(b, c), N)
+    # A^N by repeated squaring of the companion matrix, independent of the symbol
+    return np.linalg.matrix_power(np.array([[0.0, 1.0], [-c, -b]]), N)
 
 
 def _rotation_row(N):
@@ -41,11 +41,11 @@ def _rotation_row(N):
 
 
 def test_companion_matrix_values():
-    np.testing.assert_array_equal(companion_matrix(-3, 2), [[0, 1], [-2, 3]])
-    np.testing.assert_array_equal(companion_matrix(1, 1), [[0, 1], [-1, -1]])
-    np.testing.assert_array_equal(companion_matrix(0, 2), [[0, 1], [-2, 0]])
-    with pytest.raises(ValueError):
-        companion_matrix(1, 0)
+    np.testing.assert_array_equal(_ld(-3, 2, 3).A, [[0, 1], [-2, 3]])
+    np.testing.assert_array_equal(_ld(1, 1, 3).A, [[0, 1], [-1, -1]])
+    np.testing.assert_array_equal(_ld(0, 2, 3).A, [[0, 1], [-2, 0]])
+    with pytest.raises(ValueError, match="c must be nonzero"):
+        _ld(1, 0, 3)
 
 
 def test_problem_validation():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,18 @@ def test_multistart_argument_validation():
         multistart_search(p, 0, 1.0)
     with pytest.raises(ValueError):
         multistart_search(p, 1, 0.0)
+
+
+@pytest.mark.parametrize("n_starts", [2.5, math.nan, math.inf])
+def test_multistart_refuses_a_count_that_is_not_an_integer(n_starts):
+    with pytest.raises(ValueError, match=r"^n_starts must be an integer >= 1$"):
+        multistart_search(make_problem(0, 2, 3, "0"), n_starts, 1.0)
+
+
+@pytest.mark.parametrize("box", [math.nan, math.inf, -math.inf])
+def test_multistart_refuses_a_box_that_is_not_finite(box):
+    with pytest.raises(ValueError, match=r"^box must be finite and positive$"):
+        multistart_search(make_problem(0, 2, 3, "0"), 2, box)
 
 
 @pytest.mark.parametrize("y", [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308], [-1.7e308, 0.0, 1e308]])

@@ -911,6 +911,37 @@ def test_solve_1d_trivial_root():
     assert rep.nontrivial_root_found is False
 
 
+@pytest.mark.parametrize("b,c,N", [(-3, 2, 3), (-1.5, 0.5, 5)])
+@pytest.mark.parametrize("g,found", [("1.5*sin(x)", True), ("2*tanh(x)", False)])
+def test_solve_1d_reports_a_nontrivial_root(b, c, N, g, found):
+    # g(t, 0) = 0: the solve returns the zero solution and scans [-r, r] for
+    # another root; 1.5*sin(x) has the constant solutions +-pi (1 + b + c = 0)
+    rep = solve(make_problem(b, c, N, g))
+    assert rep.regime == 1 and sup_norm(rep.y) == 0.0
+    assert rep.nontrivial_root_found is found
+
+
+def test_multistart_sees_the_nontrivial_roots():
+    sols = multistart_search(make_problem(-3, 2, 3, "1.5*sin(x)"), 24, 5.0, seed=0)
+    assert any(np.allclose(y, math.pi, rtol=0, atol=1e-9) for y in sols)
+    assert any(np.allclose(y, -math.pi, rtol=0, atol=1e-9) for y in sols)
+
+
+def test_a_stalled_solve_raises_with_its_report(monkeypatch):
+    # a dim-0 solve whose oracle residual stays above tol raises, carrying the report
+    monkeypatch.setattr(reduction, "_oracle_sup", lambda problem, y: 1.0)
+    p = make_problem(0, 2, 3, "tanh(x)+0.1*cos(2*pi*t/3)")
+    with pytest.raises(ConvergenceError, match=r"^nonresonant solve stalled at residual "
+                                               r"1\.000e\+00$") as err:
+        solve(p)
+    report = err.value.diagnostics
+    assert report["oracle_verified"] is False and report["residual_sup"] == 1.0
+    monkeypatch.undo()
+    expected = solve(p).as_dict()
+    expected.update(residual_sup=1.0, oracle_verified=False)
+    assert report == expected
+
+
 def test_solve_1d_canonical(dim1_problem):
     rep = solve(dim1_problem, r=10.0)
     assert rep.regime == 1
