@@ -272,54 +272,55 @@ def _logfade(x):
     return _logfade_k(x) * x + LOGFADE_M1 * np.abs(x) ** LOGFADE_BETA + LOGFADE_M2
 
 
+# the calls that are one numpy ufunc of their argument, with no domain test
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "tanh": np.tanh, "atan": np.arctan,
+           "exp": np.exp, "abs": np.abs, "sign": np.sign}
+
+
 def _ev(node: Node, t, x):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
+    kind = type(node)
+    if kind is Var:
         return t if node.name == "t" else x
-    if isinstance(node, Neg):
-        return -_ev(node.arg, t, x)
-    if isinstance(node, Bin):
-        a = _ev(node.left, t, x)
-        if node.op == "+":
-            return a + _ev(node.right, t, x)
-        if node.op == "-":
-            return a - _ev(node.right, t, x)
-        if node.op == "*":
-            return a * _ev(node.right, t, x)
-        if node.op == "/":
-            b = _ev(node.right, t, x)
-            if np.any(np.asarray(b) == 0.0):
+    if kind is Num:
+        return node.value
+    if kind is Bin:
+        op, a = node.op, _ev(node.left, t, x)
+        b = _ev(node.right, t, x)
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            if (np.asarray(b) == 0.0).any():
                 raise DomainError("division by zero")
             return a / b
         # '^'
-        b = _ev(node.right, t, x)
         a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if np.any((a_arr < 0.0) & (b_arr != np.floor(b_arr))):
+        if ((a_arr < 0.0) & (b_arr != np.floor(b_arr))).any():
             raise DomainError("negative base with non-integer exponent")
-        if np.any((a_arr == 0.0) & (b_arr < 0.0)):
+        if ((a_arr == 0.0) & (b_arr < 0.0)).any():
             raise DomainError("zero raised to a negative power")
         # numpy pow overflows to inf (caught by the final finiteness check)
         # where the scalar builtin would raise OverflowError
         return np.power(a_arr, b_arr)
+    if kind is Neg:
+        return -_ev(node.arg, t, x)
     # calls
-    a = _ev(node.args[0], t, x)
-    fn = node.fn
+    fn, a = node.fn, _ev(node.args[0], t, x)
+    ufunc = _UFUNCS.get(fn)
+    if ufunc is not None:
+        return ufunc(a)
     if fn == "ln":
-        if np.any(np.asarray(a) <= 0.0):
+        if (np.asarray(a) <= 0.0).any():
             raise DomainError("ln of a non-positive value")
         return np.log(a)
-    if fn == "abs":
-        return np.abs(a)
-    if fn == "sign":
-        return np.sign(a)
     if fn == "logfade":
         return _logfade(a)
     if fn == "min":
         return np.minimum(a, _ev(node.args[1], t, x))
-    if fn == "max":
-        return np.maximum(a, _ev(node.args[1], t, x))
-    return getattr(np, fn)(a)
+    return np.maximum(a, _ev(node.args[1], t, x))
 
 
 def _bound(node: Node, t) -> Node:
@@ -336,27 +337,47 @@ def _bound(node: Node, t) -> Node:
 def bind_t(node: Node, t) -> Node:
     """node with each largest subtree that does not read x replaced by a Num
     of its read-only value at t, so it evaluates at t like node, walking only
-    the part that reads x. ``_variables`` tells which subtrees read x. A
-    subtree that raises DomainError stays as it is.
+    the part that reads x. One walk finds, bottom up, which subtrees read x
+    (as ``_variables`` would say). A subtree that raises DomainError stays as
+    it is.
     """
     t = np.asarray(t, dtype=float)
 
-    def bind(n: Node) -> Node:  # one call of bind_t, however deep the tree
-        if "x" not in _variables(n):
-            return _bound(n, t)
-        if isinstance(n, Neg):
-            return Neg(bind(n.arg))
-        if isinstance(n, Bin):
-            return Bin(n.op, bind(n.left), bind(n.right))
-        return Call(n.fn, tuple(map(bind, n.args))) if isinstance(n, Call) else n  # n is x
+    def bind(n: Node):
+        # (n with its largest x-free subtrees bound, whether n reads x); an
+        # x-free n is left to its parent to bind whole
+        kind = type(n)
+        if kind is Var:
+            return n, n.name == "x"
+        if kind is Num:
+            return n, False
+        if kind is Neg:
+            arg, reads = bind(n.arg)
+            return (Neg(arg), True) if reads else (n, False)
+        if kind is Bin:
+            (left, lx), (right, rx) = bind(n.left), bind(n.right)
+            if not (lx or rx):
+                return n, False
+            left, right = (left if lx else _bound(n.left, t)), (right if rx else _bound(n.right, t))
+            return Bin(n.op, left, right), True
+        args, reads = zip(*map(bind, n.args))
+        if not any(reads):
+            return n, False
+        args = tuple(a if r else _bound(kid, t) for kid, a, r in zip(n.args, args, reads))
+        return Call(n.fn, args), True
 
-    return bind(node)
+    bound, reads = bind(node)
+    return bound if reads else _bound(node, t)
 
 
-def _operands(t, x):
-    # t and x as evaluation reads them: float64 arrays, or floats
-    return (v if type(v) is np.ndarray and v.dtype == np.float64 else
-            np.asarray(v, dtype=float) if np.ndim(v) else float(v) for v in (t, x))
+_FLOAT = np.dtype(float)
+
+
+def _operand(v):
+    # v as evaluation reads it: a float64 array, or a float
+    if type(v) is np.ndarray and v.dtype is _FLOAT:
+        return v
+    return np.asarray(v, dtype=float) if np.ndim(v) else float(v)
 
 
 def _variables(node: Node) -> set:
@@ -404,7 +425,7 @@ def envelope(node: Node, t, x) -> np.ndarray:
     at every t, about _CHUNK_ENTRIES samples at a time, and the rows are its
     [min; max] over t; a DomainError there is raised.
     """
-    tv, xv = _operands(t, x)
+    tv, xv = _operand(t), _operand(x)
     split = _forcing_split(node)
     with np.errstate(all="ignore"), contextlib.suppress(DomainError):
         if split is not None:
@@ -430,6 +451,7 @@ def envelope(node: Node, t, x) -> np.ndarray:
     return bounds
 
 
+@np.errstate(all="ignore")  # as a decorator: the context manager costs three times as much
 def evaluate(node: Node, t, x) -> float | np.ndarray:
     """Evaluate an AST at time index t and state x.
 
@@ -438,14 +460,15 @@ def evaluate(node: Node, t, x) -> float | np.ndarray:
     violations and non-finite results raise DomainError rather than leaking
     NaN/inf into callers. An array result is fresh or read-only.
     """
-    tv, xv = _operands(t, x)
-    with np.errstate(all="ignore"):
-        arr = np.asarray(_ev(node, tv, xv), dtype=float)
+    tv, xv = _operand(t), _operand(x)
+    arr = np.asarray(_ev(node, tv, xv), dtype=float)
     if not np.isfinite(arr).all():
         raise DomainError("evaluation produced a non-finite value")
-    if arr.shape != np.shape(x) or np.shape(t) != arr.shape[arr.ndim - np.ndim(t):]:
+    t_shape = tv.shape if type(tv) is np.ndarray else ()
+    x_shape = xv.shape if type(xv) is np.ndarray else ()
+    if arr.shape != x_shape or t_shape != arr.shape[arr.ndim - len(t_shape):]:
         # constant subtrees evaluate to scalars; hand callers the full grid shape
-        shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+        shape = np.broadcast_shapes(t_shape, x_shape)
         arr = np.ascontiguousarray(np.broadcast_to(arr, shape))
     elif arr is xv or arr is tv or not arr.flags.writeable:
         arr = np.broadcast_to(arr, arr.shape)  # a read-only view of x, t or a bound value

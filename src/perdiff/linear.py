@@ -219,9 +219,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 def sup_norm(x: np.ndarray) -> float:
     """Sup over t of the Euclidean norm of x(t); the norm on sequence space."""
     x = np.asarray(x, dtype=float)
+    if not x.size:
+        return 0.0
     if x.ndim == 1:
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    return float(np.max(np.linalg.norm(x, axis=1))) if x.size else 0.0
+        return float(np.abs(x).max())
+    # the norms of the rows as np.linalg.norm(x, axis=1) forms them
+    return float(np.sqrt(np.add.reduce(x * x, axis=1)).max())
 
 
 def _cutoff(b, c: float):
@@ -453,10 +456,10 @@ def mp_solve(ld: LinearData, h: np.ndarray) -> np.ndarray:
     says some member of h is not in Im(L).
     """
     h = np.asarray(h, dtype=float)
-    defect = np.max(np.abs(image_test(ld, h)), axis=-1, initial=0.0)
-    scale = 1.0 + np.max(np.hypot(h[..., 0], h[..., 1]), axis=-1)
-    if np.any(defect > 1e-9 * scale):
-        raise NotInImageError(float(np.max(defect)))
+    defect = np.abs(image_test(ld, h)).max(axis=-1, initial=0.0)
+    scale = 1.0 + np.hypot(h[..., 0], h[..., 1]).max(axis=-1)
+    if (defect > 1e-9 * scale).any():
+        raise NotInImageError(float(defect.max()))
     h1 = h[..., 0]
     # one expression, so no stack-sized temporary outlives its use
     x1 = np.fft.irfft(np.fft.rfft(np.concatenate([h1[..., 1:], h1[..., :1]], axis=-1)

@@ -20,6 +20,8 @@ from .linear import Problem
 
 # starts further apart than this sup-distance count as distinct solutions
 DEDUPE_TOL = 1e-6
+# the largest box whose width 2 * box is a float
+_HALF_MAX = np.finfo(float).max / 2
 
 
 def residual(problem: Problem, y: np.ndarray) -> np.ndarray:
@@ -98,7 +100,8 @@ def newton_solve(problem: Problem, y0: np.ndarray, tol: float = 1e-11,
 
 def multistart_search(problem: Problem, n_starts: int, box: float,
                       seed: int = 0, tol: float = 1e-11) -> list[np.ndarray]:
-    """Newton from n_starts uniform random starts in [-box, box]^N.
+    """Newton from n_starts uniform random starts in [-box, box]^N, box at
+    most half the largest float.
 
     Solutions closer than DEDUPE_TOL in sup-norm are merged. Starts are
     drawn one at a time from a seeded generator, so growing n_starts with
@@ -109,6 +112,8 @@ def multistart_search(problem: Problem, n_starts: int, box: float,
         raise ValueError("n_starts must be an integer >= 1")
     if not (np.isfinite(box) and box > 0):
         raise ValueError("box must be finite and positive")
+    if box > _HALF_MAX:  # the width 2 * box of [-box, box] overflows
+        raise ValueError("box must be at most half the largest float (2 * box overflows)")
     rng = np.random.default_rng(seed)
     found: list[np.ndarray] = []
     for _ in range(int(n_starts)):

@@ -19,10 +19,14 @@ bracket, Brent's points) and has m = dim for a reduced root (from the
 secant point of the dim-1 bracket and from each dim-2 seed). It acts on a
 stack of rows: each keeps its own iteration, Armijo search (with the
 Picard step as the second direction when unbordered) and failure, while
-every step evaluates g once for the whole stack, with its slopes, and
-solves the rows' systems in one batched solve. A bifurcation value reuses
-the g-values of the converged residual, and its derivative is a Schur
-complement of the same Jacobian.
+every step is one residual (g evaluated once for the whole stack, with
+its slopes), one Jacobian write and one batched solve. A call's workspace,
+its Jacobians and the points where g is read, is written in place at each
+step and cut to the rows still iterating when rows end; the stop test, the
+Armijo test and the writes of the rows that end are a few array
+operations for the whole stack. A bifurcation value reuses the g-values
+of the converged residual, and its derivative is a Schur complement of
+the same Jacobian.
 
 Where g is undefined (ln, / and ^ are in its grammar), a trial point
 counts as an infinite residual. A row fails with a DomainError only when it
@@ -109,7 +113,7 @@ def apply_F(problem: Problem, x: np.ndarray, g: expr.Node | None = None) -> np.n
     """(F x)(t) = (0, g(t, x1(t))), the nonlinearity on sequences; a DomainError names t and x.
     g is problem.g or, with the same bits, a ``bind_t`` of it at t = 0..N-1."""
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape)
     try:
         out[:, 1] = expr.evaluate(problem.g if g is None else g, np.arange(problem.N), x[:, 0])
     except expr.DomainError as e:
@@ -195,23 +199,27 @@ class BifurcationMap:
         return lift
 
 
-def _points(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray):
-    # the (k, 3, N) points [x1, x1 + h, x1 - h], x1 = x0 + w1 + Z alpha for u = (w1, alpha), and h
+def _points(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # write the (k, 3, N) points [x1, x1 + h, x1 - h], x1 = x0 + w1 + Z alpha for
+    # u = (w1, alpha), into out; return h
     N = x0.shape[-1]
-    w1 = u[:, :N]
-    h = 1e-6 * (1.0 + np.abs(w1))
-    x1 = x0 + w1
+    w1 = u[..., :N]
+    h = np.abs(w1)
+    h += 1.0
+    h *= 1e-6
+    x1 = np.add(x0, w1, out=out[:, 0])
     if u.shape[1] > N:
-        x1 += u[:, N:] @ bm.border[0].T
-    points = np.empty((len(x1), 3, N))
-    points[:, 0], points[:, 1], points[:, 2] = x1, x1 + h, x1 - h
-    return points, h
+        x1 += u[..., N:] @ bm.border[0].T
+    np.add(x1, h, out=out[:, 1])
+    np.subtract(x1, h, out=out[:, 2])
+    return h
 
 
-def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray):
+def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, pts: np.ndarray):
     """(g, R, dg, |R|^2, fell) for each row of the stacks x0 (k, N) (lift first
     components) and u = (w1, alpha) (k, N + m): g = g(x1) at the points of
-    ``_points`` and R = [w1 - G1 g; A g], (Z, A) = ``bm.border``.
+    ``_points``, written into the buffer pts (k, 3, N), and R = [w1 - G1 g;
+    A g], (Z, A) = ``bm.border``.
 
     g is evaluated once, on the whole stack; dg are the central difference
     quotients at step h, those of a column-by-column difference of the
@@ -220,24 +228,31 @@ def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray):
     gets NaN slopes, and one whose x1 does NaN g and R and an infinite
     |R|^2. ``_row_error`` names such a row's failure.
     """
-    N = x0.shape[-1]
-    points, h = _points(bm, x0, u)
+    N = x0.shape[1]
+    h = _points(bm, x0, u, pts)
     try:
-        values, fell = expr.evaluate(bm.g_bound, bm.ts, points), False
+        values, fell = expr.evaluate(bm.g_bound, bm.ts, pts), False
     except expr.DomainError:
-        values, fell = np.full(points.shape, np.nan), True
-        for i, row in enumerate(points):
+        values, fell = np.full(pts.shape, np.nan), True
+        for i, row in enumerate(pts):
             with contextlib.suppress(expr.DomainError):
                 values[i, 0] = expr.evaluate(bm.g_bound, bm.ts, row[0])
                 values[i, 1:] = expr.evaluate(bm.g_bound, bm.ts, row[1:])
-    gv, dg = values[:, 0], (values[:, 1] - values[:, 2]) / (2.0 * h)
+    gv, dg = values[:, 0], np.subtract(values[:, 1], values[:, 2])
+    h += h  # 2 h
+    dg /= h
     if not gv.flags.writeable:  # a read-only view of the points: the search writes rows into it
         gv = gv.copy()
     # matrix-vector and dot products row by row, the arithmetic of one row alone
-    R = u[:, :N] - np.matmul(bm.aux_operator, gv[:, :, None])[:, :, 0]
-    if u.shape[1] > N:
-        R = np.concatenate([R, np.matmul(bm.border[1], gv[:, :, None])[:, :, 0]], axis=1)
-    f = np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0]
+    g = gv[..., None]
+    G1g = np.matmul(bm.aux_operator, g)[..., 0]
+    if u.shape[1] == N:
+        R = u - G1g
+    else:  # bordered: both parts written into one array, with no concatenation
+        R = np.empty(u.shape)
+        np.subtract(u[..., :N], G1g, out=R[..., :N])
+        R[..., N:] = np.matmul(bm.border[1], g)[..., 0]
+    f = np.matmul(R[:, None], R[..., None])[:, 0, 0]
     if fell:
         f[np.isnan(gv[:, 0])] = np.inf
     return gv, R, dg, f, fell
@@ -246,7 +261,9 @@ def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray):
 @np.errstate(over="ignore", invalid="ignore")
 def _row_error(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray) -> expr.DomainError:
     # the DomainError of a row (N,) found outside g's domain, naming t and x: x1, x1 + h, x1 - h
-    return _located(bm.problem, _points(bm, x0[None], u[None])[0], None)
+    points = np.empty((1, 3, len(x0)))
+    _points(bm, x0[None], u[None], points)
+    return _located(bm.problem, points[0], None)
 
 
 def _jacobian(bm: BifurcationMap, dg: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -286,19 +303,23 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
     k, N = x0.shape
     m = u.shape[1] - N
     steps = np.zeros(k, dtype=int)  # a row's steps: it when it ends, less one if it stalled
-    J = np.empty((k, N + m, N + m))  # written in place each step
-    g, R, dg, f, fell = _residual(bm, x0, u)
-    # the rows still iterating: their indices, x0, u, g-values, residuals,
-    # |R|^2 and slopes; the rows that have not failed took it steps
-    ids, x, v = np.arange(k), x0, u.copy()
+    stalled = []  # the rows whose search stalled since the rows last ended
+    # the workspace, written in place each step: the Jacobians and the points
+    J, pts = np.empty((k, N + m, N + m)), np.empty((k, 3, N))
+    g, R, dg, f, fell = _residual(bm, x0, u, pts)
+    # the rows still iterating: their indices, x0, u (at first u itself, as
+    # each row's point ends in u), g-values, residuals, |R|^2 and slopes; the
+    # rows that have not failed took it steps
+    ids, x, v = np.arange(k), x0, u
     fails = {}
     it = 0
     while True:
-        rn = np.abs(R[:, :N]).max(1)
+        rn = np.maximum.reduce(np.abs(R[..., :N]), axis=1)
         done = rn <= _AUX_TOL  # a NaN residual has not converged
-        if fails or it == _AUX_NEWTON_STEPS or done.any():
+        if fails or it == _AUX_NEWTON_STEPS or np.count_nonzero(done):
             if m:
-                done &= np.abs(R[:, N:]).max(1) <= 1e-13 * N * (1.0 + np.abs(g).max(1))
+                floor = 1e-13 * N * (1.0 + np.maximum.reduce(np.abs(g), axis=1))
+                done &= np.maximum.reduce(np.abs(R[..., N:]), axis=1) <= floor
             keep = ~done
             if fails:
                 keep &= ids < min(fails)
@@ -306,25 +327,33 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
                 for j in np.flatnonzero(keep):
                     fails[ids[j]] = ConvergenceError(_BUDGET.format(rn[j]))
                 keep[:] = False
-            if not keep.any():
-                u[ids], gv[ids] = v, g
-                steps[ids] += it
-                return steps, fails
-            if not keep.all():
-                out = ids[~keep]
-                u[out], gv[out] = v[~keep], g[~keep]
-                steps[out] += it
-                ids, x, v, g, R, f, rn, dg = (a[keep] for a in (ids, x, v, g, R, f, rn, dg))
+            kept = np.count_nonzero(keep)
+            if kept < len(ids):  # the other rows end: their last point, g-values and steps
+                if kept:
+                    end = (~keep).nonzero()[0]
+                    out = ids[end]
+                    u[out], gv[out], steps[out] = v.take(end, 0), g.take(end, 0), it
+                else:
+                    u[ids], gv[ids], steps[ids] = v, g, it
+                for i in stalled:  # a stalled row ends at once
+                    steps[i] -= 1
+                stalled.clear()
+                if not kept:
+                    return steps, fails
+                sel = keep.nonzero()[0]
+                ids, f, rn = ids[sel], f[sel], rn[sel]
+                x, v, g, R, dg = (a.take(sel, 0) for a in (x, v, g, R, dg))
+                J, pts = J[:kept], pts[:kept]
         if fell:  # an evaluation left g's domain: the first row with NaN slopes fails
             fell = False
             bad = np.flatnonzero(np.isnan(dg).any(axis=1))
             if bad.size:
                 fails[ids[bad[0]]] = None
                 continue
-        Jk = _jacobian(bm, dg, J[:len(ids)])
+        Jk = _jacobian(bm, dg, J)
         picard = set()  # rows searching along -R
         try:  # d is minus the search direction: R itself is the right-hand side
-            d = np.linalg.solve(Jk, R[:, :, None])[:, :, 0]
+            d = np.linalg.solve(Jk, R[..., None])[..., 0]
         except np.linalg.LinAlgError:  # a singular row searches along -R only
             d = R.copy()
             for j in range(len(ids)):
@@ -338,16 +367,17 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
             continue
         it += 1
         trial = v - d
-        g_t, R_t, dg_t, f_t, fell = _residual(bm, x, trial)
+        g_t, R_t, dg_t, f_t, fell = _residual(bm, x, trial, pts)
         ok = f_t <= (1.0 - 1e-4) * f
-        if ok.all():  # every row takes the full step
+        if np.count_nonzero(ok) == len(ok):  # every row takes the full step
             v, g, R, f, dg = trial, g_t, R_t, f_t, dg_t
             continue
         s, todo = np.ones(len(ids)), np.arange(len(ids))
         while True:
-            took = todo[ok]
-            v[took], g[took], R[took], f[took] = trial[ok], g_t[ok], R_t[ok], f_t[ok]
-            dg[took] = dg_t[ok]
+            hit = ok.nonzero()[0]
+            took = todo[hit]
+            v[took], g[took], R[took], dg[took] = (a.take(hit, 0) for a in (trial, g_t, R_t, dg_t))
+            f[took] = f_t[hit]
             todo = todo[~ok]
             s[todo] *= 0.5
             for j in todo[s[todo] < 1e-12]:
@@ -356,12 +386,12 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
                     s[j], d[j] = 1.0, R[j]
                 else:
                     fails[ids[j]] = ConvergenceError(_STALLED.format(rn[j]))
-                    steps[ids[j]] = -1
+                    stalled.append(ids[j])
             todo = todo[s[todo] >= 1e-12]
             if not todo.size:
                 break
             trial = v[todo] - s[todo, None] * d[todo]
-            g_t, R_t, dg_t, f_t, fell_t = _residual(bm, x[todo], trial)
+            g_t, R_t, dg_t, f_t, fell_t = _residual(bm, x[todo], trial, pts[:len(todo)])
             fell |= fell_t
             ok = f_t <= (1.0 - 1e-4 * s[todo]) * f[todo]
 
@@ -428,10 +458,10 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
     """
     x0 = bm.kernel_lift(alpha)[None, :, 0]
     w1 = _aux_fixed_points(bm, x0)[0]
-    _, _, dg, _, fell = _residual(bm, x0, w1)
+    N = bm.problem.N
+    _, _, dg, _, fell = _residual(bm, x0, w1, np.empty((1, 3, N)))
     if fell:
         raise _row_error(bm, x0[0], w1[0])
-    N = bm.problem.N
     J = _jacobian(bm, dg, np.empty((1, N + bm.dim, N + bm.dim)))[0]
     return J[N:, N:] - J[N:, :N] @ np.linalg.solve(J[:N, :N], J[:N, N:])
 
@@ -443,7 +473,8 @@ def _bordered_newton(bm: BifurcationMap, alpha0) -> tuple[np.ndarray, np.ndarray
     here exactly when it is for Newton on the map (``bifurcation_jacobian``).
     """
     N = bm.problem.N
-    u = np.concatenate([np.zeros(N), alpha0])[None]
+    u = np.zeros((1, N + bm.dim))
+    u[0, N:] = alpha0
     steps, fails = _newton(bm, np.zeros((1, N)), u, np.empty((1, N)))
     return bm.border[0] @ u[0, N:] + u[0, :N], u[0, N:], int(steps[0]), not fails
 
@@ -471,24 +502,25 @@ def winding_of_map(fn, radius: float, samples: int = 8) -> int:
         # the last sweep's points are the even ones of this one, as
         # 2 pi (2k) / (2m) rounds exactly like 2 pi k / m: only odd k are new
         ks = np.arange(1, m, 2) if len(vals) else np.arange(m)
-        points = radius * np.array([[math.cos(p), math.sin(p)] for p in 2.0 * math.pi * ks / m])
+        angles = (2.0 * math.pi * ks / m).tolist()
+        points = radius * np.array([[math.cos(p), math.sin(p)] for p in angles])
         new = np.asarray(fn(points), dtype=float)
         if new.shape != points.shape:
             raise ValueError(f"fn returned shape {new.shape} for {points.shape} points")
         vals = np.stack([vals, new], axis=1).reshape(m, 2) if len(vals) else new
         unit = np.ldexp(vals, -math.frexp(float(np.abs(vals).max()))[1])  # entries below 1
         mags = np.hypot(unit[:, 0], unit[:, 1])
-        scale = float(np.max(mags))
-        if scale == 0.0 or np.any(mags < 1e-8 * scale):
+        scale = float(mags.max())
+        if scale == 0.0 or (mags < 1e-8 * scale).any():
             raise BoundaryZeroError(
                 f"map vanishes on the circle of radius {radius}; degree undefined"
             )
         nxt = np.concatenate([unit[1:], unit[:1]])
         cross = unit[:, 0] * nxt[:, 1] - unit[:, 1] * nxt[:, 0]
-        dot = np.sum(unit * nxt, axis=1)
+        dot = (unit * nxt).sum(axis=1)
         dang = np.arctan2(cross, dot)
-        if float(np.max(np.abs(dang))) < 0.5 * math.pi:
-            turns = float(np.sum(dang)) / (2.0 * math.pi)
+        if float(np.abs(dang).max()) < 0.5 * math.pi:
+            turns = float(dang.sum()) / (2.0 * math.pi)
             if abs(turns - round(turns)) < 0.25:
                 return int(round(turns))
         m *= 2
@@ -544,7 +576,7 @@ _REGIME_NAMES = {0: "nonresonant", 1: "resonant 1d", 2: "resonant 2d"}
 
 def _oracle_sup(problem: Problem, y: np.ndarray) -> float:
     # the sup of the oracle's recurrence residual at y
-    return float(np.max(np.abs(oracle.residual(problem, y))))
+    return float(np.abs(oracle.residual(problem, y)).max())
 
 
 def _finalize(bm: BifurcationMap, y: np.ndarray, residual_sup: float, alpha, tol: float,
@@ -579,7 +611,7 @@ def _forcing_free(bm: BifurcationMap) -> bool:
     # does the zero sequence solve the problem (g(t, 0) = 0 for every t)? Not where g is undefined
     with contextlib.suppress(expr.DomainError):
         vals = expr.evaluate(bm.g_bound, bm.ts, np.zeros(bm.problem.N))
-        return float(np.max(np.abs(vals))) <= 1e-13
+        return float(np.abs(vals).max()) <= 1e-13
     return False
 
 
@@ -723,10 +755,13 @@ def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
         raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
                           diagnostics={"radius": radius}) from None
     with np.errstate(over="ignore"):  # a product that overflows is +-inf, signed alike
-        signed = np.all(xs * bounds > 0.0, axis=0)
+        signed = (xs * bounds > 0.0).all(axis=0)
+    # an onset holds when every sampled |x| at or past it is signed: when it
+    # lies past the largest unsigned |x|
+    unsigned = np.abs(xs[~signed]).max(initial=-1.0)
     zhat_est = next((cand for cand in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-                     if signed[np.abs(xs) >= cand].all()), 1.0)
-    return zhat_est, float(np.max(np.abs(bounds)))
+                     if cand > unsigned), 1.0)
+    return zhat_est, float(np.abs(bounds).max())
 
 
 def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> SolveReport:

@@ -167,3 +167,40 @@ def test_evaluate_hands_out_no_writable_alias(text):
         pass
     np.testing.assert_array_equal(x, [0.5, -1.0, 2.0])
     np.testing.assert_array_equal(evaluate(g, np.arange(3), x), want)
+
+
+_READ_ONLY_GRID = np.linspace(-2.0, 2.0, 5)
+_READ_ONLY_GRID.flags.writeable = False
+
+_WRAPPER_CASES = {
+    "scalars": (2, 0.5),
+    "lists": ([0, 1, 2], [0.5, -1.0, 2.0]),
+    "int arrays": (np.arange(3), np.array([1, -2, 3])),
+    "0-d arrays": (np.array(2.0), np.array(0.5)),
+    "t column against x row": (np.arange(3.0)[:, None], np.linspace(-1.0, 1.0, 4)),
+    "read-only float grid": (np.arange(5.0), _READ_ONLY_GRID),
+}
+
+
+@pytest.mark.parametrize("text", ["x", "tanh(x)+0.1*cos(2*pi*t/5)", "cos(t)", "0.05"])
+@pytest.mark.parametrize("case", list(_WRAPPER_CASES))
+def test_evaluate_wrapper_types_shapes_bits_and_aliasing(case, text):
+    # a plain float for scalar inputs, else a float64 array of the broadcast
+    # shape; the bits of an evaluation on fresh float64 copies of the whole
+    # grid; and an array result is fresh or read-only
+    t, x = _WRAPPER_CASES[case]
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    g = parse(text)
+    got = evaluate(g, t, x)
+    grid = [np.broadcast_to(np.asarray(v, dtype=float), shape).ravel().copy() for v in (t, x)]
+    want = evaluate(g, *grid).reshape(shape)
+    if shape == ():
+        assert type(got) is float and got == want[()]
+        return
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == shape
+    assert np.array_equal(got, want)
+    if got.flags.writeable:
+        assert not any(np.shares_memory(got, v) for v in (t, x) if isinstance(v, np.ndarray))
+    else:
+        with pytest.raises(ValueError):
+            got[...] = 0.0

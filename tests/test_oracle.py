@@ -107,6 +107,16 @@ def test_multistart_refuses_a_box_that_is_not_finite(box):
         multistart_search(make_problem(0, 2, 3, "0"), 2, box)
 
 
+def test_multistart_refuses_a_box_whose_width_overflows():
+    # [-box, box] is 2 * box wide: past half the largest float the draw
+    # overflowed inside numpy; half the largest float still runs
+    p = make_problem(0, 2, 3, "tanh(x)")
+    for box in (1e308, np.float64(1e308), np.nextafter(np.finfo(float).max / 2, math.inf)):
+        with pytest.raises(ValueError, match=r"^box must be at most half the largest float"):
+            multistart_search(p, 2, box)
+    assert isinstance(multistart_search(p, 2, np.finfo(float).max / 2), list)
+
+
 @pytest.mark.parametrize("y", [[1e308, 1e308, 1e308], [1e308, -1e308, 1e308], [-1.7e308, 0.0, 1e308]])
 def test_a_y_whose_residual_overflows_fails_the_oracle(y):
     # under the error filter for RuntimeWarning an overflow raised; the

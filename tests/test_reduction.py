@@ -273,7 +273,7 @@ def test_aux_jacobian_matches_full_difference_jacobian():
         expected[:, j] = (resid(wf + e) - resid(wf - e)) / (2.0 * e[j])
     # Newton runs on the w1 block; the w2 columns of the full Jacobian are I
     np.testing.assert_allclose(expected[:, 1::2], np.eye(2 * N)[:, 1::2], rtol=0, atol=1e-6)
-    _, _, dg, _, fell = _residual(bm, lift[None, :, 0], wf[None, 0::2])
+    _, _, dg, _, fell = _residual(bm, lift[None, :, 0], wf[None, 0::2], np.empty((1, 3, N)))
     assert not fell
     np.testing.assert_allclose(_jacobian(bm, dg, np.empty((1, N, N)))[0], expected[0::2, 0::2],
                                rtol=0, atol=1e-6)
@@ -393,14 +393,15 @@ def test_bordered_jacobian_matches_central_difference(b, c, N):
     m = bm.dim
     x0 = np.zeros((1, N))
     u = np.concatenate([0.3 * np.random.default_rng(1).standard_normal(N), [0.7, -0.4][:m]])[None]
-    _, _, dg, _, fell = _residual(bm, x0, u)
+    pts = np.empty((1, 3, N))  # the points buffer the residual writes
+    _, _, dg, _, fell = _residual(bm, x0, u, pts)
     assert not fell
     J = _jacobian(bm, dg, np.empty((1, N + m, N + m)))[0]
     expected = np.empty_like(J)
     for j in range(N + m):
         e = np.zeros_like(u)
         e[0, j] = 1e-6 * (1.0 + abs(u[0, j]))
-        diff = _residual(bm, x0, u + e)[1] - _residual(bm, x0, u - e)[1]
+        diff = _residual(bm, x0, u + e, pts)[1] - _residual(bm, x0, u - e, pts)[1]
         expected[:, j] = diff[0] / (2.0 * e[0, j])
     np.testing.assert_allclose(J, expected, rtol=0, atol=1e-6)
     # the border blocks hold more than rounding noise
@@ -485,7 +486,7 @@ def test_bifurcation_value_of_a_stack_matches_the_points(b, c, N, g):
     stacked = bifurcation_value(bm, alphas)
     assert stacked.shape == (16, bm.dim)
     expected, steps = _per_point(p, bm.ld, alphas)
-    np.testing.assert_allclose(stacked, expected, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(stacked, expected)
     assert bm._inner_iters == steps
 
 
@@ -495,8 +496,31 @@ def test_bifurcation_value_of_a_stack_larger_than_a_chunk():
     assert max(1, linear._CHUNK_ENTRIES // 65 ** 2) == 15
     alphas = _stack_of(bm, 40, 3.0)
     expected, steps = _per_point(p, bm.ld, alphas)
-    np.testing.assert_allclose(bifurcation_value(bm, alphas), expected, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(bifurcation_value(bm, alphas), expected)
     assert bm._inner_iters == steps
+
+
+@pytest.mark.parametrize("b,c,N,g", [
+    (0, 2, 9, "tanh(x)+0.1*cos(2*pi*t/9+0.4)"),
+    (-1.5, 0.5, 13, "atan(x)+0.12*cos(2*pi*t/13+4.1)"),
+    _rotation_row(15) + ("x/(1+abs(x))+0.17*cos(2*pi*t/15+0.8)",),
+], ids=["dim0", "dim1", "dim2"])
+def test_newton_gives_each_row_of_a_stack_the_bits_of_the_row_alone(b, c, N, g):
+    # an unbordered stack of 16 rows, from starts of growing size so that the
+    # rows end at different steps: each row's point, g-values and steps are
+    # bitwise those of its own one-row call
+    _, bm = _bm(b, c, N, g)
+    x0 = np.zeros((16, N)) if bm.dim == 0 else bm.kernel_lift(_stack_of(bm, 16, 2.0))[:, :, 0]
+    starts = np.linspace(0.0, 3.0, 16)[:, None] * np.random.default_rng(5).standard_normal((16, N))
+    u, gv = starts.copy(), np.empty((16, N))
+    steps, fails = reduction._newton(bm, x0, u, gv)
+    assert not fails and len(set(steps.tolist())) > 1
+    for i in range(16):
+        u_i, gv_i = starts[i:i + 1].copy(), np.empty((1, N))
+        steps_i, fails_i = reduction._newton(bm, x0[i:i + 1], u_i, gv_i)
+        assert not fails_i and steps_i[0] == steps[i]
+        np.testing.assert_array_equal(u_i[0], u[i])
+        np.testing.assert_array_equal(gv_i[0], gv[i])
 
 
 def test_a_stack_member_outside_the_domain_raises_what_its_point_raises():
@@ -681,7 +705,7 @@ def test_g_values_on_the_bound_tree_name_the_failing_t():
     with pytest.raises(expr.DomainError, match=r"ln of a non-positive value \(at t=0, x="):
         apply_F(p, np.ones((5, 2)))
     x0, w1 = bm.kernel_lift([0.5])[:, 0], np.zeros(5)
-    assert _residual(bm, x0[None], w1[None])[4]
+    assert _residual(bm, x0[None], w1[None], np.empty((1, 3, 5)))[4]
     assert re.search(r"ln of a non-positive value \(at t=0, x=", str(_row_error(bm, x0, w1)))
 
 
