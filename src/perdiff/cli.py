@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import math
 import sys
@@ -258,33 +257,36 @@ def _cmd_check(args) -> int:
 
 
 def _scan_csv(bs: np.ndarray, c: float, n_list: list) -> str:
-    """The scan's CSV text, assembled a column at a time: each b's "b,c,"
-    head and ",theta,in_U," tail are formatted once, each N column has one
-    "N,dim" text per dim present (which can exceed 2) and an "r_int,gcd"
-    text per row that ends the line, and a line is those four pieces joined."""
-    # one continued-fraction pass for the in_U column
+    """The scan's CSV text, joined once from four pieces per line: each b's
+    "b,c," head and ",theta,in_U," tail, formatted once per b and shared by
+    its lines, each N column's "N,dim" text, one per dim present (which can
+    exceed 2), and its "r_int,gcd" text that ends the line. One
+    ``kernel_dims`` call gives every column's dims."""
+    b_list = bs.tolist()
     inside = np.abs(bs) < 2.0
+    # theta and in_U read one math.acos per b, whose bits np.arccos may miss in the last place
+    theta = [math.acos(-b / 2.0) if abs(b) <= 2.0 else math.nan for b in b_list]
     in_u = np.zeros(bs.size, dtype=bool)
-    in_u[inside] = hypotheses._resonant_angles(bs[inside], hypotheses.DEFAULT_MAX_DENOMINATOR)[0]
+    in_u[inside] = hypotheses._resonant_angles(np.array(theta)[inside],
+                                               hypotheses.DEFAULT_MAX_DENOMINATOR)[0]
     c_text = _fmt_float(c)
-    heads = [f"{_fmt_float(b)},{c_text}," for b in bs.tolist()]
-    # theta keeps math.acos's bits, which np.arccos may miss in the last place
-    tails = [f",{_fmt_float(math.acos(-b / 2.0)) if abs(b) <= 2.0 else ''},"
+    heads = [f"{_fmt_float(b)},{c_text}," for b in b_list]
+    tails = [f",{_fmt_float(t) if abs(b) <= 2.0 else ''},"
              f"{('true,' if b_in_u else 'false,') if b_inside else ','}"
-             for b, b_inside, b_in_u in zip(bs.tolist(), inside.tolist(), in_u.tolist())]
-    columns = []
-    for N in n_list:
-        # one symbol evaluation per N column, by the same rule as classify
-        dim, r_int = kernel_dims(bs, c, N)
-        dim = dim.tolist()
+             for b, t, b_inside, b_in_u in zip(b_list, theta, inside.tolist(), in_u.tolist())]
+    dims, r_ints = kernel_dims(bs, c, n_list)
+    # line (i, j), of b i and column j, is pieces[1 + 4 * (i * len(n_list) + j):][:4]
+    stride = 4 * len(n_list)
+    pieces = [""] * (1 + stride * bs.size)
+    pieces[0] = "b,c,N,dim,theta,in_U,r_int,gcd\n"
+    for j, (N, dim, r_int) in enumerate(zip(n_list, dims.tolist(), r_ints)):
         n_dim = {d: f"{N},{d}" for d in set(dim)}
         rot = [",\n"] * bs.size
         for row in np.flatnonzero(r_int >= 0).tolist():
-            r = int(r_int[row])
-            rot[row] = f"{r},{math.gcd(r, N)}\n"
-        columns.append(map("".join, zip(heads, map(n_dim.__getitem__, dim), tails, rot)))
-    return "".join(itertools.chain(["b,c,N,dim,theta,in_U,r_int,gcd\n"],
-                                   itertools.chain.from_iterable(zip(*columns))))
+            rot[row] = f"{r_int[row]},{math.gcd(int(r_int[row]), N)}\n"
+        for p, texts in enumerate((heads, map(n_dim.__getitem__, dim), tails, rot), 1 + 4 * j):
+            pieces[p::stride] = texts
+    return "".join(pieces)
 
 
 def _cmd_scan(args) -> int:

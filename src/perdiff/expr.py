@@ -323,11 +323,12 @@ def _ev(node: Node, t, x):
     return np.maximum(a, _ev(node.args[1], t, x))
 
 
+@np.errstate(all="ignore")
 def _bound(node: Node, t) -> Node:
     # an x-free node as a Num of its read-only value at t; a Num, or a node
     # that raises DomainError at t, as it is
     if not isinstance(node, Num):
-        with contextlib.suppress(DomainError), np.errstate(all="ignore"):
+        with contextlib.suppress(DomainError):
             value = np.array(_ev(node, t, 0.0))
             value.flags.writeable = False
             return Num(value)
@@ -411,6 +412,7 @@ def _forcing_split(node: Node):
     return None
 
 
+@np.errstate(all="ignore")
 def envelope(node: Node, t, x) -> np.ndarray:
     """At each x of the grid x, the least and the greatest g over the column
     of times t, as the rows of one array; each value is bitwise one of
@@ -427,7 +429,7 @@ def envelope(node: Node, t, x) -> np.ndarray:
     """
     tv, xv = _operand(t), _operand(x)
     split = _forcing_split(node)
-    with np.errstate(all="ignore"), contextlib.suppress(DomainError):
+    with contextlib.suppress(DomainError):
         if split is not None:
             h_node, p_node, p_right = split
             h = _ev(h_node, tv, xv)

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import expr
-from .linear import Problem, build_linear_data, norm_bound_mp_iq
+from .linear import Problem, _check_allocatable, build_linear_data, norm_bound_mp_iq
 
 INFLATE = 1.05
 DEFLATE = 0.95
@@ -103,12 +103,13 @@ def _positive(v: float) -> bool:
 
 def _check_args(grid: int, N: int | None = None, **positive) -> int:
     # the checkers' argument rules: each value finite and positive, grid an
-    # integer >= 2 (given back as an int), N odd
+    # integer >= 2 that an array can hold (given back as an int), N odd
     for name, value in positive.items():
         if not _positive(value):
             raise ValueError(f"{name} must be finite and positive")
     if not (float(grid).is_integer() and grid >= 2):
         raise ValueError("grid must be an integer >= 2")
+    _check_allocatable("grid", int(grid), 8 * int(grid))
     if N is not None and N % 2 == 0:
         raise NotApplicableError("this check requires an odd period N")
     return int(grid)
@@ -136,6 +137,7 @@ _PROBE = np.array([-2.7, -1.3, -0.4, 0.0, 0.6, 1.9, 3.2])
 _PROBE_TOL = 1e-12
 
 
+@np.errstate(over="ignore")  # a difference that overflows is inf
 def _sample_period(problem: Problem, grids: list):
     """Whether g is N-periodic in t at the probe x values, from one
     evaluation of g over the probe at t = 0..2N-1, then on each x grid g's
@@ -144,41 +146,41 @@ def _sample_period(problem: Problem, grids: list):
     its DomainError comes before any grid's."""
     g, N = problem.g, problem.N
     probe = expr.evaluate(g, np.arange(2 * N)[:, None], _PROBE)
-    with np.errstate(over="ignore"):  # a difference that overflows is inf
-        periodic = np.all(np.max(np.abs(probe[:N] - probe[N:]), axis=1)
-                          <= _PROBE_TOL * (1.0 + np.max(np.abs(probe[:N]), axis=1)))
+    periodic = np.all(np.max(np.abs(probe[:N] - probe[N:]), axis=1)
+                      <= _PROBE_TOL * (1.0 + np.max(np.abs(probe[:N]), axis=1)))
     bounds = expr.envelope(g, np.arange(N)[:, None], np.concatenate(grids))
     return bool(periodic), _split(bounds, grids)
 
 
-def _sample_t_free(problem: Problem, windows: list, grids: list):
-    """g at t = 0 on each window, and on each grid g's least and greatest
-    value over one period t = 0..N-1 (one row for a g that reads no t), once
-    g is seen independent of t at the probe x values (NotApplicableError if
-    not). g is evaluated in this order: the probe at t = 0..N (then the
-    independence check), the windows joined at t = 0, one ``expr.envelope``
-    of the grids joined. So a DomainError comes from the first of these to
-    fail, and a g that depends on t is found before any window is sampled.
+@np.errstate(over="ignore")  # a difference that overflows is inf
+def _sample_t_free(problem: Problem, windows: np.ndarray, grids: list):
+    """g at t = 0 on the block of windows, one window a row, and on each
+    grid g's least and greatest value over one period t = 0..N-1 (one row
+    for a g that reads no t), once g is seen independent of t at the probe
+    x values (NotApplicableError if not). g is evaluated in this order: the
+    probe at t = 0..N (then the independence check), the windows at t = 0,
+    one ``expr.envelope`` of the grids joined. So a DomainError comes from
+    the first of these to fail, and a g that depends on t is found before
+    any window is sampled.
     """
     g, N = problem.g, problem.N
     probe = expr.evaluate(g, np.arange(N + 1)[:, None], _PROBE)
-    # g at t = 1..N against g at t = 0; a difference that overflows is inf
-    with np.errstate(over="ignore"):
-        if not np.all(np.max(np.abs(probe[1:] - probe[0]), axis=1)
-                      <= _PROBE_TOL * (1.0 + np.max(np.abs(probe[0])))):
-            raise NotApplicableError("the corollary requires g independent of t")
-    on_windows = _split(expr.evaluate(g, 0, np.concatenate(windows)), windows)
+    # g at t = 1..N against g at t = 0
+    if not np.all(np.max(np.abs(probe[1:] - probe[0]), axis=1)
+                  <= _PROBE_TOL * (1.0 + np.max(np.abs(probe[0])))):
+        raise NotApplicableError("the corollary requires g independent of t")
+    on_windows = expr.evaluate(g, 0, windows)
     bounds = expr.envelope(g, np.arange(N)[:, None], np.concatenate(grids))
     return on_windows, _split(bounds, grids)
 
 
+@np.errstate(over="ignore")
 def _sign_condition(xs: np.ndarray, g_pos: np.ndarray, g_neg: np.ndarray) -> tuple[bool, float]:
     """Is x*g(t,x) > 0 at x = xs and x = -xs (g sampled there)? Also the smallest product.
 
     The products are finite or +-inf, never nan, so all are positive iff the
     smallest is."""
-    with np.errstate(over="ignore"):
-        worst = min(float(np.min(xs * g_pos)), float(np.min(-xs * g_neg)))
+    worst = min(float(np.min(xs * g_pos)), float(np.min(-xs * g_neg)))
     return worst > 0.0, worst
 
 
@@ -247,9 +249,11 @@ _MAX_DENOMINATOR_LIMIT = 2**53 - 1
 _ROWS_PER_PASS = 1024
 
 
-def _resonant_angles(b: np.ndarray, max_denominator: int):
-    """(in_u, p, q) for each b of a column with |b| < 2: is arccos(-b/2)/(2*pi)
-    within RATIONAL_ANGLE_TOL of a continued-fraction convergent p/q with
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _resonant_angles(theta: np.ndarray, max_denominator: int):
+    """(in_u, p, q) for each angle theta = arccos(-b/2) of a column with
+    |b| < 2, as ``math.acos`` gives it: is theta/(2*pi) within
+    RATIONAL_ANGLE_TOL of a continued-fraction convergent p/q with
     q <= max_denominator and 0 <= 2p < q? p and q are the first such
     convergent's, 0 where there is none.
 
@@ -258,31 +262,29 @@ def _resonant_angles(b: np.ndarray, max_denominator: int):
     max_denominator, or after a remainder at most _FRACTION_FLOOR. Terms a
     row computes after that (possibly 1/0 and inf - inf) are never read.
     """
-    if b.size > _ROWS_PER_PASS:
-        parts = [_resonant_angles(b[s:s + _ROWS_PER_PASS], max_denominator)
-                 for s in range(0, b.size, _ROWS_PER_PASS)]
+    if theta.size > _ROWS_PER_PASS:
+        parts = [_resonant_angles(theta[s:s + _ROWS_PER_PASS], max_denominator)
+                 for s in range(0, theta.size, _ROWS_PER_PASS)]
         return tuple(np.concatenate(column) for column in zip(*parts))
-    # math.acos per element: np.arccos may differ from it in the last bit
-    x = np.array([math.acos(-v / 2.0) for v in b.tolist()]) / (2.0 * math.pi)
+    x = theta / (2.0 * math.pi)
     whole = np.floor(x)
     frac = x - whole
     one, zero = np.ones_like(x), np.zeros_like(x)
     pq, pq_prev = np.array([whole, one]), np.array([one, zero])  # rows p, q
     terms, fracs = [pq], [frac]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while (len(terms) <= _MAX_TERMS
-               and ((pq[1] <= max_denominator) & (frac > _FRACTION_FLOOR)).any()):
-            y = 1.0 / frac
-            whole = np.floor(y)
-            frac = y - whole
-            pq, pq_prev = whole * pq + pq_prev, pq
-            terms.append(pq)
-            fracs.append(frac)
-        terms = np.array(terms)
-        p, q = terms[:, 0], terms[:, 1]  # (terms, rows) each
-        within = q <= max_denominator
-        hit = within & (np.abs(x - p / q) <= RATIONAL_ANGLE_TOL) & (0 <= 2 * p) & (2 * p < q)
-        end = hit | ~within | ~(np.array(fracs) > _FRACTION_FLOOR)
+    while (len(terms) <= _MAX_TERMS
+           and ((pq[1] <= max_denominator) & (frac > _FRACTION_FLOOR)).any()):
+        y = 1.0 / frac
+        whole = np.floor(y)
+        frac = y - whole
+        pq, pq_prev = whole * pq + pq_prev, pq
+        terms.append(pq)
+        fracs.append(frac)
+    terms = np.array(terms)
+    p, q = terms[:, 0], terms[:, 1]  # (terms, rows) each
+    within = q <= max_denominator
+    hit = within & (np.abs(x - p / q) <= RATIONAL_ANGLE_TOL) & (0 <= 2 * p) & (2 * p < q)
+    end = hit | ~within | ~(np.array(fracs) > _FRACTION_FLOOR)
     first = np.argmax(end, axis=0), np.arange(x.size)
     in_u = hit[first]
     p, q = (np.where(in_u, v[first], 0).astype(np.int64) for v in (p, q))
@@ -305,7 +307,8 @@ def membership_U(b: float, max_denominator: int = DEFAULT_MAX_DENOMINATOR):
         raise ValueError("max_denominator must be an integer in [2, 2**53)")
     if not abs(b) < 2.0:  # nan fails every comparison
         raise ValueError("membership is defined for b in (-2, 2) only")
-    in_u, p, q = _resonant_angles(np.array([float(b)]), int(max_denominator))
+    # math.acos: np.arccos may differ from it in the last bit
+    in_u, p, q = _resonant_angles(np.array([math.acos(-float(b) / 2.0)]), int(max_denominator))
     return (True, (int(p[0]), int(q[0]))) if in_u[0] else (False, None)
 
 
@@ -338,8 +341,8 @@ def check_corollary(problem: Problem, R: float, r_schedule=None,
     # every row by its subnormal branch, a radius below about 1e-322 at grid 201)
     rs = np.array(r_schedule)
     windows, (g_pos, g_neg) = _sample_t_free(
-        problem, list(np.linspace(-2.0 * rs, 2.0 * rs, grid, axis=-1)), [xs, -xs])
-    ratios = [float(np.max(np.abs(w))) / (2.0 * r) for w, r in zip(windows, r_schedule)]
+        problem, np.linspace(-2.0 * rs, 2.0 * rs, grid, axis=-1), [xs, -xs])
+    ratios = (np.abs(windows).max(axis=1) / (2.0 * rs)).tolist()
     decreasing = all(ratios[k + 1] < ratios[k] for k in range(len(ratios) - 1))
     c1 = Condition(
         "C1*", decreasing and ratios[-1] < RATIO_THRESHOLD, True,

@@ -18,8 +18,9 @@ vanishes:
   resonant modes, |lambda_k| <= RESONANT_RTOL * (1 + |b| + |c|), a cutoff
   that does not depend on N, is formed in ``_cutoff`` (finite for every
   finite b and c) and is applied to the whole symbol by ``resonant_modes``;
-  ``kernel_dims`` applies the same test for a whole column of b values, on
-  only the modes that a lower bound on |lambda_k| leaves;
+  ``kernel_dims`` applies the same test for a whole column of b values at
+  every N of a list, in one gathered pass, on only the modes that a lower
+  bound on |lambda_k| leaves;
 * bases for Ker(L) and for the periodic solutions of the adjoint
   recurrence x(t+1) = A^{-T} x(t), whose shifted pairing annihilates
   exactly Im(L): a resonant mode mu = w^k gives mu^t (1, mu) and
@@ -237,8 +238,15 @@ def _cutoff(b, c: float):
     return (2.0 * RESONANT_RTOL) * (0.5 + 0.5 * np.abs(b) + 0.5 * abs(c))
 
 
+def _check_allocatable(name: str, size: int, nbytes: int) -> None:
+    # past the largest intp in bytes numpy has no array, and says so by a ValueError or IndexError
+    if nbytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"{name} = {size} is too large: its arrays would exceed any address space")
+
+
 def _roots(N: int) -> np.ndarray:
     """w_k = e^{2*pi*i*k/N} on the real-FFT modes k = 0..N//2."""
+    _check_allocatable("N", N, 16 * N)  # a sequence of N points of R^2
     return np.exp(2j * np.pi * np.arange(N // 2 + 1) / N)
 
 
@@ -255,71 +263,85 @@ def resonant_modes(b, c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     return symbol, np.abs(symbol) <= _cutoff(b, c)
 
 
-def kernel_dims(bs, c: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """dim and r_int of (b, c, N) for each b in bs, as ``classify`` gives them.
-
-    dim counts the resonant modes, a conjugate pair (2k % N != 0) twice;
-    r_int is the largest resonant pair k, or -1 where there is none.
+@np.errstate(over="ignore")
+def kernel_dims(bs, c: float, n_list) -> tuple[np.ndarray, np.ndarray]:
+    """dim and r_int of (b, c, N) for each N in n_list and b in bs, as
+    ``classify`` gives them: two arrays (len(n_list), len(bs)). dim counts
+    the resonant modes, a conjugate pair (2k % N != 0) twice; r_int is the
+    largest resonant pair k, or -1 where there is none.
 
     The exact test of ``resonant_modes`` runs only on the modes that can
     pass it. As |w_k| = 1, conj(w_k) lambda_k = (1 + c) Re w_k + b +
     i (1 - c) Im w_k, so |lambda_k| >= |(1 + c) Re w_k + b|: a mode whose
-    bound exceeds the cutoff by more than the slack, 2 * cutoff + 1e-12 *
-    (1 + |b| + |c|), cannot pass. The slack is safe: it is more than 10^5
-    times the rounding of the computed symbol and bound together (see
-    _BOUND_SLACK), so no mode that passes the exact test is left out, and a
-    mode the bound lets through is still decided by the exact test.
+    bound exceeds the cutoff by more than the slack cannot pass, and no
+    mode that passes is left out (see _BOUND_SLACK).
 
-    Re w_k falls with k, so the modes left form one run per b, found by
+    Re w_k falls with k, so the modes left form one run per (b, N), found by
     binary search and widened by one mode each side, against a rounded
     Re w_k out of order by an ulp; at 1 + c = 0 the bound is |b|, and the
-    run holds every mode or none. The cost per column is O(N + steps log N)
-    plus the runs' length: a few modes per b, unless 1 + c is near 0 or, at
-    very large N, b sits next to the multiplier 1 or -1. Runs are gathered
-    in chunks of about _CHUNK_ENTRIES modes, so memory does not grow with
-    the b column.
+    run holds every mode or none. Columns are joined while their roots and
+    (b, N) pairs number at most _CHUNK_ENTRIES (a longer column goes alone),
+    and a group's runs are tested in chunks of about _CHUNK_ENTRIES modes,
+    so memory grows neither with the b column nor with the columns. The
+    cost is O(N) per column plus the runs' length, a few modes per pair,
+    unless 1 + c is near 0 or, at very large N, b sits next to the
+    multiplier 1 or -1.
     """
     bs = np.asarray(bs, dtype=float)
-    w = _roots(N)
-    w2 = w * w  # the bits of resonant_modes' w * w
+    nb = bs.size
     cutoff = _cutoff(bs, c)
     width = (1.0 + _BOUND_SLACK) * cutoff
     a = 1.0 + c
-    rising = -w.real
-    with np.errstate(over="ignore"):
-        # the run of modes with -Re w_k in [lo, hi]: |(1 + c) Re w_k + b| <= width
-        if a == 0.0:
-            lo, hi = np.where(np.abs(bs) <= width, -np.inf, np.inf), np.inf
-        else:
-            lo, hi = (bs - width) / a, (bs + width) / a
-            if a < 0.0:
-                lo, hi = hi, lo
-        # widened by one mode each side: max(k_lo - 1, 0) to min(k_hi + 1, N//2 + 1)
-        start = rising[1:].searchsorted(lo, "left")
-        length = rising[:-1].searchsorted(hi, "right")
-        length += 1
-        length -= start
+    # the run of modes with -Re w_k in [lo, hi]: |(1 + c) Re w_k + b| <= width
+    if a == 0.0:
+        lo, hi = np.where(np.abs(bs) <= width, -np.inf, np.inf), np.full(nb, np.inf)
+    else:
+        lo, hi = (bs - width) / a, (bs + width) / a
+        if a < 0.0:
+            lo, hi = hi, lo
+    dim = np.zeros(len(n_list) * nb, dtype=int)
+    r_int = np.full(len(n_list) * nb, -1)
+    modes = [N // 2 + 1 for N in n_list]
+    j = 0
+    while j < len(n_list):
+        # the columns j..e-1: their roots joined, their pairs p = col * nb + i
+        e = j + 1
+        while e < len(n_list) and sum(modes[j:e + 1]) + (e + 1 - j) * nb <= _CHUNK_ENTRIES:
+            e += 1
+        w = np.concatenate([_roots(N) for N in n_list[j:e]])
+        rising = -w.real
+        first_mode = np.cumsum([0, *modes[j:e]])
+        columns = list(zip(first_mode.tolist(), first_mode[1:].tolist()))
+        # widened by one mode each side: max(k_lo - 1, 0) to min(k_hi + 1, N//2 + 1),
+        # as indices into the joined roots
+        start = np.concatenate([rising[m + 1:z].searchsorted(lo, "left") + m for m, z in columns])
+        length = np.concatenate([rising[m:z - 1].searchsorted(hi, "right") + (m + 1)
+                                 for m, z in columns]) - start
         end = length.cumsum()
-        dim = np.zeros(bs.size, dtype=int)
-        r_int = np.full(bs.size, -1)
+        pair_b, pair_cutoff = np.tile(bs, e - j), np.tile(cutoff, e - j)
         s = 0
-        while s < bs.size:
+        while s < start.size:
             first = end[s] - length[s]
-            e = max(s + 1, int(end.searchsorted(first + _CHUNK_ENTRIES, "right")))
-            rows = np.arange(s, e).repeat(length[s:e])
-            k = (start[s:e] - (end[s:e] - length[s:e])).repeat(length[s:e])
-            k += np.arange(first, end[e - 1])
-            symbol = w2[k]
-            symbol += bs[rows] * w[k]
+            t = max(s + 1, int(end.searchsorted(first + _CHUNK_ENTRIES, "right")))
+            rows = np.arange(s, t).repeat(length[s:t])
+            k = (start[s:t] - (end[s:t] - length[s:t])).repeat(length[s:t])
+            k += np.arange(first, end[t - 1])
+            wk = w[k]
+            symbol = wk * wk  # w * w + b * w + c, as resonant_modes forms it
+            symbol += pair_b[rows] * wk
             symbol += c
-            hit = np.flatnonzero(np.abs(symbol) <= cutoff[rows])
-            rows, k = rows[hit], k[hit]
-            rotation = 2 * k % N != 0  # a conjugate pair k, N - k
-            dim += np.bincount(rows, minlength=bs.size)
-            dim += np.bincount(rows[rotation], minlength=bs.size)
+            hit = np.flatnonzero(np.abs(symbol) <= pair_cutoff[rows])
+            rows = rows[hit]
+            cols = rows // nb
+            k = k[hit] - first_mode[cols]
+            rotation = 2 * k % np.take(n_list[j:e], cols) != 0  # a conjugate pair k, N - k
+            rows += j * nb
+            dim += np.bincount(rows, minlength=dim.size)
+            dim += np.bincount(rows[rotation], minlength=dim.size)
             np.maximum.at(r_int, rows[rotation], k[rotation])
-            s = e
-    return dim, r_int
+            s = t
+        j = e
+    return dim.reshape(len(n_list), nb), r_int.reshape(len(n_list), nb)
 
 
 def build_linear_data(problem: Problem) -> LinearData:

@@ -24,6 +24,7 @@ DEDUPE_TOL = 1e-6
 _HALF_MAX = np.finfo(float).max / 2
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def residual(problem: Problem, y: np.ndarray) -> np.ndarray:
     """Cyclic recurrence residual, one entry per t. An entry that overflows is
     +-inf (nan where two overflows cancel), and fails every tolerance."""
@@ -32,9 +33,8 @@ def residual(problem: Problem, y: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected {problem.N} values, got shape {y.shape}")
     ts = np.arange(problem.N)
     g_vals = np.asarray(expr.evaluate(problem.g, ts, y), dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (np.concatenate([y[2:], y[:2]]) + problem.b * np.concatenate([y[1:], y[:1]])
-                + problem.c * y - g_vals)
+    return (np.concatenate([y[2:], y[:2]]) + problem.b * np.concatenate([y[1:], y[:1]])
+            + problem.c * y - g_vals)
 
 
 def _jacobian(problem: Problem, y: np.ndarray) -> np.ndarray:

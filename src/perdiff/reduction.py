@@ -742,6 +742,7 @@ def _scan_1d_nontrivial(bm: BifurcationMap, beta, r: float) -> bool:
 # -- regime 2: two-dimensional kernel ----------------------------------------
 
 
+@np.errstate(over="ignore")  # a product that overflows is +-inf, signed alike
 def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
     """Sampled (zhat_est, K_est) on [-100, 100]: sign-condition onset and sup
     of |g| over every t, from g's least and greatest value over the period
@@ -754,8 +755,7 @@ def _estimate_bounds(problem: Problem, radius: float) -> tuple[float, float]:
         e = _located(problem, np.broadcast_to(xs[:, None], (xs.size, problem.N)), e)
         raise SolverError(f"the default radius samples g on [-100, 100] at every t: {e}",
                           diagnostics={"radius": radius}) from None
-    with np.errstate(over="ignore"):  # a product that overflows is +-inf, signed alike
-        signed = (xs * bounds > 0.0).all(axis=0)
+    signed = (xs * bounds > 0.0).all(axis=0)
     # an onset holds when every sampled |x| at or past it is signed: when it
     # lies past the largest unsigned |x|
     unsigned = np.abs(xs[~signed]).max(initial=-1.0)

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from perdiff import NotInImageError, Problem, classify, cli, hypotheses, linear, reduction
+from perdiff import (NotInImageError, Problem, classify, cli, hypotheses, linear,
+                     membership_U, reduction)
 
 from conftest import exact_membership, subprocess_env
 
@@ -423,8 +424,7 @@ def test_scan_out_writes_the_bytes_it_prints(grid, tmp_path, capsys):
 
 
 def test_scan_formats_each_b_and_theta_once(monkeypatch, capsys):
-    # the CSV is assembled a column at a time: b, c and theta are formatted
-    # once per b, not once per (b, N) line
+    # b, c and theta are formatted once per b, not once per (b, N) line
     calls = []
     fmt = cli._fmt_float
     monkeypatch.setattr(cli, "_fmt_float", lambda v: calls.append(v) or fmt(v))
@@ -433,18 +433,30 @@ def test_scan_formats_each_b_and_theta_once(monkeypatch, capsys):
     assert len(calls) <= 2 * 401 + 1
 
 
+def test_scan_in_u_equals_membership_u_row_by_row(capsys):
+    # the scan's in_U column and membership_U read the same angles
+    assert cli.main(_scan_argv(*_BENCHMARK_GRID)) == cli.EXIT_OK
+    for line in capsys.readouterr().out.splitlines()[1:]:
+        b, in_u = float(line.split(",")[0]), line.split(",")[5]
+        want = "" if abs(b) >= 2.0 else "true" if membership_U(b)[0] else "false"
+        assert in_u == want, line
+
+
 def test_scan_memory_does_not_grow_with_the_b_column(capsys):
     # at N = 65536 a (steps, N/2 + 1) complex symbol would take 210 MB;
-    # chunking holds a few complex arrays of _CHUNK_ENTRIES entries
-    tracemalloc.start()
-    try:
-        code = cli.main(["scan", "--b-range=-2:2:401", "--c", "1", "--N-list", "65536"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == cli.EXIT_OK
-    assert len(capsys.readouterr().out.splitlines()) == 402
-    assert peak < 8 * 16 * linear._CHUNK_ENTRIES
+    # chunking holds a few complex arrays of _CHUNK_ENTRIES entries, and
+    # columns are joined only while their roots and (b, N) pairs number at
+    # most _CHUNK_ENTRIES, so more columns take no more
+    for n_list in ("65536", "65536,65537,65536,65537"):
+        tracemalloc.start()
+        try:
+            code = cli.main(["scan", "--b-range=-2:2:401", "--c", "1", "--N-list", n_list])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 401 * len(n_list.split(","))
+        assert peak < 8 * 16 * linear._CHUNK_ENTRIES, n_list
 
 
 def test_scan_memory_stays_chunked_when_every_mode_is_tested(capsys):
@@ -488,22 +500,37 @@ def test_linear_data_that_overflows_exits_3(command, b, c, N, tmp_path, capsys):
 
 
 # a period or grid of 1e15: its arrays take petabytes, beyond any address
-# space, so numpy refuses them before anything is allocated
+# space, so numpy refuses them before anything is allocated. Past 2**63
+# bytes no numpy array can exist at all: numpy would raise a ValueError or
+# an IndexError, so the size is refused by name
 _HUGE = "1000000000000000"
+_BEYOND = "99999999999999999999"
 
 
 @pytest.mark.parametrize("argv", [["classify", "big"], ["solve", "big"],
                                   ["scan", "--b-range=-2:2:3", "--c", "1", "--N-list", _HUGE],
-                                  ["check", "small", "--theorem", "thm1", "--grid", _HUGE]])
+                                  ["check", "small", "--theorem", "thm1", "--grid", _HUGE],
+                                  ["classify", "beyond"], ["solve", "beyond"],
+                                  ["scan", "--b-range=-2:2:3", "--c", "1", "--N-list", _BEYOND],
+                                  ["check", "small", "--theorem", "thm1", "--grid", _BEYOND],
+                                  ["check", "small", "--theorem", "thm1", "--grid", str(2**63 - 1)],
+                                  ["check", "small", "--theorem", "cor", "--grid", _BEYOND]])
 def test_a_period_or_grid_too_large_to_allocate_exits_3(argv, tmp_path, capsys):
-    # one line naming the allocation, in place of a numpy traceback with exit 1
+    # one line naming the allocation or the size, in place of a numpy
+    # traceback with exit 1 or numpy's bare text with exit 2
     files = {"big": write_problem(tmp_path / "big.json", 0, 2, int(_HUGE), "tanh(x)"),
+             "beyond": write_problem(tmp_path / "beyond.json", 0, 2, int(_BEYOND), "tanh(x)"),
              "small": write_problem(tmp_path / "small.json", 0, 2, 3, "tanh(x)")}
     code = cli.main([files.get(a, a) for a in argv])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_SOLVER
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+    size = {"big": _HUGE, "beyond": _BEYOND}.get(argv[-1], argv[-1])
+    if size == _HUGE:
+        assert err.count("\n") == 1 and err.startswith("error: Unable to allocate")
+    else:
+        name = "grid" if "--grid" in argv else "N"
+        assert err.count("\n") == 1 and err.startswith(f"error: {name} = {size} is too large")
 
 
 def test_verify_of_a_y_whose_residual_overflows_fails_without_a_warning(tmp_path):

@@ -112,17 +112,20 @@ def test_the_extremes_raise_the_domain_error_of_every_t(g, message, monkeypatch)
 
 @pytest.fixture
 def shapes(monkeypatch):
-    """Shapes of every value of g or of its subtrees that evaluation forms."""
+    """Shapes of every value of g or of its subtrees that evaluation forms.
+    A value at one t gets a leading t axis of length 1, so that rows of x
+    values (the corollary's windows) are not taken for rows of t."""
     seen = []
     ev, evaluate, envelope = expr._ev, expr.evaluate, expr.envelope
 
     def recorded_ev(node, t, x):
         out = ev(node, t, x)
-        seen.append(np.shape(out))
+        seen.append(np.shape(out) if np.ndim(t) else (1, *np.shape(out)))
         return out
 
     def recorded_evaluate(node, t, x):
-        seen.append(np.broadcast_shapes(np.shape(t), np.shape(x)))
+        shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+        seen.append(shape if np.ndim(t) else (1, *shape))
         return evaluate(node, t, x)
 
     def recorded_envelope(*args):

@@ -79,6 +79,12 @@ def _resonant_b():
 
 
 _ULP_BELOW_2 = math.nextafter(2.0, 0.0)
+
+
+def _angles(bs):
+    # the angles arccos(-b/2) that _resonant_angles takes, as math.acos gives them
+    return np.array([math.acos(-b / 2.0) for b in np.asarray(bs, dtype=float).tolist()])
+
 _COLUMNS = {
     "uniform": lambda: np.random.default_rng(20).uniform(-2.0, 2.0, 20_000).tolist(),
     "resonant": _resonant_b,
@@ -94,7 +100,7 @@ def test_membership_column_matches_exact_convergents(column, max_denominator):
     bs = _COLUMNS[column]()
     if column == "resonant" and max_denominator != 10**6:
         bs = bs[::50]
-    in_u, p, q = _resonant_angles(np.array(bs), max_denominator)
+    in_u, p, q = _resonant_angles(_angles(bs), max_denominator)
     got = [(True, (pp, qq)) if hit else (False, None)
            for hit, pp, qq in zip(in_u.tolist(), p.tolist(), q.tolist())]
     want = [exact_membership(b, max_denominator) for b in bs]
@@ -110,14 +116,14 @@ def test_membership_column_memory_does_not_grow_with_the_column():
     # every term of a row is kept while its recurrence runs, so rows go
     # through _ROWS_PER_PASS at a time: 50k rows at up to 65 terms would
     # otherwise hold more than 100 MB
-    b = np.random.default_rng(21).uniform(-2.0, 2.0, 50_000)
+    theta = _angles(np.random.default_rng(21).uniform(-2.0, 2.0, 50_000))
     tracemalloc.start()
     try:
-        in_u, p, q = _resonant_angles(b, 2**53 - 1)
+        in_u, p, q = _resonant_angles(theta, 2**53 - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert in_u.shape == p.shape == q.shape == b.shape
+    assert in_u.shape == p.shape == q.shape == theta.shape
     assert peak < 16 * 2**20
 
 
@@ -125,7 +131,7 @@ def test_membership_column_never_warns():
     # rows that end early run on through 1/0 and inf - inf, unread
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        in_u, p, q = _resonant_angles(np.array([0.0, 1.0, 1.2, 1.0 + 1e-10, -_ULP_BELOW_2]), 10**6)
+        in_u, p, q = _resonant_angles(_angles([0.0, 1.0, 1.2, 1.0 + 1e-10, -_ULP_BELOW_2]), 10**6)
     assert in_u.tolist() == [True, True, False, False, False]
     assert (p.tolist(), q.tolist()) == ([1, 1, 0, 0, 0], [4, 3, 0, 0, 0])
 

@@ -156,7 +156,7 @@ def test_kernel_dims_match_classify_row_by_row(c, N):
     # at N = 40000 a chunk holds 3 rows, so the column spans several chunks
     rot = [-2.0 * math.cos(2.0 * math.pi * k / N) for k in (1, N // 3)]
     bs = np.concatenate([np.linspace(-3.0, 3.0, 13), rot, np.add(rot, 1e-10)])
-    dim, r_int = linear.kernel_dims(bs, c, N)
+    (dim,), (r_int,) = linear.kernel_dims(bs, c, [N])
     for b, d, r in zip(bs, dim, r_int):
         rc = classify(make_problem(b, c, N, "0"))
         assert (d, r) == (rc.dim, -1 if rc.r_int is None else rc.r_int)
@@ -167,7 +167,7 @@ def test_more_than_two_resonant_modes_are_refused(N):
     # the double multiplier 1 of (-2, 1): from N = 99400 on, the modes
     # k = +-1 pass the cutoff next to k = 0; the O(N) symbol names the count
     # before any basis is built
-    assert linear.kernel_dims([-2.0], 1.0, N)[0][0] == 3
+    assert linear.kernel_dims([-2.0], 1.0, [N])[0].tolist() == [[3]]
     with pytest.raises(ModeLimitError, match=r"^3 resonant modes .*4e-09.* N = "):
         build_linear_data(make_problem(-2.0, 1.0, N, "0"))
 
@@ -212,12 +212,32 @@ def test_kernel_dims_equal_the_full_symbol_rule(c, N):
     outside = np.concatenate([roots + cut * (1 + 1e-6), roots - cut * (1 + 1e-6)])
     bs = np.concatenate([np.linspace(-4.0, 4.0, 41), rot, rot + 1e-10, rot - 1e-10,
                          [1.0 + c, -(1.0 + c)], rng.uniform(-5.0, 5.0, 10), inside, outside])
-    dim, r_int = linear.kernel_dims(bs, c, N)
-    want_dim, want_r_int = _full_symbol_rule(bs, c, N)
-    assert dim.tolist() == want_dim
-    assert r_int.tolist() == want_r_int
+    # the column of N next to others and repeated: every row is its own N's
+    n_list = [N, 2, 1025, 3, N]
+    dim, r_int = linear.kernel_dims(bs, c, n_list)
+    want = {M: _full_symbol_rule(bs, c, M) for M in n_list}
+    assert [(d, r) for d, r in zip(dim.tolist(), r_int.tolist())] == [want[M] for M in n_list]
     n = len(inside)
-    assert np.all(dim[-2 * n:-n] > dim[-n:])  # the straddlers straddle
+    assert np.all(dim[0, -2 * n:-n] > dim[0, -n:])  # the straddlers straddle
+
+
+def test_kernel_dims_of_columns_in_several_groups_equal_the_full_symbol_rule():
+    # columns are joined while their roots and (b, N) pairs number at most
+    # _CHUNK_ENTRIES: these four columns of about 20000 modes take a group
+    # of three columns and one of one
+    n_list = [40_000, 40_001, 40_000, 40_001]
+    rot = [-2.0 * math.cos(2.0 * math.pi * k / N) for N in n_list[:2] for k in (1, 7, N // 3)]
+    bs = np.concatenate([np.linspace(-2.0, 2.0, 21), rot, np.add(rot, 1e-10)])
+    assert 3 * (20_001 + bs.size) <= linear._CHUNK_ENTRIES < 4 * 20_001
+    dim, r_int = linear.kernel_dims(bs, 1.0, n_list)
+    want = {M: _full_symbol_rule(bs, 1.0, M) for M in n_list}
+    assert [(d, r) for d, r in zip(dim.tolist(), r_int.tolist())] == [want[M] for M in n_list]
+
+
+@pytest.mark.parametrize("bs, n_list", [([0.5, -1.0], []), ([], [2, 1025, 3]), ([], [])])
+def test_kernel_dims_of_an_empty_column_or_list(bs, n_list):
+    dim, r_int = linear.kernel_dims(bs, 1.0, n_list)
+    assert dim.shape == r_int.shape == (len(n_list), len(bs))
 
 
 @pytest.mark.parametrize("b, c, N, dim", [(1e308, 1.7e308, 3, 0), (9e307, 9e307, 3, 0),
@@ -228,7 +248,7 @@ def test_resonance_cutoff_stays_finite_near_the_double_range(b, c, N, dim):
     # and -1; the other modes are far above the cutoff, or overflow
     cutoff = float(linear._cutoff(b, c))
     assert math.isclose(cutoff, 1e-9 * abs(b) + 1e-9 * abs(c))
-    assert linear.kernel_dims([b], c, N)[0].tolist() == [dim]
+    assert linear.kernel_dims([b], c, [N])[0].tolist() == [[dim]]
     assert int(np.sum(linear.resonant_modes(b, c, N)[1])) == dim
 
 
