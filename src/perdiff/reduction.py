@@ -10,23 +10,27 @@ of M_p (I - Q) on the g component is gathered, and g's x-free part (its
 forcing) evaluated, once per bifurcation map.
 
 One damped Newton, ``_newton``, solves both equations. Its unknowns are
-u = (w1, alpha), with a border of m free kernel coordinates alpha, and its
-residual is [w1 - G1 g(x1); A g(x1)]: the auxiliary residual bordered by
-the bifurcation value (Keller 1977; Govaerts 2000). The border is empty
-(m = 0) for an auxiliary solve at given kernel coordinates (dim 0 and every
-value of the bifurcation map: the winding sweep, the ends of the dim-1
-bracket, Brent's points) and has m = dim for a reduced root (from the
-secant point of the dim-1 bracket and from each dim-2 seed). It acts on a
-stack of rows: each keeps its own iteration, Armijo search (with the
-Picard step as the second direction when unbordered) and failure, while
-every step is one residual (g evaluated once for the whole stack, with
-its slopes), one Jacobian write and one batched solve. A call's workspace,
-its Jacobians and the points where g is read, is written in place at each
-step and cut to the rows still iterating when rows end; the stop test, the
-Armijo test and the writes of the rows that end are a few array
-operations for the whole stack. A bifurcation value reuses the g-values
-of the converged residual, and its derivative is a Schur complement of
-the same Jacobian.
+u = (w1, alpha), with a border of m = dim kernel coordinates alpha, and
+each row has a role. A root row's residual is [w1 - G1 g(x1); A g(x1)]:
+the auxiliary residual bordered by the bifurcation value, with alpha free
+(Keller 1977; Govaerts 2000); it solves for a reduced root, from the
+secant point of the dim-1 bracket or from a dim-2 seed. A value row solves
+the auxiliary equation at given kernel coordinates (the winding sweep, the
+ends of the dim-1 bracket, Brent's points): its border is trivial (border
+residual 0, border rows [0 | I], coupling columns 0), so its alpha step is
+exactly 0. At dim 0 the border is empty (m = 0). Every row of a call at
+dim >= 1 carries the border, so a value's bits do not depend on whether a
+root row shares its stack, and a solve puts its first values and its first
+root search in one call. Each row keeps its own iteration, Armijo search
+(with the Picard step as the second direction for a value row) and
+failure, while every step is one residual (g evaluated once for the whole
+stack, with its slopes), one Jacobian write and one batched solve. A
+call's workspace, its Jacobians and the points where g is read, is written
+in place at each step and cut to the rows still iterating when rows end;
+the stop test, the Armijo test and the writes of the rows that end are a
+few array operations for the whole stack. A bifurcation value reuses the
+g-values of the converged residual, and its derivative is a Schur
+complement of a root row's Jacobian.
 
 Where g is undefined (ln, / and ^ are in its grammar), a trial point
 counts as an infinite residual. A row fails with a DomainError only when it
@@ -61,12 +65,13 @@ from .linear import (
     proj_P,
     proj_Q,
     sup_norm,
+    _check_allocatable,
     _mpiq_g1,
     _read_only,
 )
 
-# tolerance and Newton step budget of one auxiliary solve; the bordered
-# Newton takes the same for its w1 part and its steps
+# tolerance and Newton step budget of one auxiliary solve; a root row takes
+# the same for its w1 part and its steps
 _AUX_TOL = 1e-12
 _AUX_NEWTON_STEPS = 40
 # initial sample count and cap of the winding sweep of the dim-2 solver
@@ -199,27 +204,31 @@ class BifurcationMap:
         return lift
 
 
-def _points(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _points(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, out: np.ndarray,
+            fixed: int = 0) -> np.ndarray:
     # write the (k, 3, N) points [x1, x1 + h, x1 - h], x1 = x0 + w1 + Z alpha for
-    # u = (w1, alpha), into out; return h
+    # u = (w1, alpha), into out; return h. Z alpha is formed row by row, and
+    # only for the root rows, the rows from fixed on (as in ``_residual``)
     N = x0.shape[-1]
     w1 = u[..., :N]
     h = np.abs(w1)
     h += 1.0
     h *= 1e-6
     x1 = np.add(x0, w1, out=out[:, 0])
-    if u.shape[1] > N:
-        x1 += u[..., N:] @ bm.border[0].T
+    if u.shape[1] > N and fixed < len(u):
+        x1[fixed:] += np.matmul(bm.border[0], u[fixed:, N:, None])[..., 0]
     np.add(x1, h, out=out[:, 1])
     np.subtract(x1, h, out=out[:, 2])
     return h
 
 
-def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, pts: np.ndarray):
+def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, pts: np.ndarray,
+              fixed: int = 0):
     """(g, R, dg, |R|^2, fell) for each row of the stacks x0 (k, N) (lift first
     components) and u = (w1, alpha) (k, N + m): g = g(x1) at the points of
     ``_points``, written into the buffer pts (k, 3, N), and R = [w1 - G1 g;
-    A g], (Z, A) = ``bm.border``.
+    0] for the first fixed rows, the value rows, and R = [w1 - G1 g; A g],
+    (Z, A) = ``bm.border``, for the root rows after them.
 
     g is evaluated once, on the whole stack; dg are the central difference
     quotients at step h, those of a column-by-column difference of the
@@ -229,7 +238,7 @@ def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, pts: np.ndarray
     |R|^2. ``_row_error`` names such a row's failure.
     """
     N = x0.shape[1]
-    h = _points(bm, x0, u, pts)
+    h = _points(bm, x0, u, pts, fixed)
     try:
         values, fell = expr.evaluate(bm.g_bound, bm.ts, pts), False
     except expr.DomainError:
@@ -251,7 +260,8 @@ def _residual(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, pts: np.ndarray
     else:  # bordered: both parts written into one array, with no concatenation
         R = np.empty(u.shape)
         np.subtract(u[..., :N], G1g, out=R[..., :N])
-        R[..., N:] = np.matmul(bm.border[1], g)[..., 0]
+        R[:fixed, N:] = 0.0
+        R[fixed:, N:] = np.matmul(bm.border[1], g[fixed:])[..., 0]
     f = np.matmul(R[:, None], R[..., None])[:, 0, 0]
     if fell:
         f[np.isnan(gv[:, 0])] = np.inf
@@ -266,17 +276,22 @@ def _row_error(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray) -> expr.Domain
     return _located(bm.problem, points[0], None)
 
 
-def _jacobian(bm: BifurcationMap, dg: np.ndarray, J: np.ndarray) -> np.ndarray:
+def _jacobian(bm: BifurcationMap, dg: np.ndarray, J: np.ndarray, fixed: int = 0) -> np.ndarray:
     """Write the Jacobians of ``_residual`` at the slopes dg (k, N) into the
-    contiguous J (k, N + m, N + m): with D = diag(dg), [[I - G1 D, -G1 D Z],
-    [A D, A D Z]] (Keller 1977; Govaerts 2000), as g acts pointwise."""
+    contiguous J (k, N + m, N + m): with D = diag(dg), [[I - G1 D, 0], [0, I]]
+    for the first fixed rows, the value rows, and [[I - G1 D, -G1 D Z],
+    [A D, A D Z]] for the root rows after them (Keller 1977; Govaerts 2000),
+    as g acts pointwise."""
     k, N, n = len(J), dg.shape[1], J.shape[1]
     D = dg[:, None, :]
     top = np.multiply(bm.aux_operator, -D, out=J[:, :N, :N])  # -G1 D
     if n > N:
         Z, A = bm.border
-        np.matmul(top, Z, out=J[:, :N, N:])
-        np.matmul(np.multiply(A, D, out=J[:, N:, :N]), Z, out=J[:, N:, N:])
+        J[:fixed, :, N:] = np.eye(n, n - N, -N)  # a value row's columns [0; I]
+        J[:fixed, N:, :N] = 0.0
+        if fixed < k:
+            np.matmul(top[fixed:], Z, out=J[fixed:, :N, N:])
+            np.matmul(np.multiply(A, D[fixed:], out=J[fixed:, N:, :N]), Z, out=J[fixed:, N:, N:])
     J.reshape(k, n * n)[:, :N * (n + 1):n + 1] += 1.0  # the diagonal of top: I - G1 D
     return J
 
@@ -286,19 +301,23 @@ _BUDGET = "auxiliary equation did not converge (residual {:.3e})"
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
+def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray, fixed: int):
     """Damped Newton on ``_residual`` = 0 from u, for each row of x0 (k, N) and u (k, N + m).
 
-    Each row takes its own Armijo search on |R|^2 along the Newton
-    direction, and an unbordered row (m = 0) along -R (Picard) when that
-    finds no decrease down to step 1e-12 or its Jacobian is singular; a
-    trial point outside g's domain, or whose residual overflows, is
-    rejected. A row converges when its w1 part is <= _AUX_TOL and its border
-    |A g| at its rounding floor, 1e-13 N (1 + max|g|); its last point goes
-    to u and its g-values to gv. Returns (steps, fails): each row's Newton
-    steps, and a dict from a failed row to what ended it: None outside g's
-    domain or before a step without slopes (``_row_error`` names it), else
-    a ConvergenceError. Rows after the first failing one stop where they are.
+    The first fixed rows are value rows, which hold their alpha (with
+    m > 0, u's alpha part of such a row is 0: its kernel part is in x0),
+    and the rows after them root rows, whose alpha is free (with m = 0
+    every row is a value row). Each row takes its own Armijo search on
+    |R|^2 along the Newton direction, and a value row along -R (Picard)
+    when that finds no decrease down to step 1e-12 or its Jacobian is
+    singular; a trial point outside g's domain, or whose residual
+    overflows, is rejected. A row converges when its w1 part is
+    <= _AUX_TOL and its border |A g| at its rounding floor, 1e-13 N (1 +
+    max|g|); its last point goes to u and its g-values to gv. Returns
+    (steps, fails): each row's Newton steps, and a dict from a failed row to
+    what ended it: None outside g's domain or before a step without slopes
+    (``_row_error`` names it), else a ConvergenceError. Rows after the first
+    failing one stop where they are.
     """
     k, N = x0.shape
     m = u.shape[1] - N
@@ -306,10 +325,10 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
     stalled = []  # the rows whose search stalled since the rows last ended
     # the workspace, written in place each step: the Jacobians and the points
     J, pts = np.empty((k, N + m, N + m)), np.empty((k, 3, N))
-    g, R, dg, f, fell = _residual(bm, x0, u, pts)
+    g, R, dg, f, fell = _residual(bm, x0, u, pts, fixed)
     # the rows still iterating: their indices, x0, u (at first u itself, as
-    # each row's point ends in u), g-values, residuals, |R|^2 and slopes; the
-    # rows that have not failed took it steps
+    # each row's point ends in u), g-values, residuals, |R|^2 and slopes, the
+    # first fixed of them value rows; the rows that have not failed took it steps
     ids, x, v = np.arange(k), x0, u
     fails = {}
     it = 0
@@ -341,7 +360,7 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
                 if not kept:
                     return steps, fails
                 sel = keep.nonzero()[0]
-                ids, f, rn = ids[sel], f[sel], rn[sel]
+                ids, f, rn, fixed = ids[sel], f[sel], rn[sel], np.count_nonzero(keep[:fixed])
                 x, v, g, R, dg = (a.take(sel, 0) for a in (x, v, g, R, dg))
                 J, pts = J[:kept], pts[:kept]
         if fell:  # an evaluation left g's domain: the first row with NaN slopes fails
@@ -350,7 +369,7 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
             if bad.size:
                 fails[ids[bad[0]]] = None
                 continue
-        Jk = _jacobian(bm, dg, J)
+        Jk = _jacobian(bm, dg, J, fixed)
         picard = set()  # rows searching along -R
         try:  # d is minus the search direction: R itself is the right-hand side
             d = np.linalg.solve(Jk, R[..., None])[..., 0]
@@ -361,13 +380,14 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
                     d[j] = np.linalg.solve(Jk[j], R[j])
                 except np.linalg.LinAlgError:
                     picard.add(j)
-        if m and picard:  # but a bordered row has no Picard direction
-            j = min(picard)
+        rooted = [j for j in picard if j >= fixed]
+        if rooted:  # but a root row has no Picard direction
+            j = min(rooted)
             fails[ids[j]] = ConvergenceError(_STALLED.format(rn[j]))
             continue
         it += 1
         trial = v - d
-        g_t, R_t, dg_t, f_t, fell = _residual(bm, x, trial, pts)
+        g_t, R_t, dg_t, f_t, fell = _residual(bm, x, trial, pts, fixed)
         ok = f_t <= (1.0 - 1e-4) * f
         if np.count_nonzero(ok) == len(ok):  # every row takes the full step
             v, g, R, f, dg = trial, g_t, R_t, f_t, dg_t
@@ -381,7 +401,7 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
             todo = todo[~ok]
             s[todo] *= 0.5
             for j in todo[s[todo] < 1e-12]:
-                if not m and j not in picard:  # no decrease along Newton: the damped Picard step
+                if j < fixed and j not in picard:  # no Newton decrease: the damped Picard step
                     picard.add(j)
                     s[j], d[j] = 1.0, R[j]
                 else:
@@ -391,45 +411,64 @@ def _newton(bm: BifurcationMap, x0: np.ndarray, u: np.ndarray, gv: np.ndarray):
             if not todo.size:
                 break
             trial = v[todo] - s[todo, None] * d[todo]
-            g_t, R_t, dg_t, f_t, fell_t = _residual(bm, x[todo], trial, pts[:len(todo)])
+            g_t, R_t, dg_t, f_t, fell_t = _residual(bm, x[todo], trial, pts[:len(todo)],
+                                                    int(np.searchsorted(todo, fixed)))
             fell |= fell_t
             ok = f_t <= (1.0 - 1e-4 * s[todo]) * f[todo]
 
 
-def _aux_fixed_points(bm: BifurcationMap, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the first component of w = M_p (I - Q) F(lift + w) to _AUX_TOL for a stack of lifts.
+def _stack_solve(bm: BifurcationMap, x0: np.ndarray, seed=None):
+    """One ``_newton`` on value rows, which solve the first component of
+    w = M_p (I - Q) F(lift + w) to _AUX_TOL at the lifts whose first
+    components are x0 (k, N), and, with a seed (dim,), a root row after
+    them, from (w1, alpha) = (0, seed); in chunks of at most
+    expr._CHUNK_ENTRIES Jacobian entries, the root row in the last.
 
-    x0 (m, N) holds the lifts' first components; ``_newton`` solves them
-    unbordered, in chunks of at most expr._CHUNK_ENTRIES Jacobian entries.
-    Returns (w1, g(x0 + w1)), both (m, N). When a row fails, its error is
-    raised once the rows before it are solved; the map counts their steps,
-    and the failing row's own when it stalled or ran out of steps, and
-    keeps the last solved row: what solving the rows one at a time, in
-    order, would leave. A stack of one at the map's last lift returns
-    copies of the kept solution without solving again.
+    Returns (w1, g(x0 + w1), root): the value rows' solutions, both (k, N),
+    and the root row's (y = x1, alpha, steps, converged) at its last point,
+    any failure of its own reported as not converged (None without a seed).
+    When a value row fails, its error is raised once the rows before it are
+    solved; the map counts their steps, and the failing row's own when it
+    stalled or ran out of steps, and keeps the last solved value row: what
+    solving the value rows one at a time, in order, would leave. A single
+    value row at the map's last lift, with no seed, returns copies of the
+    kept solution without solving again. A root row is nondegenerate
+    exactly when its root is for Newton on the map (``bifurcation_jacobian``).
     """
-    m, N = x0.shape
+    k, N = x0.shape
     last = bm._last_aux
-    if m == 1 and last is not None and last[0] == x0.tobytes():
-        return last[1][None].copy(), last[2][None].copy()
-    w1, gv = np.zeros((m, N)), np.empty((m, N))
-    rows = max(1, expr._CHUNK_ENTRIES // N**2)
-    for lo in range(0, m, rows):
-        steps, fails = _newton(bm, x0[lo:lo + rows], w1[lo:lo + rows], gv[lo:lo + rows])
-        solved = lo + min(fails, default=len(steps))
-        counted = solved - lo + isinstance(fails.get(solved - lo), ConvergenceError)
+    if seed is None and k == 1 and last is not None and last[0] == x0.tobytes():
+        return last[1][None].copy(), last[2][None].copy(), None
+    n = N + bm.dim
+    u, gv = np.zeros((k + (seed is not None), n)), np.empty((k + (seed is not None), N))
+    if seed is not None:
+        x0 = np.concatenate([x0, np.zeros((1, N))])
+        u[k, N:] = seed
+    root = None
+    rows = max(1, expr._CHUNK_ENTRIES // n**2)
+    for lo in range(0, len(x0), rows):
+        hi = lo + rows
+        values = min(hi, k) - lo  # the chunk's value rows: the root row, if here, is next
+        steps, fails = _newton(bm, x0[lo:hi], u[lo:hi], gv[lo:hi], values)
+        failed = min(fails, default=values)
+        counted = failed + (failed < values and isinstance(fails[failed], ConvergenceError))
         bm._inner_iters += int(steps[:counted].sum())
+        solved = lo + failed
         if solved:
-            bm._last_aux = (x0[solved - 1].tobytes(), w1[solved - 1].copy(), gv[solved - 1].copy())
-        if fails:
-            raise fails[solved - lo] or _row_error(bm, x0[solved], w1[solved])
-    return w1, gv
+            bm._last_aux = (x0[solved - 1].tobytes(), u[solved - 1, :N].copy(),
+                            gv[solved - 1].copy())
+        if failed < values:
+            raise fails[failed] or _row_error(bm, x0[solved], u[solved])
+        if seed is not None and hi > k:  # y = Z alpha + w1, Z alpha as in ``_points``
+            root = (np.matmul(bm.border[0], u[k, N:, None])[:, 0] + u[k, :N], u[k, N:],
+                    int(steps[values]), values not in fails)
+    return u[:k, :N], gv[:k], root
 
 
 def _aux_y(bm: BifurcationMap, alpha) -> np.ndarray:
     """y = x1 = lift1 + w1 of the auxiliary solution at the kernel coordinates alpha (dim,)."""
     x0 = bm.kernel_lift(alpha)[None, :, 0]
-    return x0[0] + _aux_fixed_points(bm, x0)[0][0]
+    return x0[0] + _stack_solve(bm, x0)[0][0]
 
 
 def bifurcation_value(bm: BifurcationMap, alpha) -> np.ndarray:
@@ -441,9 +480,13 @@ def bifurcation_value(bm: BifurcationMap, alpha) -> np.ndarray:
     case and the cos/sin-weighted sums in the two-dimensional rotation case.
     """
     lifts = bm.kernel_lift(alpha)
-    _, gv = _aux_fixed_points(bm, lifts.reshape(-1, bm.problem.N, 2)[:, :, 0])
-    beta = np.matmul(bm.border[1], gv[:, :, None])[:, :, 0]
-    return beta.reshape(lifts.shape[:-2] + (bm.dim,))
+    gv = _stack_solve(bm, lifts.reshape(-1, bm.problem.N, 2)[:, :, 0])[1]
+    return _paired(bm, gv).reshape(lifts.shape[:-2] + (bm.dim,))
+
+
+def _paired(bm: BifurcationMap, gv: np.ndarray) -> np.ndarray:
+    # the g-values gv (k, N) paired with the shifted adjoint basis, row by row: (k, dim)
+    return np.matmul(bm.border[1], gv[:, :, None])[:, :, 0]
 
 
 def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
@@ -457,26 +500,13 @@ def bifurcation_jacobian(bm: BifurcationMap, alpha) -> np.ndarray:
     right after a value at the same alpha.
     """
     x0 = bm.kernel_lift(alpha)[None, :, 0]
-    w1 = _aux_fixed_points(bm, x0)[0]
+    w1 = _stack_solve(bm, x0)[0]
     N = bm.problem.N
     _, _, dg, _, fell = _residual(bm, x0, w1, np.empty((1, 3, N)))
     if fell:
         raise _row_error(bm, x0[0], w1[0])
     J = _jacobian(bm, dg, np.empty((1, N + bm.dim, N + bm.dim)))[0]
     return J[N:, N:] - J[N:, :N] @ np.linalg.solve(J[:N, :N], J[:N, N:])
-
-
-def _bordered_newton(bm: BifurcationMap, alpha0) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """``_newton`` on the auxiliary and bifurcation equations together from
-    (w1, alpha) = (0, alpha0): (y = x1, alpha, steps, converged) at its last
-    point, any failure reported as not converged. A root is nondegenerate
-    here exactly when it is for Newton on the map (``bifurcation_jacobian``).
-    """
-    N = bm.problem.N
-    u = np.zeros((1, N + bm.dim))
-    u[0, N:] = alpha0
-    steps, fails = _newton(bm, np.zeros((1, N)), u, np.empty((1, N)))
-    return bm.border[0] @ u[0, N:] + u[0, :N], u[0, N:], int(steps[0]), not fails
 
 
 # -- winding numbers -------------------------------------------------------
@@ -682,11 +712,21 @@ def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
     def beta(a: float) -> float:
         return float(bifurcation_value(bm, [a])[0])
 
+    # the bracket ends +r and -r as value rows and the root search in one
+    # stack, the root search from the secant point of the bracket's values at
+    # w1 = 0 (from 0 where that point leaves [-r, r] or g is undefined there)
+    lifts = bm.kernel_lift([[r], [-r]])[:, :, 0]
+    start = 0.0
+    with contextlib.suppress(expr.DomainError):
+        hi0, lo0 = _paired(bm, expr.evaluate(bm.g_bound, bm.ts, lifts))[:, 0].tolist()
+        if lo0 != hi0 and -r <= (secant := -r + 2.0 * r * lo0 / (lo0 - hi0)) <= r:
+            start = secant
     try:
-        b_hi, b_lo = bifurcation_value(bm, [[r], [-r]])[:, 0].tolist()
+        _, gv, root = _stack_solve(bm, lifts, [start])
     except expr.DomainError as e:
         raise SolverError(f"bifurcation function undefined at the bracket ends -r, +r "
                           f"(r = {r:g}): {e}", diagnostics={"r": r}) from None
+    b_hi, b_lo = _paired(bm, gv)[:, 0].tolist()
     newton = bisection = 0
     if max(abs(b_hi), abs(b_lo)) <= 1e-14:
         alpha_star, y = 0.0, None
@@ -697,10 +737,10 @@ def _solve_dim1(bm: BifurcationMap, r: float, tol: float) -> SolveReport:
             diagnostics={"beta_minus": b_lo, "beta_plus": b_hi, "r": r},
         )
     else:
-        # Newton from the secant point of the bracket; Brent's method on the
-        # bracket when it fails or converges outside it
-        y, root, newton, converged = _bordered_newton(bm, [-r + 2.0 * r * b_lo / (b_lo - b_hi)])
-        alpha_star = float(root[0])
+        # the root search's root; Brent's method on the bracket when it
+        # fails or converges outside it
+        y, alpha, newton, converged = root
+        alpha_star = float(alpha[0])
         if not (converged and -r <= alpha_star <= r):
             # Brent returns an end where beta is exactly zero without evaluating
             alpha_star, bisection = _brent(beta, -r, r, b_lo, b_hi, 1e-12 * r)
@@ -777,12 +817,24 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
                 diagnostics={"zhat_est": zhat_est, "K_est": K_est,
                              "norm_upper": bm.norm_upper})
 
+    # the seeds: the grid points in the disk, by distance, then coordinates
+    axis = np.linspace(-radius, radius, grid) if grid > 1 else np.zeros(1)
+    seeds = np.stack([np.repeat(axis, axis.size), np.tile(axis, axis.size)], axis=1)
+    dist = np.hypot(seeds[:, 0], seeds[:, 1])
+    inside = dist <= radius * (1.0 + 1e-12)
+    seeds, dist = seeds[inside], dist[inside]
+    seeds = seeds[np.lexsort((seeds[:, 1], seeds[:, 0], dist))]
+
     sweep = 0  # circle points the winding sweep evaluated the map at
+    first = None  # the first seed's root search, run with the sweep's first points
 
     def swept_value(a):
-        nonlocal sweep
+        nonlocal sweep, first
         sweep += len(a)
-        return bifurcation_value(bm, a)
+        if sweep > len(a) or not len(seeds):  # a later round, or no seed to run
+            return bifurcation_value(bm, a)
+        _, gv, first = _stack_solve(bm, bm.kernel_lift(a)[:, :, 0], seeds[0])
+        return _paired(bm, gv)
 
     try:
         winding = winding_of_map(swept_value, radius, _WINDING_SAMPLES)
@@ -790,17 +842,14 @@ def _solve_dim2(bm: BifurcationMap, radius: float, grid: int, tol: float) -> Sol
         winding = None
     degree_evidence = winding is not None and winding != 0
 
-    axis = (np.linspace(-radius, radius, grid) if grid > 1 else np.array([0.0])).tolist()
-    seeds = np.array([(a0, a1) for a0 in axis for a1 in axis
-                      if math.hypot(a0, a1) <= radius * (1.0 + 1e-12)]).reshape(-1, 2)
-    seeds = seeds[np.lexsort((seeds[:, 1], seeds[:, 0], np.hypot(seeds[:, 0], seeds[:, 1])))]
-
     forcing_free = _forcing_free(bm)
     accepted = None
     newton_iters = 0
     nontrivial = False
-    for seed in seeds:
-        y, root, iters, converged = _bordered_newton(bm, seed)
+    for i, seed in enumerate(seeds):
+        # a seed runs on its own unless the sweep's first call ran it
+        y, root, iters, converged = (first if i == 0 and first is not None else
+                                     _stack_solve(bm, np.empty((0, problem.N)), seed)[2])
         newton_iters += iters
         if not converged:
             continue
@@ -838,16 +887,24 @@ def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
       -r and +r (what the existence argument guarantees under its
       hypotheses); otherwise NoSignChangeError, and a SolverError naming r
       when g is undefined there. The bordered Newton on the auxiliary and
-      bifurcation equations together starts at the secant point of that
-      bracket, and its root is accepted inside [-r, r]. Otherwise Brent's
-      method keeps the sign-change bracket down to width 1e-12 * r.
+      bifurcation equations together runs in the same Newton stack as the
+      two bracket ends. It starts at the secant point of the bracket's
+      values at w1 = 0, A g(+-r Z) (at 0 when that point leaves [-r, r] or
+      g is undefined there), and its root is accepted inside [-r, r].
+      Otherwise Brent's method keeps the sign-change bracket down to width
+      1e-12 * r.
     * dim 2: winding-number evidence plus the bordered Newton from seeds.
       With radius <= 0 a heuristic default 10 * (zhat_est + ||M_p(I-Q)|| *
       K_est) is used, both estimates sampled from g (SolverError where it
       overflows the double range). Seeds are the grid x grid points of
       the square inscribed in the search disk, tried closest to the origin
       first; the first root that reproduces the recurrence to tol wins.
+      The first seed runs in the same Newton stack as the winding sweep's
+      first 16 points, and again on its own if one of them fails.
 
+    A dim-1 solve that needs no Brent fallback, and a dim-2 solve whose
+    sweep settles at 16 points and whose first seed converges, make one
+    Newton call.
     ``iterations`` counts the work: ``newton`` the bordered Newton steps
     (dims 1 and 2, every seed's), ``bisection`` the bifurcation function
     evaluations of Brent's method (dim 1; 0 unless the fallback ran),
@@ -856,8 +913,9 @@ def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
 
     Every argument is checked, whatever the regime, before the linear data
     is built: tol and r finite and positive, radius finite, grid an integer
-    >= 1. The reduction alone produces y, and the oracle's residual judges
-    it against tol, reachable down to a few 1e-12. A problem with more than
+    >= 1 whose grid**2 seeds fit in an address space (else MemoryError).
+    The reduction alone produces y, and the oracle's residual judges it
+    against tol, reachable down to a few 1e-12. A problem with more than
     two resonant modes raises ModeLimitError.
     """
     for name, value in (("tol", tol), ("r", r)):
@@ -867,6 +925,7 @@ def solve(problem: Problem, tol: float = 1e-9, r: float = 10.0,
         raise ValueError("radius must be finite")
     if not (float(grid).is_integer() and grid >= 1):
         raise ValueError("grid must be an integer >= 1")
+    _check_allocatable("grid", grid, 16 * int(grid) ** 2)  # the seeds, (grid**2, 2) floats
     bm = BifurcationMap(problem, build_linear_data(problem))
     if bm.dim == 0:
         return _solve_dim0(bm, tol)

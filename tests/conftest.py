@@ -10,6 +10,10 @@ from perdiff import Problem, linear, mp_solve, proj_P, proj_Q
 
 CANONICAL_G = "tanh(x)+0.1*cos(2*pi*t/3)"
 ROOT = Path(__file__).resolve().parent.parent
+# numpy runs its baseline kernels only: no SIMD target it dispatches to is
+# enabled (NPY_DISABLE_CPU_FEATURES turned them all off, or the CPU has none)
+_UMATH = (getattr(np, "_core", None) or np.core)._multiarray_umath
+SIMD_DISPATCH_OFF = not any(_UMATH.__cpu_features__.get(t) for t in _UMATH.__cpu_dispatch__)
 
 
 def subprocess_env():

@@ -514,13 +514,16 @@ _BEYOND = "99999999999999999999"
                                   ["scan", "--b-range=-2:2:3", "--c", "1", "--N-list", _BEYOND],
                                   ["check", "small", "--theorem", "thm1", "--grid", _BEYOND],
                                   ["check", "small", "--theorem", "thm1", "--grid", str(2**63 - 1)],
-                                  ["check", "small", "--theorem", "cor", "--grid", _BEYOND]])
+                                  ["check", "small", "--theorem", "cor", "--grid", _BEYOND],
+                                  ["solve", "rotation", "--grid", _BEYOND]])
 def test_a_period_or_grid_too_large_to_allocate_exits_3(argv, tmp_path, capsys):
     # one line naming the allocation or the size, in place of a numpy
-    # traceback with exit 1 or numpy's bare text with exit 2
+    # traceback with exit 1 or numpy's bare text with exit 2; solve refuses
+    # its seed grid before any work, the winding sweep of its dim-2 problem too
     files = {"big": write_problem(tmp_path / "big.json", 0, 2, int(_HUGE), "tanh(x)"),
              "beyond": write_problem(tmp_path / "beyond.json", 0, 2, int(_BEYOND), "tanh(x)"),
-             "small": write_problem(tmp_path / "small.json", 0, 2, 3, "tanh(x)")}
+             "small": write_problem(tmp_path / "small.json", 0, 2, 3, "tanh(x)"),
+             "rotation": write_problem(tmp_path / "rotation.json", 1, 1, 3, CANONICAL_G)}
     code = cli.main([files.get(a, a) for a in argv])
     out, err = capsys.readouterr()
     assert code == cli.EXIT_SOLVER

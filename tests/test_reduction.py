@@ -35,8 +35,8 @@ import perdiff.expr as expr
 from perdiff import linear, oracle, reduction
 from perdiff.reduction import _brent, _jacobian, _residual, _row_error, apply_F
 
-from conftest import (CANONICAL_G, dense_mpiq, forget_linear_data, g1_atol, instance_grid,
-                      make_problem)
+from conftest import (CANONICAL_G, SIMD_DISPATCH_OFF, dense_mpiq, forget_linear_data, g1_atol,
+                      instance_grid, make_problem)
 
 
 def _bm(b, c, N, g):
@@ -58,7 +58,7 @@ def _aux_solution(bm, alpha):
     # the full auxiliary solution w(alpha): the solver's w1, and w2 from
     # g evaluated afresh at lift1 + w1
     lift = bm.kernel_lift(alpha)
-    w1 = reduction._aux_fixed_points(bm, lift[None, :, 0])[0][0]
+    w1 = reduction._stack_solve(bm, lift[None, :, 0])[0][0]
     return _with_w2(bm, w1, expr.evaluate(bm.problem.g, np.arange(bm.problem.N), lift[:, 0] + w1))
 
 
@@ -424,7 +424,7 @@ def test_one_solve_holds_about_two_dense_matrices():
     # with a fresh matrix per step)
     for (b, c, N), solve_once in [
         ((0, 2, 512), lambda bm: reduction._aux_y(bm, [])),
-        (_rotation_row(257), lambda bm: reduction._bordered_newton(bm, [0.5, 0.3])),
+        (_rotation_row(257), lambda bm: reduction._stack_solve(bm, np.empty((0, 257)), [0.5, 0.3])),
     ]:
         _, bm = _bm(b, c, N, f"tanh(x)+0.1*cos(2*pi*t/{N})")
         bm.aux_operator, bm.g_bound, bm.border  # built once per map, outside the measurement
@@ -491,9 +491,10 @@ def test_bifurcation_value_of_a_stack_matches_the_points(b, c, N, g):
 
 
 def test_bifurcation_value_of_a_stack_larger_than_a_chunk():
-    # at N = 65 a chunk holds 15 Jacobians, so 40 points take three chunks
+    # at N = 65 a chunk holds 14 bordered (67, 67) Jacobians, so 40 points
+    # take three chunks
     p, bm = _bm(*_rotation_row(65), "tanh(x)+0.1*cos(2*pi*t/65)")
-    assert max(1, linear._CHUNK_ENTRIES // 65 ** 2) == 15
+    assert max(1, linear._CHUNK_ENTRIES // 67 ** 2) == 14
     alphas = _stack_of(bm, 40, 3.0)
     expected, steps = _per_point(p, bm.ld, alphas)
     np.testing.assert_array_equal(bifurcation_value(bm, alphas), expected)
@@ -513,14 +514,36 @@ def test_newton_gives_each_row_of_a_stack_the_bits_of_the_row_alone(b, c, N, g):
     x0 = np.zeros((16, N)) if bm.dim == 0 else bm.kernel_lift(_stack_of(bm, 16, 2.0))[:, :, 0]
     starts = np.linspace(0.0, 3.0, 16)[:, None] * np.random.default_rng(5).standard_normal((16, N))
     u, gv = starts.copy(), np.empty((16, N))
-    steps, fails = reduction._newton(bm, x0, u, gv)
+    steps, fails = reduction._newton(bm, x0, u, gv, 16)
     assert not fails and len(set(steps.tolist())) > 1
     for i in range(16):
         u_i, gv_i = starts[i:i + 1].copy(), np.empty((1, N))
-        steps_i, fails_i = reduction._newton(bm, x0[i:i + 1], u_i, gv_i)
+        steps_i, fails_i = reduction._newton(bm, x0[i:i + 1], u_i, gv_i, 1)
         assert not fails_i and steps_i[0] == steps[i]
         np.testing.assert_array_equal(u_i[0], u[i])
         np.testing.assert_array_equal(gv_i[0], gv[i])
+
+
+@pytest.mark.parametrize("b,c,N,g,seed", [
+    (-1.5, 0.5, 13, "atan(x)+0.12*cos(2*pi*t/13+4.1)", [1.7]),
+    (-3, 2, 9, "ln(x+5)+0.1*cos(2*pi*t/9)", [-2.5]),
+    _rotation_row(15) + ("x/(1+abs(x))+0.17*cos(2*pi*t/15+0.8)", [1.2, -0.9]),
+    _rotation_row(33) + ("tanh(x)+0.1*cos(2*pi*t/33)", [0.3, 0.6]),
+], ids=["dim1", "dim1-ln", "dim2-N15", "dim2-N33"])
+def test_a_mixed_stack_gives_each_row_the_bits_of_its_own_call(b, c, N, g, seed):
+    # 16 value rows and a root row after them in one Newton stack: each
+    # value row gives the bits of bifurcation_value at its point alone, and
+    # its steps, and the root row the (y, alpha, steps) of its own call
+    p, bm = _bm(b, c, N, g)
+    alphas = _stack_of(bm, 16, 2.0)
+    _, gv, root = reduction._stack_solve(bm, bm.kernel_lift(alphas)[:, :, 0], seed)
+    expected, steps = _per_point(p, bm.ld, alphas)
+    np.testing.assert_array_equal(reduction._paired(bm, gv), expected)
+    assert bm._inner_iters == steps
+    alone = reduction._stack_solve(BifurcationMap(p, bm.ld), np.empty((0, N)), seed)[2]
+    assert root[3] and alone[3] and root[2] == alone[2] > 1
+    np.testing.assert_array_equal(root[0], alone[0])
+    np.testing.assert_array_equal(root[1], alone[1])
 
 
 def test_a_stack_member_outside_the_domain_raises_what_its_point_raises():
@@ -602,8 +625,8 @@ def test_a_stack_member_with_a_singular_jacobian_matches_its_point(g, slope, mon
     p, bm = _bm(-3, 2, 9, g)
     singular = []
 
-    def jacobian(bm, dg, J):
-        J = _jacobian(bm, dg, J)
+    def jacobian(bm, dg, J, fixed):
+        J = _jacobian(bm, dg, J, fixed)
         rows = dg.mean(axis=1) > slope
         singular.append((len(dg), int(rows.sum())))
         J[rows] = 0.0
@@ -754,15 +777,17 @@ def test_solve_1d_falls_back_to_brent(how, monkeypatch):
     p = make_problem(-1.5, 0.5, 13, "atan(x)+0.12*cos(2*pi*t/13+4.1)")
     r = 10.0
     newton = solve(p, r=r)
-    bordered = reduction._bordered_newton
+    stack = reduction._stack_solve
 
-    def failing(bm, alpha0):
-        y, alpha, steps, _ = bordered(bm, alpha0)
+    def failing(bm, x0, seed=None):
+        if seed is None:  # Brent's values
+            return stack(bm, x0)
+        w1, gv, (y, alpha, steps, _) = stack(bm, x0, seed)
         if how == "fails":
-            return y, alpha, steps, False
-        return y, alpha + 2.0 * r, steps, True
+            return w1, gv, (y, alpha, steps, False)
+        return w1, gv, (y, alpha + 2.0 * r, steps, True)
 
-    monkeypatch.setattr(reduction, "_bordered_newton", failing)
+    monkeypatch.setattr(reduction, "_stack_solve", failing)
     rep = solve(p, r=r)
     assert rep.oracle_verified
     assert rep.residual_sup <= 1e-9
@@ -799,23 +824,23 @@ def test_nontrivial_scan_skips_a_bracket_whose_refinement_fails(monkeypatch, err
     p = make_problem(-3, 2, 3, "1.5*sin(x)")
     grid = np.linspace(-10.0, 10.0, 33)
     scanning, failed = [], []
-    real_forcing_free, real_aux = reduction._forcing_free, reduction._aux_fixed_points
+    real_forcing_free, real_aux = reduction._forcing_free, reduction._stack_solve
 
     def forcing_free(problem):
         scanning.append(True)
         return real_forcing_free(problem)
 
-    def aux(bm, x0):
+    def aux(bm, x0, seed=None):
         # the scan's grid is one stack; every other solve while scanning
         # belongs to a bracket's refinement
         on_grid = bm.kernel_lift(grid[:, None])[:, :, 0]
         if scanning and not all((on_grid == row).all(axis=1).any() for row in x0):
             failed.append(len(x0))
             raise error("refinement failed")
-        return real_aux(bm, x0)
+        return real_aux(bm, x0, seed)
 
     monkeypatch.setattr(reduction, "_forcing_free", forcing_free)
-    monkeypatch.setattr(reduction, "_aux_fixed_points", aux)
+    monkeypatch.setattr(reduction, "_stack_solve", aux)
     rep = solve(p)
     assert rep.regime == 1
     assert rep.oracle_verified
@@ -853,6 +878,8 @@ def test_winding_of_large_and_tiny_finite_values(scale):
     assert winding_of_map(lambda a: np.stack([a[:, 0], -a[:, 1]], axis=1) * scale, 1.0) == -1
 
 
+@pytest.mark.xfail(SIMD_DISPATCH_OFF, strict=True,
+                   reason="on numpy's baseline kernels no seed finds the root")
 def test_a_solve_whose_map_reaches_1e300_finds_its_winding():
     # the bifurcation map is about 1e300 on the default circle; the sweep
     # settles at 16 points
@@ -1018,13 +1045,22 @@ def test_solve_2d_default_radius_outside_the_domain_is_a_solver_error():
     assert info.value.diagnostics == {"radius": 0.0}
 
 
-def test_a_winding_sweep_outside_the_domain_leaves_the_seeds_to_solve():
+def test_a_winding_sweep_outside_the_domain_leaves_the_seeds_to_solve(monkeypatch):
     # circle points at radius 30 leave ln(x+20)'s domain: no winding, but a
-    # seed near the origin still finds the root
+    # seed near the origin still finds the root. The first seed, run with the
+    # sweep's first 16 points, runs again on its own after that call fails
     p = make_problem(*_rotation_row(9), "atan(x)+0.1*cos(2*pi*t/9)+0.001*ln(x+20)")
+    calls, stack = [], reduction._stack_solve
+
+    def counting(bm, x0, seed=None):
+        calls.append((len(x0), None if seed is None else np.asarray(seed).tolist()))
+        return stack(bm, x0, seed)
+
+    monkeypatch.setattr(reduction, "_stack_solve", counting)
     rep = solve(p, radius=30.0)
     assert rep.winding is None and rep.degree_evidence is False
     assert rep.oracle_verified
+    assert calls == [(16, [0.0, 0.0]), (0, [0.0, 0.0])]
 
 
 def test_solve_dispatch(dim0_problem, dim1_problem, dim2_problem):
@@ -1082,14 +1118,19 @@ def _old_seed_order(radius, grid):
 
 def test_dim2_seeds_are_tried_in_order_of_distance_then_coordinates(monkeypatch):
     # no seed converges, so every seed is tried; grid 11 at radius 5 puts
-    # (3, 4) and its mirror images exactly on the circle
+    # (3, 4) and its mirror images exactly on the circle. The first seed is
+    # tried with the winding sweep's first points, the others on their own
     tried = []
+    stack = reduction._stack_solve
 
-    def no_root(bm, alpha0):
-        tried.append(np.asarray(alpha0).tolist())
-        return np.zeros(bm.problem.N), np.asarray(alpha0), 0, False
+    def no_root(bm, x0, seed=None):
+        w1, gv, _ = stack(bm, x0)
+        if seed is None:
+            return w1, gv, None
+        tried.append(np.asarray(seed).tolist())
+        return w1, gv, (np.zeros(bm.problem.N), np.asarray(seed), 0, False)
 
-    monkeypatch.setattr(reduction, "_bordered_newton", no_root)
+    monkeypatch.setattr(reduction, "_stack_solve", no_root)
     p = make_problem(*_rotation_row(5), "tanh(x)+0.1*cos(2*pi*t/5)")
     assert [3.0, 4.0] in _old_seed_order(5.0, 11)
     for radius in (5.0, 1.0, 2.5, math.pi, 0.3):
@@ -1107,18 +1148,19 @@ def test_a_dim2_solve_asks_the_oracle_once_per_converged_seed(g, monkeypatch):
     # the accepted root's residual goes to the report without a second call;
     # without forcing the loop goes on looking for a nontrivial root
     converged, calls = [], []
-    bordered, residual = reduction._bordered_newton, oracle.residual
+    stack, residual = reduction._stack_solve, oracle.residual
 
-    def counting_newton(bm, alpha0):
-        out = bordered(bm, alpha0)
-        converged.append(out[3])
+    def counting_newton(bm, x0, seed=None):
+        out = stack(bm, x0, seed)
+        if seed is not None:
+            converged.append(out[2][3])
         return out
 
     def counting_residual(problem, y):
         calls.append(y)
         return residual(problem, y)
 
-    monkeypatch.setattr(reduction, "_bordered_newton", counting_newton)
+    monkeypatch.setattr(reduction, "_stack_solve", counting_newton)
     monkeypatch.setattr(oracle, "residual", counting_residual)
     p = make_problem(*_rotation_row(5), g)
     rep = solve(p, radius=5.0, grid=5)
